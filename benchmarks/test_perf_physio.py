@@ -15,7 +15,11 @@ from repro.experiments.physio_lab import PhysioLab
 from repro.phy.fsk import FSKModulator
 from repro.physio.codec import WaveformCodec
 from repro.physio.ecg import ECGConfig, ECGGenerator
-from repro.physio.inference import AttackerInference, estimate_heart_rate
+from repro.physio.inference import (
+    AttackerInference,
+    detect_beats,
+    estimate_heart_rate,
+)
 from repro.protocol.commands import CommandType
 from repro.protocol.packets import Packet
 
@@ -43,6 +47,12 @@ _FRAMES = np.stack([
     for i in range(16)
 ])
 _CORRUPTED = (_FRAMES ^ (_RNG.random(_FRAMES.shape) < 0.1))[None, :, :]
+#: A fully jammed record: coin-flip frame bits (the shield's one-time-pad
+#: regime), whose reconstruction leaves 65 peak candidates for the
+#: refractory suppression -- about what a physio campaign record has.
+_JAMMED_SAMPLES, _ = _INFERENCE.reconstruct_record(
+    np.random.default_rng(0).integers(0, 2, size=_FRAMES.shape)
+)
 
 
 def test_perf_ecg_batch_generation(benchmark):
@@ -68,6 +78,12 @@ def test_perf_attack_batch(benchmark):
 def test_perf_hr_estimation(benchmark):
     hr = benchmark(estimate_heart_rate, _BATCH.samples[0], 120.0)
     assert 40.0 <= hr <= 200.0
+
+
+def test_perf_detect_beats(benchmark):
+    """Beat detection on one jammed 768-sample record."""
+    beats = benchmark(detect_beats, _JAMMED_SAMPLES, 120.0)
+    assert beats.size > 0
 
 
 def test_perf_inference_record(benchmark):

@@ -1,10 +1,14 @@
 """Numpy reference kernels: the pinned semantics of every hot path.
 
-Each function here is the exact numpy code its call site ran before the
-accel layer existed, extracted verbatim behind a registry name.  That
-makes the numpy backend *bit-identical* to the pre-accel repo: campaign
-cache hashes, golden Expectation verdicts, and every parity test are
-unaffected by routing through the registry.
+Each function here computes exactly what its call site computed before
+the accel layer existed, behind a registry name.  The *semantics* are
+pinned, not the code: four kernels are the call sites' numpy extracted
+verbatim, while ``beat_refractory_suppress`` has since been rewritten
+from an all-pairs scan to a sorted-neighbour search that keeps the same
+indices in the same order.  Either way the numpy backend is
+*bit-identical* to the pre-accel repo: campaign cache hashes, golden
+Expectation verdicts, and every parity test are unaffected by routing
+through the registry.
 
 The numba overlay (:mod:`repro.accel.numba_backend`) reimplements these
 contracts as compiled loops.  Where floating-point reassociation or libm
@@ -43,6 +47,8 @@ Kernel contracts
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 import numpy as np
 
@@ -108,8 +114,18 @@ def hr_unbiased_autocorr(x: np.ndarray, lag_hi: int) -> np.ndarray:
 def beat_refractory_suppress(
     candidates_desc: np.ndarray, refractory: float
 ) -> np.ndarray:
+    # A candidate is kept iff it is at least ``refractory`` from every
+    # kept index; with the kept indices sorted, only the nearest one on
+    # each side can be closer, so each candidate costs one bisection.
+    # The comparisons are written ``>=`` like the all-pairs definition,
+    # so a NaN window rejects exactly what that definition rejects.
     kept: list[int] = []
-    for idx in candidates_desc:
-        if all(abs(idx - k) >= refractory for k in kept):
-            kept.append(int(idx))
+    ordered: list[int] = []
+    for idx in candidates_desc.tolist():
+        pos = bisect_left(ordered, idx)
+        if (pos == 0 or idx - ordered[pos - 1] >= refractory) and (
+            pos == len(ordered) or ordered[pos] - idx >= refractory
+        ):
+            ordered.insert(pos, idx)
+            kept.append(idx)
     return np.array(kept, dtype=np.int64)

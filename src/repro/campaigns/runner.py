@@ -181,7 +181,18 @@ def _run_physio_chunk(spec: _PhysioChunkSpec) -> dict:
     """
     from repro.experiments.physio_lab import PhysioLab
 
-    lab = PhysioLab(seed=spec.seed, packets_per_record=spec.packets_per_record)
+    seed = spec.seed
+    if isinstance(seed, np.random.SeedSequence):
+        # PhysioLab spawns from its seed, which advances the sequence's
+        # spawn counter; a copy keeps the spec unchanged, so evaluating
+        # it again (or a pickled copy of it) gives the same result.
+        seed = np.random.SeedSequence(
+            seed.entropy,
+            spawn_key=seed.spawn_key,
+            pool_size=seed.pool_size,
+            n_children_spawned=seed.n_children_spawned,
+        )
+    lab = PhysioLab(seed=seed, packets_per_record=spec.packets_per_record)
     batch = lab.run_records(
         spec.n_records,
         jam_margin_db=spec.jam_margin_db,

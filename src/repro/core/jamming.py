@@ -19,6 +19,8 @@ FrequencyProfile`.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.accel import get_kernel
@@ -45,10 +47,8 @@ class ShapedJammer:
         self.rng = rng or np.random.default_rng(0)
         # The profile-to-FFT-grid interpolation depends only on the jam
         # length; sweeps generate thousands of equal-length jams, so the
-        # per-length spectral scale is cached (likewise the correlation
-        # colouring factors of the batched sweeps' fast path).
+        # per-length spectral scale is cached.
         self._scale_cache: dict[int, np.ndarray] = {}
-        self._correlation_cache: dict[tuple[FSKConfig, int], np.ndarray] = {}
 
     def generate(self, n_samples: int, power: float = 1.0) -> Waveform:
         """A fresh random jamming waveform of ``n_samples`` at ``power``.
@@ -139,46 +139,14 @@ class ShapedJammer:
         return correlations
 
     def _correlation_factors(self, fsk: FSKConfig, n_bits: int) -> np.ndarray:
-        """Cached per-bin 2x2 colouring factors for the correlation draw.
-
-        For folded bin ``m`` the tone-correlation spectrum is
-        ``S[m] = (1/N) * sum_a var[m + a*M] * A[m + a*M] A[m + a*M]^H``
-        with ``A_tone[q] = sum_k exp(2j pi k (q/N - f_tone/fs))`` the
-        template's response to FFT bin ``q`` (``N`` samples, ``M=n_bits``
-        folded bins, ``a`` the alias index).  The returned factor is the
-        (eigen) square root of each ``S[m]`` with the deterministic draw
-        gains pre-multiplied, so the hot path is draw -> matmul -> IDFT.
-        """
-        key = (fsk, n_bits)
-        factor = self._correlation_cache.get(key)
-        if factor is not None:
-            return factor
-        spb = fsk.samples_per_bit
-        n_samples = n_bits * spb
-        variances = self._bin_variances(n_samples)
-        bin_freqs = np.arange(n_samples) / n_samples  # cycles per sample
-        tone_freqs = np.asarray(fsk.tone_frequencies()) / fsk.sample_rate
-        k = np.arange(spb)
-        # A[q, tone]: template response of each FFT bin.
-        phases = bin_freqs[:, None, None] - tone_freqs[None, :, None]
-        response = np.exp(2j * np.pi * phases * k[None, None, :]).sum(axis=2)
-        var_folded = variances.reshape(spb, n_bits)
-        resp_folded = response.reshape(spb, n_bits, 2)
-        spectra = np.einsum(
-            "am,amt,amu->mtu", var_folded / n_samples, resp_folded, np.conj(resp_folded)
+        """The shared colouring factors of this jammer's profile."""
+        return _colouring_factors(
+            self.profile.frequencies_hz.tobytes(),
+            self.profile.relative_power.tobytes(),
+            self.sample_rate,
+            fsk,
+            n_bits,
         )
-        # Eigen square root: robust to bins the profile leaves empty.
-        eigenvalues, eigenvectors = np.linalg.eigh(spectra)
-        eigenvalues = np.clip(eigenvalues, 0.0, None)
-        factor = eigenvectors * np.sqrt(eigenvalues)[:, None, :]
-        # Fold in every deterministic gain of the draw path: the
-        # 1/sqrt(2) per-component scale of a unit proper complex
-        # Gaussian, the IDFT's 1/n_bits, and the sqrt(n_samples)
-        # amplitude of a unit-power jam.
-        factor *= n_bits * np.sqrt(n_samples) / np.sqrt(2.0)
-        factor.setflags(write=False)
-        self._correlation_cache[key] = factor
-        return factor
 
     def _spectral_scale(self, n_samples: int, power: float) -> np.ndarray:
         """Per-bin Gaussian scale for a jam of ``n_samples`` (cached)."""
@@ -188,31 +156,18 @@ class ShapedJammer:
             raise ValueError("jamming power must be positive")
         scale = self._scale_cache.get(n_samples)
         if scale is None:
-            scale = np.sqrt(self._bin_variances(n_samples) / 2.0)
+            scale = np.sqrt(
+                _bin_variances(
+                    self.profile.frequencies_hz,
+                    self.profile.relative_power,
+                    self.sample_rate,
+                    n_samples,
+                )
+                / 2.0
+            )
             scale.setflags(write=False)
             self._scale_cache[n_samples] = scale
         return scale
-
-    def _bin_variances(self, n_samples: int) -> np.ndarray:
-        """Interpolate the target profile onto the FFT grid of the jam."""
-        grid = np.fft.fftfreq(n_samples, d=1.0 / self.sample_rate)
-        order = np.argsort(grid)
-        sorted_grid = grid[order]
-        interpolated = np.interp(
-            sorted_grid,
-            self.profile.frequencies_hz,
-            self.profile.relative_power,
-            left=0.0,
-            right=0.0,
-        )
-        variances = np.empty(n_samples)
-        variances[order] = interpolated
-        total = variances.sum()
-        if total <= 0:
-            raise ValueError(
-                "profile has no support inside the jammer's sample rate"
-            )
-        return variances / total
 
     @classmethod
     def matched_to_fsk(
@@ -241,3 +196,89 @@ class ShapedJammer:
         """Oblivious constant-profile jammer (the Fig. 5 baseline)."""
         profile = FrequencyProfile.flat(n_bins, bandwidth_hz)
         return cls(profile, sample_rate, rng)
+
+
+def _bin_variances(
+    frequencies_hz: np.ndarray,
+    relative_power: np.ndarray,
+    sample_rate: float,
+    n_samples: int,
+) -> np.ndarray:
+    """Interpolate a target profile onto the FFT grid of a jam."""
+    grid = np.fft.fftfreq(n_samples, d=1.0 / sample_rate)
+    order = np.argsort(grid)
+    sorted_grid = grid[order]
+    interpolated = np.interp(
+        sorted_grid,
+        frequencies_hz,
+        relative_power,
+        left=0.0,
+        right=0.0,
+    )
+    variances = np.empty(n_samples)
+    variances[order] = interpolated
+    total = variances.sum()
+    if total <= 0:
+        raise ValueError(
+            "profile has no support inside the jammer's sample rate"
+        )
+    return variances / total
+
+
+# Bounded: a campaign uses one or two keys, and a factor is
+# ``64 * n_bits`` bytes, so 32 packet-length factors stay in the low
+# megabytes.
+@lru_cache(maxsize=32)
+def _colouring_factors(
+    frequencies_bytes: bytes,
+    power_bytes: bytes,
+    sample_rate: float,
+    fsk: FSKConfig,
+    n_bits: int,
+) -> np.ndarray:
+    """Per-bin 2x2 colouring factors for the correlation draw.
+
+    For folded bin ``m`` the tone-correlation spectrum is
+    ``S[m] = (1/N) * sum_a var[m + a*M] * A[m + a*M] A[m + a*M]^H``
+    with ``A_tone[q] = sum_k exp(2j pi k (q/N - f_tone/fs))`` the
+    template's response to FFT bin ``q`` (``N`` samples, ``M=n_bits``
+    folded bins, ``a`` the alias index).  The returned factor is the
+    (eigen) square root of each ``S[m]`` with the deterministic draw
+    gains pre-multiplied, so the hot path is draw -> matmul -> IDFT.
+
+    The profile arrives as the raw bytes of its float64 arrays, so
+    jammers built from equal profiles -- one per patient in a fleet
+    campaign -- share one factor per process.  Sharing is safe because
+    the factor is a pure function of this key and is returned
+    read-only.
+    """
+    spb = fsk.samples_per_bit
+    n_samples = n_bits * spb
+    variances = _bin_variances(
+        np.frombuffer(frequencies_bytes),
+        np.frombuffer(power_bytes),
+        sample_rate,
+        n_samples,
+    )
+    bin_freqs = np.arange(n_samples) / n_samples  # cycles per sample
+    tone_freqs = np.asarray(fsk.tone_frequencies()) / fsk.sample_rate
+    k = np.arange(spb)
+    # A[q, tone]: template response of each FFT bin.
+    phases = bin_freqs[:, None, None] - tone_freqs[None, :, None]
+    response = np.exp(2j * np.pi * phases * k[None, None, :]).sum(axis=2)
+    var_folded = variances.reshape(spb, n_bits)
+    resp_folded = response.reshape(spb, n_bits, 2)
+    spectra = np.einsum(
+        "am,amt,amu->mtu", var_folded / n_samples, resp_folded, np.conj(resp_folded)
+    )
+    # Eigen square root: robust to bins the profile leaves empty.
+    eigenvalues, eigenvectors = np.linalg.eigh(spectra)
+    eigenvalues = np.clip(eigenvalues, 0.0, None)
+    factor = eigenvectors * np.sqrt(eigenvalues)[:, None, :]
+    # Fold in every deterministic gain of the draw path: the
+    # 1/sqrt(2) per-component scale of a unit proper complex
+    # Gaussian, the IDFT's 1/n_bits, and the sqrt(n_samples)
+    # amplitude of a unit-power jam.
+    factor *= n_bits * np.sqrt(n_samples) / np.sqrt(2.0)
+    factor.setflags(write=False)
+    return factor

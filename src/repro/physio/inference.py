@@ -98,8 +98,12 @@ def _median3(x: np.ndarray) -> np.ndarray:
     than one sample at the codec's rate -- keep most of their height.
     """
     padded = np.concatenate([x[:1], x, x[-1:]])
-    stacked = np.stack([padded[:-2], padded[1:-1], padded[2:]])
-    return np.median(stacked, axis=0)
+    left, right = padded[:-2], padded[2:]
+    # The exact median of three by min/max (NaN propagates, as it does
+    # through np.median), without a partition per call.
+    return np.maximum(
+        np.minimum(left, x), np.minimum(np.maximum(left, x), right)
+    )
 
 
 def estimate_heart_rate(
@@ -114,7 +118,14 @@ def estimate_heart_rate(
     period), and parabolic interpolation for sub-sample lag precision.
     """
     config = config or InferenceConfig()
-    x = _median3(np.asarray(samples, dtype=np.float64))
+    filtered = _median3(np.asarray(samples, dtype=np.float64))
+    return _heart_rate_filtered(filtered, sample_rate_hz, config)
+
+
+def _heart_rate_filtered(
+    x: np.ndarray, sample_rate_hz: float, config: InferenceConfig
+) -> float:
+    """:func:`estimate_heart_rate` on an already median-filtered record."""
     x = x - np.mean(x)
     n = len(x)
     lag_min = max(2, int(np.floor(sample_rate_hz * 60.0 / config.hr_max_bpm)))
@@ -166,7 +177,14 @@ def detect_beats(
 ) -> np.ndarray:
     """R-peak times (seconds): thresholded maxima + refractory suppression."""
     config = config or InferenceConfig()
-    x = _median3(np.asarray(samples, dtype=np.float64))
+    filtered = _median3(np.asarray(samples, dtype=np.float64))
+    return _beats_filtered(filtered, sample_rate_hz, config)
+
+
+def _beats_filtered(
+    x: np.ndarray, sample_rate_hz: float, config: InferenceConfig
+) -> np.ndarray:
+    """:func:`detect_beats` on an already median-filtered record."""
     baseline = float(np.median(x))
     excursion = float(np.max(x)) - baseline
     if excursion <= 0:
@@ -386,7 +404,12 @@ class AttackerInference:
     def _infer_samples(
         self, samples: np.ndarray, mask: np.ndarray
     ) -> RecordInference:
-        waveform_beats = detect_beats(samples, self.sample_rate_hz, self.config)
+        # Beat detection and the HR estimate read the same filtered
+        # record, so it is filtered once here.
+        filtered = _median3(np.asarray(samples, dtype=np.float64))
+        waveform_beats = _beats_filtered(
+            filtered, self.sample_rate_hz, self.config
+        )
         annotated = self._validated_annotation_beats(mask, waveform_beats)
         if annotated is not None:
             # Two independent channels agree: the beat train is trusted
@@ -401,7 +424,9 @@ class AttackerInference:
             )
         else:
             beats = waveform_beats
-            hr = estimate_heart_rate(samples, self.sample_rate_hz, self.config)
+            hr = _heart_rate_filtered(
+                filtered, self.sample_rate_hz, self.config
+            )
             hr = refine_heart_rate(hr, beats)
         rhythm = classify_rhythm(hr, beats, self.config)
         return RecordInference(

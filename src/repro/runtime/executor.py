@@ -18,7 +18,7 @@ from contextlib import contextmanager
 from functools import partial
 from typing import Callable, Iterable, Iterator, TypeVar
 
-from repro.obs.metrics import counter_inc, observed_call
+from repro.obs.metrics import counter_inc, observed_call, take_global
 from repro.runtime.transport import (
     DEFAULT_MIN_BYTES,
     decode_payload,
@@ -62,6 +62,16 @@ def resolve_workers(workers: int | None = None) -> int:
     if workers < 0:
         raise ValueError(f"workers cannot be negative (got {workers})")
     return max(1, workers)
+
+
+def _new_pool(max_workers: int) -> ProcessPoolExecutor:
+    """A process pool whose workers start with empty metrics.
+
+    A forked worker inherits the parent's process-local accumulator;
+    resetting it keeps the parent's counts from riding back in the
+    worker's first per-unit delta.
+    """
+    return ProcessPoolExecutor(max_workers=max_workers, initializer=take_global)
 
 
 class SweepExecutor:
@@ -135,7 +145,7 @@ class SweepExecutor:
             yield self
             return
         counter_inc("executor.pool_sessions")
-        self._pool = ProcessPoolExecutor(max_workers=self.workers)
+        self._pool = _new_pool(self.workers)
         try:
             yield self
         finally:
@@ -178,7 +188,7 @@ class SweepExecutor:
                 yield decode_payload(result)
             return
         max_workers = min(self.workers, len(units))
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
+        with _new_pool(max_workers) as pool:
             for result in pool.map(fn, units, chunksize=self.chunksize):
                 self._notify_unit()
                 yield decode_payload(result)

@@ -121,15 +121,25 @@ class TestNumpyReferenceVsInline:
         inline = (full / (n - np.arange(n)))[: lag_hi + 1]
         np.testing.assert_array_equal(out, inline)
 
-    @given(seeds, st.integers(0, 40), st.integers(1, 30))
-    @settings(max_examples=40, deadline=None)
-    def test_beat_refractory_suppress(self, seed, n_cands, refractory):
+    @given(
+        seeds,
+        st.integers(0, 300),
+        st.integers(1, 2000),
+        st.one_of(
+            st.sampled_from([29.5, 30.0, 30.0001]), st.floats(0.0, 60.0)
+        ),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_beat_refractory_suppress(self, seed, n_cands, span, refractory):
+        # The reference is a sorted-neighbour search; the all-pairs
+        # definition below is the original inline formula.  A narrow
+        # ``span`` forces duplicate candidate indices.
         rng = np.random.default_rng(seed)
-        cands = rng.integers(0, 500, size=n_cands).astype(np.int64)
-        out = reference.beat_refractory_suppress(cands, float(refractory))
+        cands = rng.integers(0, span, size=n_cands).astype(np.int64)
+        out = reference.beat_refractory_suppress(cands, refractory)
         kept: list[int] = []
         for idx in cands:
-            if all(abs(int(idx) - k) >= refractory for k in kept):
+            if all(abs(idx - k) >= refractory for k in kept):
                 kept.append(int(idx))
         assert out.dtype == np.int64
         assert out.tolist() == kept

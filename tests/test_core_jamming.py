@@ -161,11 +161,27 @@ class TestToneCorrelationBatch:
         with pytest.raises(ValueError):
             jammer.tone_correlation_batch(1, FSKConfig(sample_rate=1.2e6), 8)
 
-    def test_factors_cached(self):
+    def test_factors_shared_across_equal_jammers(self):
         from repro.phy.fsk import FSKConfig
 
         fsk = FSKConfig()
-        jammer = ShapedJammer.matched_to_fsk(50e3, 100e3, 600e3)
-        jammer.tone_correlation_batch(1, fsk, 16)
-        jammer.tone_correlation_batch(1, fsk, 16)
-        assert list(jammer._correlation_cache) == [(fsk, 16)]
+        first = ShapedJammer.matched_to_fsk(50e3, 100e3, 600e3)
+        second = ShapedJammer.matched_to_fsk(
+            50e3, 100e3, 600e3, rng=np.random.default_rng(9)
+        )
+        factor = first._correlation_factors(fsk, 16)
+        assert second._correlation_factors(fsk, 16) is factor
+        assert not factor.flags.writeable
+
+    def test_factors_keyed_on_length_and_profile(self):
+        from repro.phy.fsk import FSKConfig
+
+        fsk = FSKConfig()
+        shaped = ShapedJammer.matched_to_fsk(50e3, 100e3, 600e3)
+        flat = ShapedJammer.flat(300e3, 600e3)
+        factor = shaped._correlation_factors(fsk, 16)
+        longer = shaped._correlation_factors(fsk, 32)
+        other = flat._correlation_factors(fsk, 16)
+        assert longer.shape == (32, 2, 2)
+        assert other is not factor
+        assert not np.array_equal(other, factor)

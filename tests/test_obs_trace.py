@@ -251,6 +251,24 @@ class TestTracedCampaign:
                 for u in units
             )
 
+    def test_pool_workers_do_not_reship_parent_counters(self, tmp_path):
+        # The parent counts its cache misses before the pool forks; a
+        # worker that kept its inherited copy would ship them back again.
+        scenario = registry.get("fleet-attack-prevalence").override(
+            n_patients=40, chunk_size=10
+        )
+        misses = []
+        for workers in (1, 2):
+            cache_dir = tmp_path / f"w{workers}"
+            tracer = Tracer(cache_dir, scenario.name)
+            _run(scenario, cache_dir, tracer=tracer, workers=workers)
+            (metrics,) = [
+                e["metrics"] for e in _read_events(tracer.path)
+                if e["type"] == "metrics"
+            ]
+            misses.append(metrics["counters"]["store.filesystem.get_miss"])
+        assert misses == [4, 4]
+
     def test_materialize_finishes_the_trace(self, tmp_path):
         scenario = _attack_scenario()
         tracer = Tracer(tmp_path, scenario.name)

@@ -9,6 +9,7 @@ one (the acceptance contract of ``physio-leakage-shielded``).
 
 import json
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -19,7 +20,7 @@ import pytest
 
 from repro.campaigns import CampaignRunner, registry
 from repro.campaigns.cli import main as cli_main
-from repro.campaigns.runner import plan_scenario_units
+from repro.campaigns.runner import evaluate_unit, plan_scenario_units
 from repro.campaigns.spec import Scenario
 from repro.stats.adaptive import (
     AdaptivePolicy,
@@ -94,6 +95,24 @@ class TestSpec:
 
 
 class TestPlanningAndReduction:
+    @pytest.mark.parametrize("name", PHYSIO_SCENARIOS)
+    def test_unit_evaluation_is_pure(self, name):
+        """A unit's result depends only on its spec, never on how often
+        or in which copy it was evaluated."""
+        axes = registry.get(name).location_indices
+        scenario = registry.get(name).override(
+            n_trials=4,
+            location_indices=tuple(
+                axes[i] for i in sorted({0, len(axes) // 2, len(axes) - 1})
+            ),
+        )
+        units = plan_scenario_units(scenario)
+        for unit, fresh in zip(units, plan_scenario_units(scenario)):
+            first = evaluate_unit(unit.spec)
+            assert evaluate_unit(unit.spec) == first
+            assert evaluate_unit(pickle.loads(pickle.dumps(unit.spec))) == first
+            assert evaluate_unit(fresh.spec) == first
+
     def test_plan_is_deterministic_and_chunked(self):
         scenario = _small_physio(chunk_size=2)
         units = plan_scenario_units(scenario)

@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.physio.codec import WaveformCodec
 from repro.physio.ecg import ECGConfig, ECGGenerator
 from repro.physio.inference import (
     AttackerInference,
     InferenceConfig,
+    _median3,
     beat_f1,
     classify_rhythm,
     detect_beats,
@@ -209,3 +213,31 @@ class TestAttackerInference:
             result = AttackerInference().infer_record(noisy)
             errs.append(abs(result.heart_rate_bpm - batch.heart_rate_bpm[0]))
         assert float(np.median(errs)) < 5.0
+
+
+_TIED_RECORDS = st.builds(
+    lambda seed, n, levels: np.random.default_rng(seed).integers(
+        -levels, levels + 1, size=n
+    ) / 4.0,
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 2000),
+    st.integers(0, 20),
+)
+_FLOAT_RECORDS = hnp.arrays(
+    np.float64,
+    st.integers(1, 64),
+    elements=st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@given(st.one_of(_TIED_RECORDS, _FLOAT_RECORDS))
+@settings(max_examples=150, deadline=None)
+def test_median3_matches_np_median(x):
+    """The min/max median filter equals the stacked np.median it replaced."""
+    padded = np.concatenate([x[:1], x, x[-1:]])
+    expected = np.median(
+        np.stack([padded[:-2], padded[1:-1], padded[2:]]), axis=0
+    )
+    out = _median3(x)
+    assert out.dtype == np.float64
+    np.testing.assert_array_equal(out, expected)

@@ -114,7 +114,7 @@ class _RecordingPool:
 
     calls: list[int] = []
 
-    def __init__(self, max_workers=None):
+    def __init__(self, max_workers=None, initializer=None):
         pass
 
     def map(self, fn, units, chunksize=None):
