@@ -4,7 +4,7 @@ The acceptance bar for the live subsystem is sustained dispatch: a
 ward-scale cohort at speedup 100 is 10,000 events per simulated-second
 batch, so the engine's *unpaced* drain rate (TestClock -- pure
 dispatch cost, no pacing sleeps) must sit comfortably above that.
-Two entries pin it:
+Three entries pin it:
 
 * ``live_engine_drain`` -- events/sec of the bare engine + alarm
   pipeline + event log, single process;
@@ -12,16 +12,20 @@ Two entries pin it:
   subscriber queues attached: the per-flush coalesced frame must stay
   one shared bytes object, so fan-out scales as pointer appends.
 
-Both ride ``BENCH_baseline.json`` and ``compare.py``'s gate like every
-other hot path.
+* ``live_canonical_vitals`` -- the canonical line of 1,000 telemetry
+  ticks, the event log's per-event cost on nearly every event.
+
+All three ride ``BENCH_baseline.json`` and ``compare.py``'s gate like
+every other hot path.
 """
 
 import asyncio
 
 from repro.live.clock import TestClock
 from repro.live.engine import LiveConfig, LiveEngine
-from repro.live.events import EventLog, LiveEvent
+from repro.live.events import EventLog, LiveEvent, canonical_line
 from repro.live.serve import BroadcastHub
+from repro.physio.ecg import RHYTHM_CLASSES
 
 #: Ward-scale drain workload: 100 patients x 120 ticks plus bursts --
 #: ~12k events per run, dominated by the vitals hot path.
@@ -74,3 +78,17 @@ def test_perf_live_fanout_100_subscribers(benchmark):
     delivered = benchmark(run)
     assert delivered == 100
     assert all(sub.frames for sub in subscribers)
+
+
+def test_perf_live_canonical_vitals(benchmark):
+    """Canonical lines of 1,000 vitals ticks (the event log's hot path)."""
+    events = [
+        LiveEvent(0.7 * i / 3, i % 500, "vitals", {
+            "hr_bpm": round(60.0 + (i * 0.37) % 90, 3),
+            "rhythm": RHYTHM_CLASSES[i % len(RHYTHM_CLASSES)],
+        })
+        for i in range(1000)
+    ]
+
+    lines = benchmark(lambda: [event.canonical() for event in events])
+    assert lines == [canonical_line(e.to_payload()) for e in events]

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from repro.live.events import Alarm, LiveEvent
 from repro.obs.log import get_logger
@@ -161,9 +162,10 @@ class ShieldStateRule:
     """
 
     name: str = "shield-state"
+    kind: ClassVar[str] = "attack"
 
     def evaluate(self, event: LiveEvent) -> Alarm | None:
-        if event.kind != "attack":
+        if event.kind != self.kind:
             return None
         data = event.data
         if data.get("imd_accepted") and not data.get("shield_worn"):
@@ -261,16 +263,33 @@ class AlarmPipeline:
     the suppressed count feed the live gauges.  A notifier that raises
     is disarmed after its error is logged -- a broken pager must never
     stall the engine (the device interlocks never depended on it).
+
+    An event is offered only to the rules whose ``kind`` matches it, in
+    their original order; a rule without a ``kind`` attribute sees
+    every event.  The per-kind lists are built on first use, so
+    ``rules`` is fixed once events flow.
     """
 
     rules: list = field(default_factory=default_rules)
     notifiers: list = field(default_factory=list)
     limiter: RateLimiter = field(default_factory=RateLimiter)
     fired_by_rule: dict[str, int] = field(default_factory=dict)
+    _rules_by_kind: dict[str, list] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def _rules_for(self, kind: str) -> list:
+        rules = self._rules_by_kind.get(kind)
+        if rules is None:
+            rules = self._rules_by_kind[kind] = [
+                rule for rule in self.rules
+                if getattr(rule, "kind", kind) == kind
+            ]
+        return rules
 
     def process(self, event: LiveEvent) -> list[Alarm]:
         fired: list[Alarm] = []
-        for rule in self.rules:
+        for rule in self._rules_for(event.kind):
             alarm = rule.evaluate(event)
             if alarm is None:
                 continue

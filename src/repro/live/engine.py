@@ -32,9 +32,13 @@ vectorized :meth:`~repro.physio.ecg.ECGGenerator.sample_batch` call
 synthesises every patient's baseline record, and per-tick vitals come
 from the cheap seeded :class:`~repro.physio.ecg.HeartRateWalk`.
 Attack bursts -- the only events that touch the full testbed
-simulation -- are rare by construction.  The dispatch loop yields to
-the asyncio loop every :data:`_YIELD_EVERY` events so streaming
-subscribers are serviced even when the engine is saturated.
+simulation -- are rare by construction.  Per event, the heap holds
+only each tick chain's head (:meth:`LiveEngine._pop` pushes the
+successor), the event log renders the vitals line directly
+(:meth:`~repro.live.events.LiveEvent.canonical`), and the alarm
+pipeline offers an event only to rules of its kind.  The dispatch loop
+yields to the asyncio loop every :data:`_YIELD_EVERY` events so
+streaming subscribers are serviced even when the engine is saturated.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from repro.fleet.cohort import CohortSpec
 from repro.fleet.runner import patient_shield_config
 from repro.live.alarms import AlarmPipeline
 from repro.live.clock import TestClock
-from repro.live.events import Alarm, EventLog, LiveEvent
+from repro.live.events import EVENT_KINDS, Alarm, EventLog, LiveEvent
 from repro.obs.log import get_logger
 from repro.obs.metrics import counter_inc, timing_observe
 from repro.physio.ecg import ECGGenerator, HeartRateWalk
@@ -79,6 +83,9 @@ LIVE_SCHEDULE_ROLE = 4
 #: engine running behind schedule never sleeps (the clock records lag
 #: instead), so without this, streaming subscribers would starve.
 _YIELD_EVERY = 256
+
+#: Per-kind event counter names, built once instead of per event.
+_EVENT_COUNTERS = {kind: f"live.events.{kind}" for kind in EVENT_KINDS}
 
 
 @dataclass(frozen=True)
@@ -216,6 +223,7 @@ class LiveEngine:
         self.events_total = 0
         self.events_by_kind: dict[str, int] = {}
         self._heap: list[tuple[float, int, str, int]] = []
+        self._first_tick: dict[int, tuple[float, int, str, int]] = {}
         self._seq = 0
         self._stop = False
         self._wall_start: float | None = None
@@ -244,14 +252,17 @@ class LiveEngine:
         self._seq += 1
 
     def _build_schedule(self) -> None:
-        """Admissions, telemetry ticks, and attack bursts, all upfront.
+        """Admissions, telemetry tick chains, and attack bursts.
 
-        The whole schedule is materialised before dispatch starts: the
-        event count is ``O(patients * duration / interval)`` tuples --
-        a few MB at ward scale -- and a static heap keeps the replay
-        argument trivial (no feedback from dispatch into scheduling
-        except the per-patient tick chain, which is itself scheduled
-        here as a full chain).
+        Every event gets its ``(time, sequence)`` key here, but only
+        the heads are pushed: admissions and attack trials in full,
+        and each patient's telemetry chain as a reservation of
+        consecutive sequence numbers that :meth:`run` expands one tick
+        at a time (see :meth:`_pop`).  The heap therefore holds at most
+        ``patients + attack trials`` entries instead of one per tick,
+        while the keys -- and so the pop order -- are exactly those of
+        the fully materialised schedule.  ``self._seq`` ends as the
+        total number of scheduled events.
         """
         config = self.config
         cohort = self.cohort
@@ -282,14 +293,24 @@ class LiveEngine:
 
         # Telemetry ticks: each patient's chain starts at a fixed
         # phase inside the first interval (staggered load, but a pure
-        # function of the index) and steps by the interval.
+        # function of the index) and steps by the interval.  The
+        # chain's head rides on the admission (see :meth:`_pop`); its
+        # sequence numbers are reserved here by walking the same
+        # ``t += interval`` float chain the dispatch loop will.
         interval = config.telemetry_interval_s
+        duration = config.duration_s
         for profile in profiles:
             phase = interval * (profile.index + 1) / (config.n_patients + 1)
+            ticks = 0
             t = phase
-            while t <= config.duration_s:
-                self._push(t, "vitals", profile.index)
+            while t <= duration:
+                ticks += 1
                 t += interval
+            if ticks:
+                self._first_tick[profile.index] = (
+                    phase, self._seq, "vitals", profile.index
+                )
+            self._seq += ticks
 
         # Attack bursts: times and targets from the engine-level
         # schedule stream, trials spaced closely enough that the rate
@@ -309,12 +330,38 @@ class LiveEngine:
 
     # -- dispatch -------------------------------------------------------
 
+    def _pop(self) -> tuple[float, int, str, int]:
+        """Take the next entry off the heap, pushing its chain successor.
+
+        An admission is followed by its patient's first telemetry tick,
+        and a tick ``(t, seq)`` by ``(t + interval, seq + 1)`` while
+        that stays inside the horizon -- the keys
+        :meth:`_build_schedule` reserved.  Each chain is sorted by key,
+        so its earliest undispatched entry is always on the heap and
+        the pop order is that of the whole schedule.
+        """
+        heap = self._heap
+        entry = heap[0]
+        time_s, seq, kind, patient = entry
+        successor = None
+        if kind == "vitals":
+            next_s = time_s + self.config.telemetry_interval_s
+            if next_s <= self.config.duration_s:
+                successor = (next_s, seq + 1, kind, patient)
+        elif kind == "admit":
+            successor = self._first_tick.get(patient)
+        if successor is None:
+            heapq.heappop(heap)
+        else:
+            heapq.heapreplace(heap, successor)
+        return entry
+
     def _emit(self, event: LiveEvent) -> None:
         self.events_total += 1
         self.events_by_kind[event.kind] = (
             self.events_by_kind.get(event.kind, 0) + 1
         )
-        counter_inc(f"live.events.{event.kind}")
+        counter_inc(_EVENT_COUNTERS[event.kind])
         if self.event_log is not None:
             self.event_log.event(event)
         for fn in self._event_listeners:
@@ -384,11 +431,11 @@ class LiveEngine:
         dispatched = 0
         _log.info(
             "live engine: %d patients, %.0fs horizon, %d scheduled events",
-            self.config.n_patients, self.config.duration_s, len(self._heap),
+            self.config.n_patients, self.config.duration_s, self._seq,
         )
         try:
             while self._heap and not self._stop:
-                time_s, _seq, kind, patient = heapq.heappop(self._heap)
+                time_s, _seq, kind, patient = self._pop()
                 await self.clock.advance_to(time_s)
                 self._dispatch(time_s, kind, patient)
                 dispatched += 1

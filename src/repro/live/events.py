@@ -19,7 +19,9 @@ deployed IMD monitoring needs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 __all__ = [
@@ -71,6 +73,31 @@ class LiveEvent:
         }
 
     def canonical(self) -> str:
+        """:func:`canonical_line` of the payload.
+
+        The telemetry tick -- nearly every line of a ward's log -- is
+        rendered directly: kind ``vitals``, an int ``patient``, a
+        finite float ``t`` and data exactly ``{hr_bpm: finite float,
+        rhythm: str}``, written in sorted key order with the primitives
+        ``json.dumps`` itself uses (``repr`` of an exact float or int,
+        ASCII string escaping).  Any other shape goes through
+        :func:`canonical_line`, the one definition of the form.
+        """
+        data = self.data
+        if self.kind == "vitals" and len(data) == 2:
+            hr = data.get("hr_bpm")
+            rhythm = data.get("rhythm")
+            t = self.time_s
+            if (
+                type(hr) is float and type(t) is float
+                and type(self.patient) is int and type(rhythm) is str
+                and math.isfinite(hr) and math.isfinite(t)
+            ):
+                return (
+                    f'{{"data":{{"hr_bpm":{hr!r},"rhythm":'
+                    f'{encode_basestring_ascii(rhythm)}}},"kind":"vitals",'
+                    f'"patient":{self.patient!r},"t":{t!r}}}'
+                )
         return canonical_line(self.to_payload())
 
 

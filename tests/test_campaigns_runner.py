@@ -7,11 +7,14 @@ for number.
 """
 
 import json
+import pickle
 
 import pytest
 
 import repro.campaigns.runner as runner_module
 from repro.campaigns import CampaignRunner, registry
+from repro.campaigns.cli import _budget_scenario
+from repro.campaigns.runner import evaluate_unit, plan_scenario_units
 from repro.campaigns.spec import Scenario
 from repro.experiments.sweeps import attack_success_sweep
 
@@ -187,3 +190,26 @@ class TestPlan:
         assert all("jam_rejection_db" in p for p in result.points)
         # The design gradient: close separation protects better.
         assert result.points[0]["ber"] >= result.points[1]["ber"]
+
+
+class TestUnitPurity:
+    @pytest.mark.parametrize("name", registry.names())
+    def test_unit_result_depends_only_on_its_spec(self, name):
+        """Evaluating a unit twice, from a pickled copy, or from a fresh
+        plan gives one result, for every registered scenario."""
+        scenario = _budget_scenario(registry.get(name), "smoke")
+
+        def smallest(units):
+            return min(
+                units,
+                key=lambda u: u.coords["n_trials"]
+                * u.coords.get("n_patients", 1),
+            )
+
+        spec = smallest(plan_scenario_units(scenario)).spec
+        first = evaluate_unit(spec)
+        assert evaluate_unit(spec) == first
+        assert evaluate_unit(pickle.loads(pickle.dumps(spec))) == first
+        assert evaluate_unit(
+            smallest(plan_scenario_units(scenario)).spec
+        ) == first

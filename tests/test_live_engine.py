@@ -9,24 +9,30 @@ walk's seeded determinism, and the clock implementations themselves.
 """
 
 import asyncio
+import logging
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.fleet.cohort import CohortSpec
 # TestClock is aliased so pytest does not try to collect it as a
 # test class (it has an __init__).
 from repro.live.clock import AcceleratedClock, WallClock
 from repro.live.clock import TestClock as DrainClock
+from repro.live import events as events_module
 from repro.live.engine import (
     LIVE_ATTACK_ROLE,
+    LIVE_SCHEDULE_ROLE,
     LIVE_VITALS_ROLE,
     LiveConfig,
     LiveEngine,
 )
-from repro.live.events import EventLog, LiveEvent
-from repro.physio.ecg import RHYTHM_RATES_BPM, HeartRateWalk
+from repro.live.events import EventLog, LiveEvent, canonical_line
+from repro.physio.ecg import RHYTHM_CLASSES, RHYTHM_RATES_BPM, HeartRateWalk
 
 
 def _run(config, clock=None):
@@ -74,6 +80,128 @@ class TestReplayDeterminism:
         path_a = log_a.write(tmp_path / "a.jsonl")
         path_b = log_b.write(tmp_path / "b.jsonl")
         assert path_a.read_bytes() == path_b.read_bytes()
+
+
+#: A small ward whose interval does not divide the horizon, so tick
+#: chains end at different counts; its seed fires all four stock rules.
+_PINNED = LiveConfig(
+    n_patients=30, duration_s=20.0, telemetry_interval_s=0.7,
+    attack_bursts=2, seed=0,
+)
+
+
+def _reference_schedule(config):
+    """Every ``(time, seq, kind, patient)`` key of ``config``'s run,
+    materialised in full: admissions, then each patient's whole
+    ``t += interval`` tick chain, then the attack trials -- sorted into
+    the order a heap of all of them would pop."""
+    entries = []
+
+    def push(t, kind, patient):
+        entries.append((t, len(entries), kind, patient))
+
+    n = config.n_patients
+    for patient in range(n):
+        push(0.0, "admit", patient)
+    interval = config.telemetry_interval_s
+    for patient in range(n):
+        t = interval * (patient + 1) / (n + 1)
+        while t <= config.duration_s:
+            push(t, "vitals", patient)
+            t += interval
+    _, burst_seed = config.cohort().stream_seed(
+        0, LIVE_SCHEDULE_ROLE
+    ).spawn(2)
+    rng = np.random.default_rng(burst_seed)
+    for _ in range(config.attack_bursts):
+        start = float(
+            rng.uniform(0.1 * config.duration_s, 0.9 * config.duration_s)
+        )
+        target = int(rng.integers(n))
+        for trial in range(config.burst_trials):
+            t = start + trial * config.burst_spacing_s
+            if t <= config.duration_s:
+                push(t, "attack", target)
+    return sorted(entries)
+
+
+class _RecordingEngine(LiveEngine):
+    """Records every popped entry and the largest heap it popped from."""
+
+    def __init__(self, config):
+        super().__init__(config, clock=DrainClock())
+        self.popped = []
+        self.peak_heap = 0
+
+    def _pop(self):
+        self.peak_heap = max(self.peak_heap, len(self._heap))
+        entry = super()._pop()
+        self.popped.append(entry)
+        return entry
+
+
+class TestGoldenLog:
+    def test_pinned_ward_log(self):
+        # Any change to dispatch order, RNG consumption or the
+        # canonical form moves these.
+        engine, log = _run(_PINNED)
+        assert len(log.lines) == 920
+        assert log.digest() == (
+            "e8e518730eebda9b4a3292e82b00c9fd3987eadc2fed4c053034e763b7cb263b"
+        )
+        assert engine.pipeline.fired_by_rule == {
+            "tachycardia": 7, "bradycardia": 2,
+            "shield-state": 2, "battery-dos": 2,
+        }
+
+
+class TestLazyDispatch:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            _PINNED,
+            _SMALL,
+            LiveConfig(n_patients=1, duration_s=7.0, attack_bursts=1),
+            # The interval outlasts the horizon: some patients never tick.
+            LiveConfig(
+                n_patients=3, duration_s=1.0, telemetry_interval_s=2.0,
+                attack_bursts=0,
+            ),
+            LiveConfig(
+                n_patients=7, duration_s=3.0, telemetry_interval_s=0.1,
+                attack_bursts=1, burst_spacing_s=0.3, seed=4,
+            ),
+        ],
+        ids=["pinned", "small", "one-patient", "sparse", "odd-interval"],
+    )
+    def test_pop_order_matches_the_full_schedule(self, config):
+        reference = _reference_schedule(config)
+        engine = _RecordingEngine(config)
+        asyncio.run(engine.run())
+        assert engine.popped == reference
+        assert engine.finished and not engine._heap
+        attack_trials = sum(kind == "attack" for _, _, kind, _ in reference)
+        assert engine.peak_heap <= config.n_patients + attack_trials
+
+    def test_stop_mid_run_leaves_an_unfinished_prefix(self):
+        reference = _reference_schedule(_PINNED)
+        engine = _RecordingEngine(_PINNED)
+        engine.add_event_listener(
+            lambda e: engine.stop() if e.time_s > 9.0 else None
+        )
+        asyncio.run(engine.run())
+        assert not engine.finished
+        assert 0 < len(engine.popped) < len(reference)
+        assert engine.popped == reference[: len(engine.popped)]
+
+    def test_start_line_counts_every_scheduled_event(self, caplog):
+        with caplog.at_level(logging.INFO, logger="repro.live.engine"):
+            _run(_PINNED)
+        expected = len(_reference_schedule(_PINNED))
+        assert any(
+            f"{expected} scheduled events" in record.getMessage()
+            for record in caplog.records
+        )
 
 
 class TestScheduleShape:
@@ -276,3 +404,73 @@ class TestLiveEvent:
         assert line == (
             '{"data":{"hr_bpm":70.0},"kind":"vitals","patient":3,"t":1.5}'
         )
+
+
+#: Floats the fast vitals renderer must print exactly as ``json.dumps``:
+#: any finite value, plus the rounded readings the engine emits.
+_finite = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e6, 1e6).map(lambda x: round(x, 3)),
+)
+
+
+class TestCanonicalVitals:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        t=_finite,
+        hr=_finite,
+        patient=st.integers(-(2**70), 2**70),
+        rhythm=st.sampled_from(RHYTHM_CLASSES),
+    )
+    @example(t=-0.0, hr=5e-324, patient=0, rhythm="normal")
+    @example(t=1e16, hr=1.7976931348623157e308, patient=2**64, rhythm="afib")
+    @example(t=0.1 + 0.2, hr=round(71.23449999, 3), patient=3,
+             rhythm="normal")
+    def test_vitals_line_matches_canonical_line(self, t, hr, patient, rhythm):
+        event = LiveEvent(t, patient, "vitals", {
+            "hr_bpm": hr, "rhythm": rhythm,
+        })
+        assert event.canonical() == canonical_line(event.to_payload())
+
+    _OFF_SHAPE = {
+        "extra-key": (1.0, 2, {"hr_bpm": 70.0, "rhythm": "normal", "x": 1}),
+        "int-hr": (1.0, 2, {"hr_bpm": 70, "rhythm": "normal"}),
+        "bool-hr": (1.0, 2, {"hr_bpm": True, "rhythm": "normal"}),
+        "numpy-hr": (1.0, 2, {"hr_bpm": np.float64(70.5), "rhythm": "afib"}),
+        "nan-hr": (1.0, 2, {"hr_bpm": float("nan"), "rhythm": "normal"}),
+        "inf-t": (float("inf"), 2, {"hr_bpm": 70.0, "rhythm": "normal"}),
+        "int-t": (1, 2, {"hr_bpm": 70.0, "rhythm": "normal"}),
+        "bool-patient": (1.0, True, {"hr_bpm": 70.0, "rhythm": "normal"}),
+        "missing-rhythm": (1.0, 2, {"hr_bpm": 70.0, "rate": "normal"}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(_OFF_SHAPE))
+    def test_off_shape_events_take_canonical_line(self, case):
+        t, patient, data = self._OFF_SHAPE[case]
+        event = LiveEvent(t, patient, "vitals", data)
+        with mock.patch.object(
+            events_module, "canonical_line", wraps=canonical_line
+        ) as spy:
+            line = event.canonical()
+        spy.assert_called_once()
+        assert line == canonical_line(event.to_payload())
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rhythm=st.text(),
+        hr=st.one_of(st.floats(), st.integers(), st.booleans()),
+        extra=st.dictionaries(
+            st.text(min_size=1).filter(lambda k: k not in ("hr_bpm",
+                                                           "rhythm")),
+            st.integers(), max_size=2,
+        ),
+    )
+    def test_any_vitals_payload_matches_canonical_line(
+        self, rhythm, hr, extra
+    ):
+        # Non-ASCII rhythms, NaN/inf, ints and extra keys: whichever
+        # path renders the line, the bytes are canonical_line's.
+        event = LiveEvent(2.5, 9, "vitals", {
+            "hr_bpm": hr, "rhythm": rhythm, **extra,
+        })
+        assert event.canonical() == canonical_line(event.to_payload())
