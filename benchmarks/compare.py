@@ -35,8 +35,9 @@ DEFAULT_BASELINE = BENCH_DIR / "BENCH_baseline.json"
 #: throughput), the accel layer (registry-dispatched kernels plus the
 #: executor's shared-memory payload transport), the observability
 #: layer (always-on metrics hooks, span emission, traced-vs-untraced
-#: campaign overhead), and the live monitor (unpaced engine drain
-#: throughput, streaming fan-out at 100 subscribers).
+#: campaign overhead), the live monitor (unpaced engine drain
+#: throughput, streaming fan-out at 100 subscribers), and cold start
+#: (a fresh interpreter importing the worker).
 GATED_SUITES = (
     BENCH_DIR / "test_perf_primitives.py",
     BENCH_DIR / "test_perf_physio.py",
@@ -44,6 +45,7 @@ GATED_SUITES = (
     BENCH_DIR / "test_perf_accel.py",
     BENCH_DIR / "test_perf_obs.py",
     BENCH_DIR / "test_perf_live.py",
+    BENCH_DIR / "test_perf_startup.py",
 )
 
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import j0
 
 from repro.phy.fsk import FSKConfig, FSKModulator, NoncoherentFSKDemodulator
 from repro.phy.signal import Waveform, db_to_linear
@@ -54,6 +53,8 @@ def jakes_correlation(
     beyond half a wavelength (37 cm) -- the quantity the paper's
     "keep the shield close" guidance controls.
     """
+    from scipy.special import j0
+
     if separation_m < 0:
         raise ValueError("separation cannot be negative")
     if wavelength_m <= 0:

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erfc
 
 from repro.phy.signal import db_to_linear
 
@@ -46,6 +45,8 @@ def noncoherent_fsk_ber(sinr_db: float) -> float:
 
 def coherent_fsk_ber(sinr_db: float) -> float:
     """BER of coherent binary orthogonal FSK: ``Q(sqrt(SINR))``."""
+    from scipy.special import erfc
+
     snr = db_to_linear(sinr_db)
     return 0.5 * erfc(math.sqrt(snr / 2.0))
 

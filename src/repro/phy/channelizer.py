@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sp_signal
 
 from repro.mics.band import MICSBand
 from repro.phy.signal import Waveform
@@ -71,6 +70,8 @@ class WidebandChannelizer:
 
     def extract(self, wideband: Waveform, channel_index: int) -> Waveform:
         """One channel's complex baseband stream from the wideband capture."""
+        from scipy import signal as sp_signal
+
         if wideband.sample_rate != self.wideband_rate:
             raise ValueError(
                 f"expected a {self.wideband_rate} Hz capture, "
@@ -100,6 +101,8 @@ class WidebandChannelizer:
         waveform (test-scenario builder: e.g. an adversary transmitting
         on several channels simultaneously).
         """
+        from scipy import signal as sp_signal
+
         if not channel_signals:
             raise ValueError("need at least one channel signal")
         factor = self.decimation

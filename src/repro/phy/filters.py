@@ -12,7 +12,6 @@ the Fig. 5 benchmark measures.
 from __future__ import annotations
 
 import numpy as np
-from scipy import signal as sp_signal
 
 from repro.phy.signal import Waveform
 
@@ -23,6 +22,8 @@ def _complex_taps(
     center_hz: float, half_width_hz: float, sample_rate: float, n_taps: int
 ) -> np.ndarray:
     """FIR taps for a band-pass centred at ``center_hz`` (complex passband)."""
+    from scipy import signal as sp_signal
+
     if half_width_hz <= 0 or half_width_hz >= sample_rate / 2:
         raise ValueError("half_width_hz must be inside (0, sample_rate / 2)")
     if n_taps < 3:
@@ -43,6 +44,8 @@ def complex_bandpass(
     The filter is a frequency-shifted FIR low-pass; group delay is
     compensated so the output stays bit-aligned with the input.
     """
+    from scipy import signal as sp_signal
+
     taps = _complex_taps(center_hz, half_width_hz, waveform.sample_rate, n_taps)
     filtered = sp_signal.fftconvolve(waveform.samples, taps, mode="full")
     delay = (n_taps - 1) // 2
@@ -72,6 +75,8 @@ def lowpass(
     waveform: Waveform, cutoff_hz: float, n_taps: int = 129
 ) -> Waveform:
     """Low-pass a waveform (used for channelising the wideband monitor)."""
+    from scipy import signal as sp_signal
+
     if cutoff_hz <= 0 or cutoff_hz >= waveform.sample_rate / 2:
         raise ValueError("cutoff_hz must be inside (0, sample_rate / 2)")
     taps = sp_signal.firwin(n_taps, cutoff_hz, fs=waveform.sample_rate)

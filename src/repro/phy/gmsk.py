@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sp_signal
 
 from repro.phy.signal import Waveform
 
@@ -71,6 +70,8 @@ class GMSKModulator:
         NRZ symbols are shaped by the Gaussian pulse and integrated into
         phase with modulation index 1/2 (the "minimum shift" in MSK).
         """
+        from scipy import signal as sp_signal
+
         bits = np.asarray(bits, dtype=np.int64)
         if bits.size and not np.all((bits == 0) | (bits == 1)):
             raise ValueError("bits must contain only 0s and 1s")

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sp_signal
 
 from repro.phy.signal import Waveform
 
@@ -110,6 +109,8 @@ def power_spectral_density(
     Returns ``(frequencies_hz, psd)`` with frequencies fft-shifted to run
     from negative to positive.
     """
+    from scipy import signal as sp_signal
+
     if len(waveform) < n_fft:
         n_fft = max(8, len(waveform))
     freqs, psd = sp_signal.welch(

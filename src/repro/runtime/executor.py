@@ -136,10 +136,11 @@ class SweepExecutor:
         One-shot sweeps pay pool startup once and tear it down with the
         call -- fine.  Round-based callers (the adaptive scheduler) map
         many small batches back to back, and spawning fresh worker
-        processes (interpreter + numpy/scipy imports) every round can
-        rival the round's actual work; inside this context the pool is
-        created once and shut down on exit.  A no-op in serial mode, and
-        re-entrant (an inner session reuses the outer pool).
+        processes (process start-up, plus each import a worker does not
+        inherit from its parent) every round can rival the round's
+        actual work; inside this context the pool is created once and
+        shut down on exit.  A no-op in serial mode, and re-entrant (an
+        inner session reuses the outer pool).
         """
         if not self.parallel or self._pool is not None:
             yield self

@@ -28,8 +28,6 @@ from __future__ import annotations
 
 import math
 
-from scipy import stats as _scipy_stats
-
 __all__ = [
     "jeffreys_interval",
     "mean_interval",
@@ -61,7 +59,9 @@ def normal_quantile(confidence: float) -> float:
     _check_confidence(confidence)
     z = _LEGACY_Z.get(confidence)
     if z is None:
-        z = float(_scipy_stats.norm.ppf(0.5 + confidence / 2.0))
+        from scipy import stats
+
+        z = float(stats.norm.ppf(0.5 + confidence / 2.0))
     return z
 
 
@@ -92,16 +92,18 @@ def jeffreys_interval(
     upper to 1 when ``s == n``, so the interval never excludes an
     observed boundary.
     """
+    from scipy import stats
+
     _check_counts(successes, trials)
     _check_confidence(confidence)
     alpha = 1.0 - confidence
     a = successes + 0.5
     b = trials - successes + 0.5
-    low = 0.0 if successes == 0 else float(_scipy_stats.beta.ppf(alpha / 2, a, b))
+    low = 0.0 if successes == 0 else float(stats.beta.ppf(alpha / 2, a, b))
     high = (
         1.0
         if successes == trials
-        else float(_scipy_stats.beta.ppf(1 - alpha / 2, a, b))
+        else float(stats.beta.ppf(1 - alpha / 2, a, b))
     )
     return low, high
 
@@ -120,6 +122,8 @@ def mean_interval(
     physical range (e.g. ``(0, 1)`` for a bit error rate).  Needs at
     least two samples -- a one-point sample has no variance estimate.
     """
+    from scipy import stats
+
     if count < 2:
         raise ValueError(
             f"a mean interval needs at least 2 samples, got {count}"
@@ -129,7 +133,7 @@ def mean_interval(
     # Sample variance from the sufficient statistics; tiny negative
     # round-off from the subtraction clamps to zero.
     variance = max(0.0, (sq_total - count * mean**2) / (count - 1))
-    t = float(_scipy_stats.t.ppf(0.5 + confidence / 2.0, count - 1))
+    t = float(stats.t.ppf(0.5 + confidence / 2.0, count - 1))
     half = t * math.sqrt(variance / count)
     low, high = mean - half, mean + half
     if bounds is not None:

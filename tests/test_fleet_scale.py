@@ -128,9 +128,10 @@ class TestTenThousandPatients:
         """Streaming reduction: 5x the patients, ~same peak memory.
 
         ``ru_maxrss`` of a fresh subprocess is dominated by the
-        interpreter + numpy/scipy imports; the campaign's own working
-        set must stay at the shard scale, so the 10k cohort may not
-        cost more than a modest margin over the 2k cohort.
+        interpreter + numpy + package imports (scipy loads only on the
+        first call that needs it); the campaign's own working set must
+        stay at the shard scale, so the 10k cohort may not cost more
+        than a modest margin over the 2k cohort.
         """
 
         def peak_rss_mb(patients: str, cache: Path) -> float:
