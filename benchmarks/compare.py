@@ -32,12 +32,11 @@ DEFAULT_BASELINE = BENCH_DIR / "BENCH_baseline.json"
 #: The gated suites: DSP primitives, the physiological telemetry hot
 #: paths (ECG synthesis, codec, batch eavesdropping, inference), the
 #: fleet hot paths (cohort synthesis, shard reduction, SQLite cache
-#: throughput), the accel layer (registry-dispatched kernels plus the
-#: executor's shared-memory payload transport), the observability
-#: layer (always-on metrics hooks, span emission, traced-vs-untraced
-#: campaign overhead), the live monitor (unpaced engine drain
-#: throughput, streaming fan-out at 100 subscribers), and cold start
-#: (a fresh interpreter importing the worker).
+#: throughput), the accel layer (registry-dispatched kernels), the
+#: observability layer (always-on metrics hooks, span emission,
+#: traced-vs-untraced campaign overhead), the live monitor (unpaced
+#: engine drain throughput, streaming fan-out at 100 subscribers), and
+#: cold start (a fresh interpreter importing the worker).
 GATED_SUITES = (
     BENCH_DIR / "test_perf_primitives.py",
     BENCH_DIR / "test_perf_physio.py",

@@ -1,4 +1,4 @@
-"""Benchmarks of the accel kernel layer and the payload transport.
+"""Benchmarks of the accel kernel layer.
 
 One benchmark per registry kernel, run through ``accel.get_kernel`` at
 the backend the environment resolves (``REPRO_ACCEL``) -- so the same
@@ -7,19 +7,12 @@ where it is installed, and ``compare.py`` turns the difference into a
 speedup table.  Each bench asserts its output against the numpy
 reference, so a backend that drifts numerically fails here before it
 fails a campaign.
-
-``test_perf_transport_*`` lock in the executor-transfer win: the
-shared-memory round trip of a multi-megabyte unit payload versus the
-pickle bytes it replaces.
 """
-
-import pickle
 
 import numpy as np
 
 from repro import accel
 from repro.accel import reference
-from repro.runtime.transport import decode_payload, encode_payload
 
 _RNG = np.random.default_rng(123)
 
@@ -60,13 +53,6 @@ _LAG_HI = 181
 _CANDIDATES = _RNG.choice(_N_SAMPLES, size=200, replace=False).astype(np.int64)
 _STRENGTHS = _RNG.standard_normal(200)
 _CAND_DESC = _CANDIDATES[np.argsort(_STRENGTHS)[::-1]]
-
-# Executor-transfer payload: one fleet-sized unit result (~3.1 MB).
-_PAYLOAD = {
-    "samples": _RNG.standard_normal((400, 768)),
-    "mask": _RNG.integers(0, 2, size=(400, 768)).astype(bool),
-    "meta": {"unit": 7, "n_records": 400},
-}
 
 
 def test_perf_accel_jam_tone_colour(benchmark):
@@ -119,23 +105,3 @@ def test_perf_accel_beat_suppress(benchmark):
         out, reference.beat_refractory_suppress(_CAND_DESC, 30.0)
     )
 
-
-def test_perf_transport_shm_roundtrip(benchmark):
-    """Parent-side cost of shipping one large unit payload via shm."""
-
-    def round_trip():
-        return decode_payload(encode_payload(_PAYLOAD, min_bytes=0))
-
-    out = benchmark(round_trip)
-    assert np.array_equal(out["samples"], _PAYLOAD["samples"])
-    assert out["meta"] == _PAYLOAD["meta"]
-
-
-def test_perf_transport_pickle_roundtrip(benchmark):
-    """The pickle bytes the shm transport replaces, same payload."""
-
-    def round_trip():
-        return pickle.loads(pickle.dumps(_PAYLOAD, protocol=-1))
-
-    out = benchmark(round_trip)
-    assert np.array_equal(out["mask"], _PAYLOAD["mask"])

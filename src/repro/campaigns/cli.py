@@ -930,7 +930,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     )
     backends = (
         f"workers={manifest.get('workers')} "
-        f"transport={manifest.get('transport')} "
         f"accel={manifest.get('accel_backend')} "
         f"cache={manifest.get('cache_backend')}"
     )

@@ -890,7 +890,6 @@ class CampaignRunner:
             "effective_workers": 1 if forced_serial else self.executor.workers,
             "forced_serial": forced_serial,
             "profile": self.profile,
-            "transport": self.executor.transport,
             "accel_backend": accel_backend,
             "cache_backend": (
                 self.cache.backend if self.cache is not None else None
@@ -1047,7 +1046,7 @@ class CampaignRunner:
                 )
                 # Worker deltas rode back per unit; fold in whatever the
                 # parent process itself accumulated (cache IO, serial
-                # evaluation, transport encodes).
+                # evaluation).
                 run_metrics.merge_payload(take_global())
                 tracer.emit("metrics", metrics=run_metrics.to_payload())
         if not collect:

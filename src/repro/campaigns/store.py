@@ -436,8 +436,13 @@ class SQLiteStore:
     #: filesystem-backend namespaces without colliding).
     FILENAME = "results.sqlite"
 
-    #: One retry, after this pause, when a read hits SQLITE_BUSY.
+    #: Pause before retrying a read (once) or the switch to WAL that
+    #: hit SQLITE_BUSY.
     BUSY_RETRY_S = 0.05
+
+    #: sqlite3's busy timeout, and the bound on retrying the switch
+    #: to WAL while another connection creates the same database.
+    BUSY_TIMEOUT_S = 30.0
 
     def __init__(self, root: Path | str):
         self.root = Path(root)
@@ -449,8 +454,8 @@ class SQLiteStore:
     def _connect(self) -> sqlite3.Connection:
         if self._conn is None:
             self.root.mkdir(parents=True, exist_ok=True)
-            conn = sqlite3.connect(self.path, timeout=30.0)
-            conn.execute("PRAGMA journal_mode=WAL")
+            conn = sqlite3.connect(self.path, timeout=self.BUSY_TIMEOUT_S)
+            self._enable_wal(conn)
             conn.execute("PRAGMA synchronous=NORMAL")
             conn.execute(
                 "CREATE TABLE IF NOT EXISTS units ("
@@ -500,6 +505,24 @@ class SQLiteStore:
             conn.commit()
             self._conn = conn
         return self._conn
+
+    def _enable_wal(self, conn: sqlite3.Connection) -> None:
+        """Switch to WAL, retrying while another connection holds the file.
+
+        On a fresh database the switch returns SQLITE_BUSY at once when
+        a second connection (a coordinator and its worker opening one
+        new cache root together) holds a lock, without waiting out the
+        connection's busy timeout -- so wait here, up to that same bound.
+        """
+        deadline = time.monotonic() + self.BUSY_TIMEOUT_S
+        while True:
+            try:
+                conn.execute("PRAGMA journal_mode=WAL")
+                return
+            except sqlite3.OperationalError as exc:
+                if not _is_busy(exc) or time.monotonic() >= deadline:
+                    raise
+            time.sleep(self.BUSY_RETRY_S)
 
     def close(self) -> None:
         if self._conn is not None:

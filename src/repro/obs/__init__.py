@@ -1,10 +1,10 @@
 """Observability: structured tracing, mergeable run metrics, reports.
 
 The execution stack (sweep executor, campaign runner, result stores,
-payload transport, kernel dispatch) runs 10^4-patient fleets across
-process pools -- and, until this package, ran them blind: no logging,
-no per-unit timing, no cache hit/miss accounting, no record of which
-backend a run actually resolved.  This package is the runtime's eyes:
+kernel dispatch) runs 10^4-patient fleets across process pools -- and,
+until this package, ran them blind: no logging, no per-unit timing, no
+cache hit/miss accounting, no record of which backend a run actually
+resolved.  This package is the runtime's eyes:
 
 * :mod:`repro.obs.log` -- the stack's :mod:`logging` surface
   (``REPRO_LOG`` / ``--log-level``) plus the byte-stable stdout
@@ -17,7 +17,7 @@ backend a run actually resolved.  This package is the runtime's eyes:
   totals regardless of worker count or arrival order;
 * :mod:`repro.obs.trace` -- :class:`Tracer`, the span-based JSONL
   emitter: one run manifest (scenario hash, seed, resolved
-  accel/transport/cache backends, worker count, versions) plus one
+  accel/cache backends, worker count, versions) plus one
   span per work unit (queue -> execute -> flush timings, cache
   hit/miss, worker pid, payload bytes) written to
   ``<cache>/runs/<run_id>/trace.jsonl``;

@@ -61,7 +61,6 @@ _MANIFEST_FIELDS = (
     "effective_workers",
     "cache_backend",
     "accel_backend",
-    "transport",
     "schema_version",
     "package_version",
     "git_revision",

@@ -1,9 +1,9 @@
 """Mergeable run metrics: counters and timings with one-pass semantics.
 
-Instrumented code (result stores, payload transport, kernel dispatch,
-the executor) records into a *process-local* accumulator through two
-cheap module-level calls -- :func:`counter_inc` and
-:func:`timing_observe` -- that cost one dict update per event.  The
+Instrumented code (result stores, kernel dispatch, the executor)
+records into a *process-local* accumulator through two cheap
+module-level calls -- :func:`counter_inc` and :func:`timing_observe`
+-- that cost one dict update per event.  The
 accumulator is the observability twin of
 :class:`repro.fleet.metrics.FleetAccumulator`: a fixed-size sufficient
 statistic whose :meth:`ObsAccumulator.merge` is associative,
@@ -15,10 +15,9 @@ would have produced.
 :func:`observed_call` is the worker-side wrapper the executor's
 observed map uses: it runs one work unit, snapshots the process-local
 accumulator (everything recorded since the previous unit on that
-worker, including the transport decode of this unit's own input), and
-returns ``{"result", "obs"}`` so the measurement rides the existing
-result path -- same pickling, same shared-memory transport, same
-submission-order delivery.
+worker), and returns ``{"result", "obs"}`` so the measurement rides
+the existing result path -- same pickling, same submission-order
+delivery.
 
 Nothing here touches RNG streams, cache keys, or result payloads: the
 accumulator is observability state only, and a traced run stays

@@ -10,12 +10,8 @@ sweeps run on:
 * :mod:`repro.runtime.executor` -- :class:`SweepExecutor`, which fans
   independent (location, trial-chunk) work units across a process pool
   (opt-in via ``REPRO_WORKERS`` or ``workers=``; serial by default) and
-  reassembles results in submission order;
-* :mod:`repro.runtime.transport` -- the payload transport behind the
-  executor's parallel paths: large ndarray inputs/outputs ride
-  ``multiprocessing.shared_memory`` blocks instead of the pool's pickle
-  pipes (``REPRO_TRANSPORT`` / ``transport=``; auto by default, pickle
-  kept as the exercised fallback).
+  reassembles results in submission order, pickled over the pool's
+  pipes.
 
 The experiments layer (:mod:`repro.experiments.sweeps`,
 :mod:`repro.experiments.waveform_lab`) is built on top of these
@@ -30,11 +26,6 @@ from repro.runtime.seeding import (
     spawn_rngs,
     spawn_seed_sequences,
 )
-from repro.runtime.transport import (
-    decode_payload,
-    encode_payload,
-    resolve_transport,
-)
 
 __all__ = [
     "SweepExecutor",
@@ -43,7 +34,4 @@ __all__ = [
     "round_seed_sequence",
     "spawn_rngs",
     "spawn_seed_sequences",
-    "decode_payload",
-    "encode_payload",
-    "resolve_transport",
 ]

@@ -10,6 +10,7 @@ import json
 import logging
 import os
 import sqlite3
+import threading
 
 import pytest
 
@@ -165,6 +166,40 @@ class TestSQLiteDurability:
         store.put("hash", "k", {}, {"x": 1})
         mode = store._connect().execute("PRAGMA journal_mode").fetchone()[0]
         assert mode == "wal"
+
+    def test_concurrent_first_connects_to_a_fresh_database(self, tmp_path):
+        """Two connections creating one fresh database must both open.
+
+        Switching a new file to WAL fails at once with ``database is
+        locked`` while another connection holds it, without waiting out
+        the connection's busy timeout; a coordinator and a worker opening a
+        fresh cache root together hit exactly this.
+        """
+        failures = []
+        for attempt in range(200):
+            root = tmp_path / str(attempt)
+            stores = [SQLiteStore(root), SQLiteStore(root)]
+            barrier = threading.Barrier(len(stores))
+
+            def open_store(store):
+                barrier.wait(timeout=60)
+                try:
+                    store._connect()
+                except sqlite3.Error as exc:
+                    failures.append((attempt, repr(exc)))
+                finally:
+                    store.close()
+
+            threads = [
+                threading.Thread(target=open_store, args=(store,))
+                for store in stores
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        assert failures == []
 
     def test_reopen_sees_previous_writes(self, tmp_path):
         ResultCache(tmp_path, backend="sqlite").put(

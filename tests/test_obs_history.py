@@ -215,6 +215,34 @@ class TestHistoryCli:
         entries = json.loads(capsys.readouterr().out)
         assert [e["run_id"] for e in entries] == [second.run_id]
 
+    def test_runs_recorded_with_a_transport_field_still_load(
+        self, capsys, tmp_path
+    ):
+        # Manifests once carried the executor's payload transport; old
+        # traces and history lines keep loading, and nothing shows it.
+        tracer = Tracer(tmp_path, "fleet-attack-prevalence")
+        tracer.start_run(
+            {"scenario": "fleet-attack-prevalence", "transport": "auto"}
+        )
+        tracer.finish()
+        old_line = dict(
+            _entry(run_id="old", scenario="fleet-attack-prevalence"),
+            manifest={"workers": 2, "transport": "shm"},
+        )
+        with open(history_path(tmp_path), "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(old_line) + "\n")
+        assert record_run(tmp_path, tracer.run_dir)["manifest"] == {}
+        capsys.readouterr()
+        assert main([
+            "history", "--cache-dir", str(tmp_path), "--format", "json",
+        ]) == 0
+        entries = json.loads(capsys.readouterr().out)
+        assert {e["run_id"] for e in entries} == {"old", tracer.run_id}
+        assert main([
+            "report", "fleet-attack-prevalence", "--cache-dir", str(tmp_path),
+        ]) == 0
+        assert "transport" not in capsys.readouterr().out
+
     def test_history_empty_cache_errors(self, tmp_path):
         with pytest.raises(SystemExit, match="no recorded runs"):
             main(["history", "--cache-dir", str(tmp_path)])

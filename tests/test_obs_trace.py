@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from repro.campaigns import registry
-from repro.campaigns.cli import main
+from repro.campaigns.cli import _budget_scenario, main
 from repro.campaigns.runner import CampaignRunner
 from repro.obs.trace import (
     TRACE_ENV,
@@ -162,7 +162,7 @@ class TestTracedCampaign:
         assert manifest["total_units"] == 2
         assert manifest["workers"] == 1
         assert manifest["forced_serial"] is False
-        assert manifest["transport"] in ("auto", "pickle", "shm")
+        assert "transport" not in manifest
         assert manifest["accel_backend"] in ("numpy", "numba", "unresolved")
         assert manifest["cache_backend"] == "filesystem"
         for key in ("schema_version", "package_version", "python_version",
@@ -278,6 +278,45 @@ class TestTracedCampaign:
         assert tracer.finished
         events = _read_events(tracer.path)
         assert events[-1]["computed_units"] == 1
+
+
+class TestCounterParity:
+    @staticmethod
+    def _run_metrics(scenario, cache_dir, workers) -> dict:
+        tracer = Tracer(cache_dir, scenario.name)
+        CampaignRunner(
+            scenario, cache_dir=cache_dir, workers=workers,
+            tracer=tracer, progress=False,
+        ).run()
+        (metrics,) = [
+            e["metrics"] for e in _read_events(tracer.path)
+            if e["type"] == "metrics"
+        ]
+        return metrics["counters"]
+
+    @pytest.mark.parametrize("name", registry.names())
+    def test_serial_and_two_worker_runs_count_the_same(self, tmp_path, name):
+        """Only ``executor.*`` counters describe how a run executed;
+        every other counter is the same serially and in a pool."""
+        scenario = _budget_scenario(registry.get(name), "smoke")
+        if scenario.kind == "fleet":
+            # Smoke fleets fit one shard, which never reaches the pool.
+            scenario = scenario.override(
+                chunk_size=max(1, scenario.n_patients // 2)
+            )
+        serial, pooled = (
+            self._run_metrics(scenario, tmp_path / f"w{workers}", workers)
+            for workers in (1, 2)
+        )
+        assert pooled["executor.pool_units"] > 0
+
+        def outside_executor(counters):
+            return {
+                key: value for key, value in counters.items()
+                if not key.startswith("executor.")
+            }
+
+        assert outside_executor(pooled) == outside_executor(serial)
 
 
 class TestCliTracing:

@@ -80,10 +80,6 @@ class TestSweepExecutor:
         assert not SweepExecutor(1).parallel
         assert SweepExecutor(3).parallel
 
-    def test_rejects_bad_chunksize(self):
-        with pytest.raises(ValueError):
-            SweepExecutor(1, chunksize=0)
-
     def test_imap_streams_in_submission_order(self):
         executor = SweepExecutor(1)
         streamed = executor.imap(_square, range(5))
@@ -110,82 +106,33 @@ class TestSweepExecutor:
 
 
 class _RecordingPool:
-    """ProcessPoolExecutor stand-in capturing every map()'s chunksize."""
+    """ProcessPoolExecutor stand-in counting every map() call."""
 
-    calls: list[int] = []
+    calls = 0
 
     def __init__(self, max_workers=None, initializer=None):
         pass
 
-    def map(self, fn, units, chunksize=None):
-        _RecordingPool.calls.append(chunksize)
+    def map(self, fn, units):
+        _RecordingPool.calls += 1
         return (fn(u) for u in units)
 
     def shutdown(self, wait=True):
         pass
 
-    def __enter__(self):
-        return self
 
-    def __exit__(self, *exc):
-        self.shutdown()
-        return False
-
-
-class TestChunksizeForwarding:
-    """Both parallel paths (one-shot pool and pool_session) must hand the
-    constructor's chunksize to every pool map call -- a batching setting
-    that silently applies on one entry point but not the other corrupts
-    perf comparisons without changing results."""
-
-    @pytest.fixture(autouse=True)
-    def _stub_pool(self, monkeypatch):
-        _RecordingPool.calls = []
-        monkeypatch.setattr(
-            "repro.runtime.executor.ProcessPoolExecutor", _RecordingPool
-        )
-
-    def test_map_forwards_chunksize_one_shot_pool(self):
-        SweepExecutor(2, chunksize=5).map(_square, range(8))
-        assert _RecordingPool.calls == [5]
-
-    def test_imap_forwards_chunksize_one_shot_pool(self):
-        list(SweepExecutor(2, chunksize=3).imap(_square, range(8)))
-        assert _RecordingPool.calls == [3]
-
-    def test_pool_session_forwards_chunksize_every_call(self):
-        executor = SweepExecutor(2, chunksize=7)
-        with executor.pool_session():
-            executor.map(_square, range(8))
-            list(executor.imap(_square, range(8)))
-        assert _RecordingPool.calls == [7, 7]
-
-    def test_serial_mode_never_touches_the_pool(self):
-        SweepExecutor(1, chunksize=9).map(_square, range(8))
-        assert _RecordingPool.calls == []
-
-
-class TestChunksizeValidation:
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError, match="chunksize"):
-            SweepExecutor(1, chunksize=0)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError, match="chunksize"):
-            SweepExecutor(2, chunksize=-3)
-
-    def test_rejects_bool(self):
-        with pytest.raises(ValueError, match="chunksize"):
-            SweepExecutor(1, chunksize=True)
-
-    def test_rejects_float(self):
-        with pytest.raises(ValueError, match="chunksize"):
-            SweepExecutor(1, chunksize=2.0)
-
-    def test_validated_even_in_serial_mode(self):
-        """The same constructor args must be legal at any worker count."""
-        with pytest.raises(ValueError, match="chunksize"):
-            SweepExecutor(1, chunksize=-1)
+def test_serial_mode_never_touches_the_pool(monkeypatch):
+    _RecordingPool.calls = 0
+    monkeypatch.setattr(
+        "repro.runtime.executor.ProcessPoolExecutor", _RecordingPool
+    )
+    assert SweepExecutor(1).map(_square, range(8)) == [
+        x * x for x in range(8)
+    ]
+    assert _RecordingPool.calls == 0
+    # The stand-in is live: the same map at two workers goes through it.
+    SweepExecutor(2).map(_square, range(8))
+    assert _RecordingPool.calls == 1
 
 
 class TestChunkSizes:
