@@ -32,7 +32,8 @@ DEFAULT_BASELINE = BENCH_DIR / "BENCH_baseline.json"
 #: The gated suites: DSP primitives, the physiological telemetry hot
 #: paths (ECG synthesis, codec, batch eavesdropping, inference), the
 #: fleet hot paths (cohort synthesis, shard reduction, SQLite cache
-#: throughput), the accel layer (registry-dispatched kernels), the
+#: throughput), the hot numpy kernels (jam colouring, FSK decisions,
+#: ECG scatter-add, HR autocorrelation, beat suppression), the
 #: observability layer (always-on metrics hooks, span emission,
 #: traced-vs-untraced campaign overhead), the live monitor (unpaced
 #: engine drain throughput, streaming fan-out at 100 subscribers), and

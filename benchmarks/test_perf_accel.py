@@ -1,18 +1,22 @@
-"""Benchmarks of the accel kernel layer.
+"""Benchmarks of the hot numpy kernels.
 
-One benchmark per registry kernel, run through ``accel.get_kernel`` at
-the backend the environment resolves (``REPRO_ACCEL``) -- so the same
-suite measures the numpy reference on a stock box and the numba overlay
-where it is installed, and ``compare.py`` turns the difference into a
-speedup table.  Each bench asserts its output against the numpy
-reference, so a backend that drifts numerically fails here before it
-fails a campaign.
+One benchmark per module-private kernel at its call site's working
+shape: the jam colouring (``core/jamming.py``), the coherent FSK
+decision (``phy/fsk.py``), the ECG scatter-add (``physio/ecg.py``), and
+the attacker's autocorrelation and refractory search
+(``physio/inference.py``).  Their numerics are pinned by the unit tests
+next to each caller; these benches time them.
 """
 
 import numpy as np
 
-from repro import accel
-from repro.accel import reference
+from repro.core.jamming import _jam_tone_colour
+from repro.phy.fsk import _fsk_coherent_bits
+from repro.physio.ecg import _ecg_wave_accumulate
+from repro.physio.inference import (
+    _beat_refractory_suppress,
+    _hr_unbiased_autocorr,
+)
 
 _RNG = np.random.default_rng(123)
 
@@ -56,52 +60,31 @@ _CAND_DESC = _CANDIDATES[np.argsort(_STRENGTHS)[::-1]]
 
 
 def test_perf_accel_jam_tone_colour(benchmark):
-    kernel = accel.get_kernel("jam_tone_colour")
-    out = benchmark(kernel, _FACTOR, _DRAWS)
+    out = benchmark(_jam_tone_colour, _FACTOR, _DRAWS)
     assert out.shape == (40, 250, 2)
-    np.testing.assert_allclose(
-        out, reference.jam_tone_colour(_FACTOR, _DRAWS), rtol=1e-12, atol=1e-12
-    )
 
 
 def test_perf_accel_fsk_coherent_bits(benchmark):
-    kernel = accel.get_kernel("fsk_coherent_bits")
-    out = benchmark(kernel, _CHUNKS, _CORRELATORS, 1)
-    assert np.array_equal(
-        out, reference.fsk_coherent_bits(_CHUNKS, _CORRELATORS, 1)
-    )
+    out = benchmark(_fsk_coherent_bits, _CHUNKS, _CORRELATORS, 1)
+    assert out.shape == (250,)
 
 
 def test_perf_accel_ecg_wave_accumulate(benchmark):
-    kernel = accel.get_kernel("ecg_wave_accumulate")
-
     def run():
         flat = np.zeros(_N_RECORDS * _N_SAMPLES)
-        kernel(flat, _RECORD_INDEX, _CENTERS, _AMPS, 0.055, 120.0, 27,
-               _N_SAMPLES)
+        _ecg_wave_accumulate(flat, _RECORD_INDEX, _CENTERS, _AMPS, 0.055,
+                             120.0, 27, _N_SAMPLES)
         return flat
 
     out = benchmark(run)
-    expected = np.zeros(_N_RECORDS * _N_SAMPLES)
-    reference.ecg_wave_accumulate(
-        expected, _RECORD_INDEX, _CENTERS, _AMPS, 0.055, 120.0, 27, _N_SAMPLES
-    )
-    np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
+    assert out.shape == (_N_RECORDS * _N_SAMPLES,)
 
 
 def test_perf_accel_hr_autocorr(benchmark):
-    kernel = accel.get_kernel("hr_unbiased_autocorr")
-    out = benchmark(kernel, _X, _LAG_HI)
+    out = benchmark(_hr_unbiased_autocorr, _X, _LAG_HI)
     assert out.shape == (_LAG_HI + 1,)
-    np.testing.assert_allclose(
-        out, reference.hr_unbiased_autocorr(_X, _LAG_HI), rtol=1e-9, atol=1e-12
-    )
 
 
 def test_perf_accel_beat_suppress(benchmark):
-    kernel = accel.get_kernel("beat_refractory_suppress")
-    out = benchmark(kernel, _CAND_DESC, 30.0)
-    assert np.array_equal(
-        out, reference.beat_refractory_suppress(_CAND_DESC, 30.0)
-    )
-
+    out = benchmark(_beat_refractory_suppress, _CAND_DESC, 30.0)
+    assert 0 < out.size <= _CAND_DESC.size

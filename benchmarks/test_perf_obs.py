@@ -1,7 +1,7 @@
 """Overhead benchmarks of the observability layer.
 
 Tracing is opt-in, but the metrics hooks (``counter_inc`` in the result
-stores, the kernel registry) are *always on* -- so their cost must stay
+stores and the executor) are *always on* -- so their cost must stay
 at dict-update scale, and a traced fleet campaign must run within a
 couple of percent of an untraced one.  The paired
 ``fleet_campaign_untraced`` / ``fleet_campaign_traced`` entries in

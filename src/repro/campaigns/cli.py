@@ -61,7 +61,6 @@ import os
 import sys
 from pathlib import Path
 
-from repro import accel
 from repro.campaigns import registry
 from repro.campaigns.cache import default_cache_dir
 from repro.campaigns.store import (
@@ -930,7 +929,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     )
     backends = (
         f"workers={manifest.get('workers')} "
-        f"accel={manifest.get('accel_backend')} "
         f"cache={manifest.get('cache_backend')}"
     )
     console(
@@ -1351,11 +1349,6 @@ def _add_execution_args(parser: argparse.ArgumentParser) -> None:
         help="run fully in memory: no cache reads or writes",
     )
     parser.add_argument(
-        "--accel", choices=accel.CHOICES, default=None,
-        help="kernel backend (default: REPRO_ACCEL, else auto -- numba "
-             "when installed, numpy otherwise; never changes results)",
-    )
-    parser.add_argument(
         "--format", choices=("text", "markdown", "json"), default="text",
         help="report format (default: text)",
     )
@@ -1452,10 +1445,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="publish this worker's live progress snapshots through the "
              "shared cache (default on; --no-progress or "
              "REPRO_PROGRESS=0 silences them)",
-    )
-    p_worker.add_argument(
-        "--accel", choices=accel.CHOICES, default=None,
-        help="kernel backend (default: REPRO_ACCEL, else auto)",
     )
     _add_override_args(p_worker)
     _add_log_args(p_worker)
@@ -1805,12 +1794,6 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # junk REPRO_LOG
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if getattr(args, "accel", None) is not None:
-        try:
-            accel.set_backend(args.accel)
-        except (ValueError, RuntimeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     try:
         return args.func(args)
     except KeyboardInterrupt:

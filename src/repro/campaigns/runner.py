@@ -30,7 +30,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.accel import resolve_backend as resolve_accel_backend
 from repro.campaigns.cache import ResultCache, default_cache_dir, unit_hash
 from repro.campaigns.spec import SCHEMA_VERSION, Scenario
 from repro.channel.geometry import TestbedGeometry
@@ -870,13 +869,6 @@ class CampaignRunner:
         """The run manifest: what ran, resolved how, at which versions."""
         from repro import __version__ as package_version
 
-        try:
-            accel_backend = resolve_accel_backend()
-        except RuntimeError:
-            # REPRO_ACCEL names a backend this interpreter cannot
-            # import; the failure surfaces where kernels dispatch, not
-            # in the manifest write.
-            accel_backend = "unresolved"
         scenario = self.scenario
         return {
             "scenario": scenario.name,
@@ -890,7 +882,6 @@ class CampaignRunner:
             "effective_workers": 1 if forced_serial else self.executor.workers,
             "forced_serial": forced_serial,
             "profile": self.profile,
-            "accel_backend": accel_backend,
             "cache_backend": (
                 self.cache.backend if self.cache is not None else None
             ),

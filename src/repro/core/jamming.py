@@ -23,7 +23,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.accel import get_kernel
 from repro.phy.fsk import FSKConfig
 from repro.phy.spectrum import FrequencyProfile
 from repro.phy.signal import Waveform
@@ -130,9 +129,7 @@ class ShapedJammer:
         # (one flat draw viewed as complex; the 1/sqrt(2) component scale
         # and all deterministic gains are folded into the cached factor).
         draws = self.rng.standard_normal((count, n_bits, 4)).view(np.complex128)
-        # The per-bin 2x2 colouring dispatches through the accel
-        # registry; the IFFT stays numpy's job under every backend.
-        coloured = get_kernel("jam_tone_colour")(factor, draws)
+        coloured = _jam_tone_colour(factor, draws)
         correlations = np.fft.ifft(coloured, axis=1)
         if power != 1.0:
             correlations *= np.sqrt(power)
@@ -196,6 +193,12 @@ class ShapedJammer:
         """Oblivious constant-profile jammer (the Fig. 5 baseline)."""
         profile = FrequencyProfile.flat(n_bins, bandwidth_hz)
         return cls(profile, sample_rate, rng)
+
+
+def _jam_tone_colour(factor: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Apply the ``(n_bits, 2, 2)`` per-bin colouring factors to
+    ``(count, n_bits, 2)`` i.i.d. complex draws."""
+    return (factor[None] @ draws[..., None])[..., 0]
 
 
 def _bin_variances(

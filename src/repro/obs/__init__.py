@@ -17,7 +17,7 @@ resolved.  This package is the runtime's eyes:
   totals regardless of worker count or arrival order;
 * :mod:`repro.obs.trace` -- :class:`Tracer`, the span-based JSONL
   emitter: one run manifest (scenario hash, seed, resolved
-  accel/cache backends, worker count, versions) plus one
+  cache backend, worker count, versions) plus one
   span per work unit (queue -> execute -> flush timings, cache
   hit/miss, worker pid, payload bytes) written to
   ``<cache>/runs/<run_id>/trace.jsonl``;

@@ -9,7 +9,7 @@ loads line-by-line without a schema library:
 
 ``manifest``
     scenario name/hash/kind, seed, trial budget, grid size, resolved
-    accel/cache backends, worker count, forced-serial fact,
+    cache backend, worker count, forced-serial fact,
     schema/package versions, git revision, ISO start time.
 ``unit``
     one span per work unit: cache ``status`` (hit / computed), queue ->

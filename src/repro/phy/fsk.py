@@ -29,7 +29,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.accel import get_kernel
 from repro.phy.signal import Waveform
 
 __all__ = [
@@ -110,6 +109,20 @@ def _tone_matrix(config: FSKConfig) -> np.ndarray:
     matrix = np.conj(np.stack([template0, template1], axis=1))
     matrix.setflags(write=False)
     return matrix
+
+
+def _fsk_coherent_bits(
+    chunks: np.ndarray, correlators: np.ndarray, h: int
+) -> np.ndarray:
+    """Hard bits ``(n_bits,)`` int64 from ``(n_bits, spb)`` bit chunks
+    against the ``(spb, 2)`` correlator matrix, modulation index ``h``."""
+    n_bits = chunks.shape[0]
+    correlations = chunks @ correlators
+    # Phase at the start of bit i is i*pi*h (mod 2*pi): the conjugated
+    # reference contributes exp(-1j * pi * h * i) to each correlation.
+    rotation = np.exp(-1j * np.pi * h * np.arange(n_bits))
+    metrics = np.real(correlations * rotation[:, None])
+    return (metrics[:, 1] > metrics[:, 0]).astype(np.int64)
 
 
 class FSKModulator:
@@ -285,12 +298,7 @@ class CoherentFSKDemodulator:
     ) -> np.ndarray:
         spb = self.config.samples_per_bit
         chunks = waveform.samples[: n_bits * spb].reshape(n_bits, spb)
-        # Correlate + rotate + decide in one registry kernel (the numpy
-        # reference keeps the exact matmul/rotation maths of the
-        # pre-accel path).
-        return get_kernel("fsk_coherent_bits")(
-            chunks, _tone_matrix(self.config), h
-        )
+        return _fsk_coherent_bits(chunks, _tone_matrix(self.config), h)
 
     def _demodulate_loop(
         self, waveform: Waveform, n_bits: int | None = None

@@ -33,7 +33,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.accel import get_kernel
 from repro.runtime.seeding import spawn_seed_sequences
 
 __all__ = [
@@ -101,6 +100,28 @@ _WAVES = (
     ("S", -0.12, 0.010, 0.025),
     ("T", 0.30, 0.055, 0.22),
 )
+
+
+def _ecg_wave_accumulate(
+    flat: np.ndarray,
+    record_index: np.ndarray,
+    centers: np.ndarray,
+    amps: np.ndarray,
+    sigma: float,
+    fs: float,
+    half: int,
+    n: int,
+) -> None:
+    """Scatter-add one Gaussian wave component into the flattened
+    ``(n_records * n,)`` buffer, in place, over a ``[-half, +half]``
+    sample window per beat."""
+    offsets = np.arange(-half, half + 1)
+    idx = np.round(centers * fs).astype(np.int64)[:, None] + offsets
+    t_rel = idx / fs - centers[:, None]
+    values = amps[:, None] * np.exp(-0.5 * (t_rel / sigma) ** 2)
+    valid = (idx >= 0) & (idx < n)
+    flat_idx = record_index[:, None] * n + np.clip(idx, 0, n - 1)
+    np.add.at(flat, flat_idx[valid], values[valid])
 
 
 @dataclass(frozen=True)
@@ -315,7 +336,6 @@ class ECGGenerator:
         has_p = np.array([r != "afib" for r in rhythms])
 
         flat = wave.reshape(-1)
-        accumulate = get_kernel("ecg_wave_accumulate")
         for name, amp, sigma, offset in _WAVES:
             if record_index.size == 0:
                 break
@@ -324,7 +344,9 @@ class ECGGenerator:
                 amps *= has_p[record_index]
             centers = beat_t + offset
             half = int(math.ceil(4.0 * sigma * fs))
-            accumulate(flat, record_index, centers, amps, sigma, fs, half, n)
+            _ecg_wave_accumulate(
+                flat, record_index, centers, amps, sigma, fs, half, n
+            )
 
         t = np.arange(n) / fs
         wave += config.wander_amplitude * np.sin(

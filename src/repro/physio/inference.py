@@ -26,11 +26,11 @@ estimate collapses to chance, while modest BER still leaks heart rate.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.accel import get_kernel
 from repro.physio.codec import WaveformCodec
 from repro.physio.ecg import rate_from_beat_times
 from repro.protocol.packets import PacketCodec
@@ -106,6 +106,37 @@ def _median3(x: np.ndarray) -> np.ndarray:
     )
 
 
+def _hr_unbiased_autocorr(x: np.ndarray, lag_hi: int) -> np.ndarray:
+    """Unbiased autocorrelation of a demeaned record, lags ``0..lag_hi``."""
+    n = len(x)
+    ac = np.correlate(x, x, mode="full")[n - 1:]
+    # Unbiased: each lag's sum has n-lag terms.
+    ac = ac / (n - np.arange(n))
+    return ac[: lag_hi + 1]
+
+
+def _beat_refractory_suppress(
+    candidates_desc: np.ndarray, refractory: float
+) -> np.ndarray:
+    """Greedy refractory suppression over candidates sorted strongest
+    first; the kept indices in acceptance order (the caller sorts)."""
+    # A candidate is kept iff it is at least ``refractory`` from every
+    # kept index; with the kept indices sorted, only the nearest one on
+    # each side can be closer, so each candidate costs one bisection.
+    # The comparisons are written ``>=`` like the all-pairs definition,
+    # so a NaN window rejects exactly what that definition rejects.
+    kept: list[int] = []
+    ordered: list[int] = []
+    for idx in candidates_desc.tolist():
+        pos = bisect_left(ordered, idx)
+        if (pos == 0 or idx - ordered[pos - 1] >= refractory) and (
+            pos == len(ordered) or ordered[pos] - idx >= refractory
+        ):
+            ordered.insert(pos, idx)
+            kept.append(idx)
+    return np.array(kept, dtype=np.int64)
+
+
 def estimate_heart_rate(
     samples: np.ndarray,
     sample_rate_hz: float,
@@ -135,10 +166,9 @@ def _heart_rate_filtered(
             f"record too short for the HR search range: {n} samples at "
             f"{sample_rate_hz:g} Hz"
         )
-    # Unbiased autocorrelation through the accel registry; the search
-    # below never reads past lag_max + 1 (the parabolic neighbour), so
-    # the kernel only computes that prefix.
-    ac = get_kernel("hr_unbiased_autocorr")(x, lag_max + 1)
+    # The search below never reads past lag_max + 1 (the parabolic
+    # neighbour), so only that prefix of the autocorrelation is kept.
+    ac = _hr_unbiased_autocorr(x, lag_max + 1)
 
     window = ac[lag_min: lag_max + 1]
     best = lag_min + int(np.argmax(window))
@@ -198,11 +228,9 @@ def _beats_filtered(
         return np.empty(0)
     refractory = config.refractory_s * sample_rate_hz
     # Strongest first; a weaker peak inside a kept peak's refractory
-    # window (e.g. a T wave) is suppressed.  The ordering is computed
-    # here (numpy argsort, identical under every backend) so the
-    # suppression kernel reduces to exact integer/float comparisons.
+    # window (e.g. a T wave) is suppressed.
     order = np.argsort(x[candidates])[::-1]
-    kept = get_kernel("beat_refractory_suppress")(
+    kept = _beat_refractory_suppress(
         candidates[order].astype(np.int64), float(refractory)
     )
     return np.sort(kept) / sample_rate_hz

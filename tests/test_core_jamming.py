@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.jamming import ShapedJammer
+from repro.core.jamming import ShapedJammer, _jam_tone_colour
 from repro.phy.spectrum import FrequencyProfile, band_power_fraction
 
 
@@ -185,3 +187,20 @@ class TestToneCorrelationBatch:
         assert longer.shape == (32, 2, 2)
         assert other is not factor
         assert not np.array_equal(other, factor)
+
+
+@pytest.mark.statistical
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 64))
+@settings(max_examples=40, deadline=None)
+def test_jam_tone_colour_matches_inline_formula(seed, n_jams, n_bits):
+    rng = np.random.default_rng(seed)
+    factor = rng.standard_normal((n_bits, 2, 2)) + 1j * rng.standard_normal(
+        (n_bits, 2, 2)
+    )
+    draws = rng.standard_normal((n_jams, n_bits, 2)) + 1j * rng.standard_normal(
+        (n_jams, n_bits, 2)
+    )
+    out = _jam_tone_colour(factor, draws)
+    inline = (factor[None] @ draws[..., None])[..., 0]
+    assert out.dtype == inline.dtype
+    np.testing.assert_array_equal(out, inline)

@@ -243,6 +243,45 @@ class TestHistoryCli:
         ]) == 0
         assert "transport" not in capsys.readouterr().out
 
+    def test_runs_recorded_with_an_accel_backend_field_still_load(
+        self, capsys, tmp_path
+    ):
+        # Manifests once carried the kernel backend; old traces and
+        # history lines keep loading, and nothing shows it.
+        tracer = Tracer(tmp_path, "fleet-attack-prevalence")
+        tracer.start_run({
+            "scenario": "fleet-attack-prevalence", "workers": 1,
+            "cache_backend": "filesystem", "accel_backend": "numba",
+        })
+        tracer.finish()
+        old_line = dict(
+            _entry(run_id="old", scenario="fleet-attack-prevalence"),
+            manifest={"workers": 2, "accel_backend": "numpy"},
+        )
+        with open(history_path(tmp_path), "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(old_line) + "\n")
+        assert record_run(tmp_path, tracer.run_dir)["manifest"] == {
+            "workers": 1, "cache_backend": "filesystem",
+        }
+        capsys.readouterr()
+        assert main([
+            "history", "--cache-dir", str(tmp_path), "--format", "json",
+        ]) == 0
+        entries = json.loads(capsys.readouterr().out)
+        assert {e["run_id"] for e in entries} == {"old", tracer.run_id}
+        assert main([
+            "diff", "old", tracer.run_id, "--cache-dir", str(tmp_path),
+            "--format", "json",
+        ]) == 0
+        diff = json.loads(capsys.readouterr().out)
+        assert (diff["baseline"], diff["candidate"]) == ("old", tracer.run_id)
+        assert main([
+            "report", "fleet-attack-prevalence", "--cache-dir", str(tmp_path),
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "workers=1 cache=filesystem" in out
+        assert "accel" not in out
+
     def test_history_empty_cache_errors(self, tmp_path):
         with pytest.raises(SystemExit, match="no recorded runs"):
             main(["history", "--cache-dir", str(tmp_path)])

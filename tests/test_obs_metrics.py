@@ -7,9 +7,12 @@ contract :class:`repro.fleet.metrics.FleetAccumulator` pins for the
 simulation numbers, applied to the observability numbers.
 """
 
+import ast
 import itertools
 import math
 import os
+import re
+from pathlib import Path
 
 import pytest
 
@@ -178,3 +181,52 @@ class TestObservedCall:
         merged.merge_payload(first)
         merged.merge_payload(second)
         assert merged.counters == {"test.unit": 2}
+
+
+_REPO = Path(__file__).resolve().parents[1]
+_RECORDERS = {"counter_inc", "timing_observe"}
+
+
+def _recorded_names() -> set[str]:
+    """Every string literal passed as the name to a recorder under src/."""
+    names = set()
+    for path in sorted((_REPO / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(node, ast.Call) and node.args):
+                continue
+            func = node.func
+            called = func.attr if isinstance(func, ast.Attribute) else getattr(
+                func, "id", None
+            )
+            if called not in _RECORDERS:
+                continue
+            for sub in ast.walk(node.args[0]):
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                    names.add(sub.value)
+    return names
+
+
+class TestDocumentedNames:
+    """docs/observability.md lists exactly the names the package records."""
+
+    doc = (_REPO / "docs" / "observability.md").read_text()
+
+    def test_every_recorded_name_is_documented(self):
+        recorded = _recorded_names()
+        assert "progress.published" in recorded  # the walk finds call sites
+        missing = sorted(n for n in recorded if f"`{n}`" not in self.doc)
+        assert missing == []
+
+    def test_every_documented_name_is_recorded(self):
+        documented = set(
+            re.findall(r"^\| `([^`]+)` \| (?:counter|timing)", self.doc, re.M)
+        )
+        stale = documented - _recorded_names() - {"live.events.<kind>"}
+        assert sorted(stale) == []
+
+    def test_live_event_counters_follow_the_documented_pattern(self):
+        from repro.live.engine import _EVENT_COUNTERS
+
+        assert "`live.events.<kind>`" in self.doc
+        for kind, name in _EVENT_COUNTERS.items():
+            assert name == f"live.events.{kind}"

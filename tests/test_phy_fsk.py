@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.phy.ber import noncoherent_fsk_ber
 from repro.phy.fsk import (
@@ -9,6 +11,7 @@ from repro.phy.fsk import (
     FSKConfig,
     FSKModulator,
     NoncoherentFSKDemodulator,
+    _fsk_coherent_bits,
 )
 from repro.phy.signal import Waveform
 
@@ -260,3 +263,24 @@ class TestTemplateCache:
         demod = NoncoherentFSKDemodulator()
         with pytest.raises(ValueError):
             demod._template0[0] = 0.0
+
+
+@pytest.mark.statistical
+@given(st.integers(0, 2**32 - 1), st.integers(1, 64), st.integers(2, 12))
+@settings(max_examples=40, deadline=None)
+def test_fsk_coherent_bits_matches_inline_formula(seed, n_bits, sps):
+    rng = np.random.default_rng(seed)
+    chunks = rng.standard_normal((n_bits, sps)) + 1j * rng.standard_normal(
+        (n_bits, sps)
+    )
+    correlators = rng.standard_normal((sps, 2)) + 1j * rng.standard_normal(
+        (sps, 2)
+    )
+    h = 0.5
+    out = _fsk_coherent_bits(chunks, correlators, h)
+    correlations = chunks @ correlators
+    rotation = np.exp(-1j * np.pi * h * np.arange(n_bits))
+    metrics = np.real(correlations * rotation[:, None])
+    inline = (metrics[:, 1] > metrics[:, 0]).astype(np.int64)
+    assert out.dtype == np.int64
+    np.testing.assert_array_equal(out, inline)

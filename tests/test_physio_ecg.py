@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.physio.ecg import (
     ECGConfig,
     ECGGenerator,
     RHYTHM_CLASSES,
     RHYTHM_RATES_BPM,
+    _ecg_wave_accumulate,
 )
 
 
@@ -151,3 +154,28 @@ class TestWithDuration:
         assert gen.config.duration_s == 3.2
         batch = gen.sample_batch(1, seed=0)
         assert batch.samples.shape[1] == int(3.2 * 120)
+
+
+@pytest.mark.statistical
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 20))
+@settings(max_examples=30, deadline=None)
+def test_ecg_wave_accumulate_matches_inline_formula(seed, n_records, n_beats):
+    n = 160
+    fs, sigma, half = 100.0, 0.04, 8
+    rng = np.random.default_rng(seed)
+    record_index = rng.integers(0, n_records, size=n_beats).astype(np.int64)
+    # Centers deliberately spill past both edges to exercise clipping.
+    centers = rng.uniform(-0.3, n / 100.0 + 0.3, size=n_beats)
+    amps = rng.standard_normal(n_beats)
+    amps[rng.random(n_beats) < 0.2] = 0.0
+    flat = np.zeros(n_records * n)
+    _ecg_wave_accumulate(flat, record_index, centers, amps, sigma, fs, half, n)
+    expected = np.zeros(n_records * n)
+    offsets = np.arange(-half, half + 1)
+    idx = np.round(centers * fs).astype(np.int64)[:, None] + offsets
+    t_rel = idx / fs - centers[:, None]
+    values = amps[:, None] * np.exp(-0.5 * (t_rel / sigma) ** 2)
+    valid = (idx >= 0) & (idx < n)
+    flat_idx = record_index[:, None] * n + np.clip(idx, 0, n - 1)
+    np.add.at(expected, flat_idx[valid], values[valid])
+    np.testing.assert_array_equal(flat, expected)

@@ -11,6 +11,8 @@ from repro.physio.ecg import ECGConfig, ECGGenerator
 from repro.physio.inference import (
     AttackerInference,
     InferenceConfig,
+    _beat_refractory_suppress,
+    _hr_unbiased_autocorr,
     _median3,
     beat_f1,
     classify_rhythm,
@@ -241,3 +243,41 @@ def test_median3_matches_np_median(x):
     out = _median3(x)
     assert out.dtype == np.float64
     np.testing.assert_array_equal(out, expected)
+
+
+@pytest.mark.statistical
+@given(st.integers(0, 2**32 - 1), st.integers(8, 256))
+@settings(max_examples=40, deadline=None)
+def test_hr_unbiased_autocorr_matches_inline_formula(seed, n):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n)
+    lag_hi = n - 1
+    out = _hr_unbiased_autocorr(x, lag_hi)
+    full = np.correlate(x, x, mode="full")[n - 1 :]
+    inline = (full / (n - np.arange(n)))[: lag_hi + 1]
+    np.testing.assert_array_equal(out, inline)
+
+
+@pytest.mark.statistical
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 300),
+    st.integers(1, 2000),
+    st.one_of(st.sampled_from([29.5, 30.0, 30.0001]), st.floats(0.0, 60.0)),
+)
+@settings(max_examples=80, deadline=None)
+def test_beat_refractory_suppress_matches_all_pairs(
+    seed, n_cands, span, refractory
+):
+    # The kernel is a sorted-neighbour search; the all-pairs definition
+    # below is the original inline formula.  A narrow ``span`` forces
+    # duplicate candidate indices.
+    rng = np.random.default_rng(seed)
+    cands = rng.integers(0, span, size=n_cands).astype(np.int64)
+    out = _beat_refractory_suppress(cands, refractory)
+    kept: list[int] = []
+    for idx in cands:
+        if all(abs(idx - k) >= refractory for k in kept):
+            kept.append(int(idx))
+    assert out.dtype == np.int64
+    assert out.tolist() == kept
