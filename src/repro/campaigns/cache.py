@@ -27,8 +27,8 @@ import hashlib
 import json
 import os
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from repro.campaigns.spec import Scenario
 from repro.campaigns.store import (
     CacheStats,
     FilesystemStore,
@@ -36,6 +36,9 @@ from repro.campaigns.store import (
     make_store,
     resolve_backend,
 )
+
+if TYPE_CHECKING:
+    from repro.campaigns.spec import Scenario
 
 __all__ = ["ResultCache", "default_cache_dir", "unit_hash"]
 

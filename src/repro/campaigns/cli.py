@@ -63,6 +63,7 @@ from pathlib import Path
 
 from repro.campaigns import registry
 from repro.campaigns.cache import default_cache_dir
+from repro.campaigns.kinds import BUDGETS, KINDS
 from repro.campaigns.store import (
     BACKENDS,
     CACHE_BACKEND_ENV,
@@ -72,7 +73,6 @@ from repro.campaigns.store import (
 )
 from repro.campaigns.runner import CampaignResult, CampaignRunner
 from repro.campaigns.spec import Scenario
-from repro.experiments.metrics import success_probability
 from repro.experiments.report import ExperimentReport
 from repro.obs.log import (
     LOG_LEVELS,
@@ -92,16 +92,6 @@ from repro.stats.validation import (
 __all__ = ["main"]
 
 _log = get_logger("cli")
-
-#: ``validate --budget`` presets: fixed trials per grid point (None =
-#: the scenario's registered budget) and whether to shrink the grid to
-#: three representative cells (first / middle / last).
-_BUDGETS = {
-    "smoke": {"n_trials": 4, "shrink_grid": True},
-    "default": {"n_trials": None, "shrink_grid": False},
-    "full": {"n_trials": 100, "shrink_grid": False},
-}
-
 
 def _resolve(name: str) -> Scenario:
     try:
@@ -165,98 +155,12 @@ def _runner(scenario: Scenario, args: argparse.Namespace) -> CampaignRunner:
 
 def _result_report(result: CampaignResult) -> ExperimentReport:
     scenario = result.scenario
-    title = scenario.title or scenario.name
-    if scenario.kind == "attack":
-        report = ExperimentReport(
-            title, headers=("location", "success", "alarm", "95% CI")
-        )
-        for point in result.points:
-            _, low, high = success_probability(point["wins"], point["n_trials"])
-            report.add(
-                point["label"],
-                f"{point['success_probability']:.2f}",
-                f"{point['alarm_probability']:.2f}",
-                f"[{low:.2f}, {high:.2f}]",
-            )
-    elif scenario.kind == "passive_ber":
-        report = ExperimentReport(
-            title, headers=("location", "eavesdropper BER", "packets", "note")
-        )
-        for point in result.points:
-            note = "~coin flips" if point["ber"] > 0.4 else ""
-            report.add(
-                point["label"], f"{point['ber']:.3f}", str(point["n_packets"]), note
-            )
-    elif scenario.kind == "physio":
-        report = ExperimentReport(
-            title,
-            headers=("location", "HR error / vs chance", "rhythm acc", "note"),
-        )
-        for point in result.points:
-            if point["hr_abs_error"] < 2.0:
-                note = "heart rate leaks"
-            elif abs(point["hr_error_vs_chance"]) < 10.0:
-                note = "~chance"
-            else:
-                note = ""
-            report.add(
-                point["label"],
-                f"{point['hr_abs_error']:.1f} bpm / "
-                f"{point['hr_error_vs_chance']:+.1f}",
-                f"{point['rhythm_accuracy']:.2f}",
-                note,
-            )
-    elif scenario.kind == "fleet":
-        report = ExperimentReport(
-            title, headers=("population", "metric", "value", "note")
-        )
-        point = result.points[0]
-        report.add(
-            point["label"],
-            "shield adherence",
-            f"{point.get('shield_worn_fraction', 0.0):.0%}",
-            "",
-        )
-        if scenario.fleet_task == "attack":
-            report.add(
-                point["label"],
-                "attack prevalence",
-                f"{point['attack_prevalence']:.3f}",
-                f"{point['patients_compromised']} patient(s) compromised",
-            )
-            report.add(
-                point["label"],
-                "alarms / patient-day",
-                f"{point['alarm_rate_per_day']:.3f}",
-                f"{point['alarms_total']} alarm(s) total",
-            )
-        else:
-            report.add(
-                point["label"],
-                "HR leak median / p10 / p90",
-                f"{point['hr_leak_median_bpm']:.1f} / "
-                f"{point['hr_leak_p10_bpm']:.1f} / "
-                f"{point['hr_leak_p90_bpm']:.1f} bpm",
-                "p10 = the unshielded tail",
-            )
-            strata = point["ber_strata"]
-            report.add(
-                point["label"],
-                "BER strata",
-                " / ".join(f"{k} {v}" for k, v in strata.items()),
-                f"mean BER {point['mean_ber']:.2f}",
-            )
-    else:
-        report = ExperimentReport(
-            title, headers=("separation", "BER", "jam rejection", "attempts")
-        )
-        for point in result.points:
-            report.add(
-                point["label"],
-                f"{point['ber']:.3f}",
-                f"{point['jam_rejection_db']:.1f} dB",
-                str(point["n_packets"]),
-            )
+    kind = KINDS[scenario.kind]
+    report = ExperimentReport(
+        scenario.title or scenario.name, headers=kind.report_headers
+    )
+    for row in kind.report_rows(scenario, result.points):
+        report.add(*row)
     return report
 
 
@@ -271,33 +175,8 @@ def _emit(report: ExperimentReport, payload: dict, fmt: str) -> None:
 
 def _budget_scenario(scenario: Scenario, budget: str) -> Scenario:
     """Apply a ``validate --budget`` preset to a registered scenario."""
-    preset = _BUDGETS[budget]
-    changes: dict = {}
-    if scenario.kind == "fleet":
-        # Fleet budgets scale the cohort, not trials-per-patient: 100
-        # encounters per patient would buy precision on the wrong axis
-        # (population statistics converge in patients).
-        if budget == "smoke":
-            changes = {
-                "n_patients": min(scenario.n_patients, 30),
-                "n_trials": min(scenario.n_trials, 2),
-            }
-        elif budget == "full":
-            changes = {"n_patients": scenario.n_patients * 4}
-        return scenario.override(**changes) if changes else scenario
-    if preset["n_trials"] is not None:
-        changes["n_trials"] = preset["n_trials"]
-    if preset["shrink_grid"]:
-        axes = scenario.axis_values()
-        picks = sorted({0, len(axes) // 2, len(axes) - 1})
-        subset = tuple(axes[i] for i in picks)
-        if scenario.kind == "mimo":
-            changes["separations_m"] = subset
-        else:
-            changes["location_indices"] = subset
-    if not changes:
-        return scenario
-    return scenario.override(**changes)
+    changes = KINDS[scenario.kind].budget(scenario, budget)
+    return scenario.override(**changes) if changes else scenario
 
 
 def _validation_report(validation: ScenarioValidation) -> ExperimentReport:
@@ -528,15 +407,15 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             f"error: cannot compare a {scenario_a.kind!r} scenario with a "
             f"{scenario_b.kind!r} one"
         )
-    if (
-        scenario_a.kind == "fleet"
-        and scenario_a.fleet_task != scenario_b.fleet_task
-    ):
-        # Different tasks measure disjoint population metrics; failing
-        # here beats running both cohorts and dying on the headline key.
+    kind = KINDS[scenario_a.kind]
+    headline_a = kind.headline(scenario_a)
+    headline_b = kind.headline(scenario_b)
+    if headline_a != headline_b:
+        # Different tasks measure different quantities; failing here
+        # beats running both scenarios and dying on the headline key.
         raise SystemExit(
-            f"error: cannot compare a {scenario_a.fleet_task!r}-task fleet "
-            f"scenario with a {scenario_b.fleet_task!r}-task one"
+            f"error: cannot compare scenarios whose tasks measure "
+            f"different headline metrics ({headline_a!r} vs {headline_b!r})"
         )
     result_a = _runner(scenario_a, args).run()
     result_b = _runner(scenario_b, args).run()
@@ -1485,7 +1364,7 @@ def build_parser() -> argparse.ArgumentParser:
              "instead of running the fixed trial budget",
     )
     p_val.add_argument(
-        "--budget", choices=tuple(_BUDGETS), default="default",
+        "--budget", choices=tuple(BUDGETS), default="default",
         help="fixed-budget preset: smoke (4 trials, 3 cells -- CI gate), "
              "default (registered budget), full (100 trials per cell)",
     )

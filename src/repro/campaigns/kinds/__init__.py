@@ -1,0 +1,32 @@
+"""Scenario kinds: one module per experiment family, one table.
+
+:data:`KINDS` maps each ``Scenario.kind`` to the
+:class:`~repro.campaigns.kinds.base.ScenarioKind` that owns its rules.
+Nothing outside this package branches on a kind's name: a new kind is
+one module plus one line below (docs/campaigns.md, "Adding a scenario
+kind").
+"""
+
+from repro.campaigns.kinds import attack, fleet, mimo, passive_ber, physio
+from repro.campaigns.kinds.base import (
+    BUDGETS,
+    CampaignUnit,
+    ScenarioKind,
+    fixed_budget_only,
+)
+
+__all__ = [
+    "BUDGETS",
+    "KINDS",
+    "CampaignUnit",
+    "ScenarioKind",
+    "fixed_budget_only",
+]
+
+KINDS: dict[str, ScenarioKind] = {
+    "attack": attack.KIND,
+    "passive_ber": passive_ber.KIND,
+    "mimo": mimo.KIND,
+    "physio": physio.KIND,
+    "fleet": fleet.KIND,
+}

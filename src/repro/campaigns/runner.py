@@ -13,10 +13,9 @@ campaign resumes where it stopped; the reduction is order-independent,
 so cached + fresh unit mixes reduce to *bit-identical* numbers versus an
 uninterrupted serial run.
 
-Attack scenarios evaluate through
-:func:`repro.experiments.sweeps.run_attack_chunk` -- the exact code path
-of :func:`~repro.experiments.sweeps.attack_success_sweep` -- so a named
-campaign reproduces the figure sweeps number for number.
+What a unit of each scenario kind is -- its plan, its evaluation, its
+reduction -- is the kind's business (:mod:`repro.campaigns.kinds`); the
+runner only looks the kind up.
 """
 
 from __future__ import annotations
@@ -30,31 +29,14 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.campaigns.cache import ResultCache, default_cache_dir, unit_hash
+from repro.campaigns.cache import ResultCache, default_cache_dir
+from repro.campaigns.kinds import KINDS, CampaignUnit, fixed_budget_only
 from repro.campaigns.spec import SCHEMA_VERSION, Scenario
-from repro.channel.geometry import TestbedGeometry
-from repro.experiments.sweeps import (
-    AttackChunkSpec,
-    plan_attack_chunks,
-    reduce_attack_counts,
-    run_attack_chunk,
-)
-from repro.fleet.cohort import cohort_from_scenario
-from repro.fleet.metrics import FleetAccumulator
-from repro.fleet.runner import FleetChunkSpec, run_fleet_chunk
 from repro.obs.log import get_logger
 from repro.obs.metrics import ObsAccumulator, take_global
 from repro.obs.progress import ProgressPublisher, resolve_progress
 from repro.obs.trace import Tracer, git_revision
-from repro.runtime import SweepExecutor, chunk_sizes
-from repro.runtime.seeding import round_seed_sequence, unit_seed_sequence
-from repro.stats.adaptive import PHYSIO_MOMENT_KEYS
-
-#: Patients per fleet work unit when the scenario does not set
-#: ``chunk_size``.  Small enough that a shard's wall time stays in
-#: seconds (resume granularity, pool balance), large enough that the
-#: per-unit cache overhead vanishes against 10^4-10^6 patients.
-DEFAULT_FLEET_SHARD = 100
+from repro.runtime import SweepExecutor
 
 _log = get_logger("campaigns")
 
@@ -63,173 +45,22 @@ __all__ = [
     "CampaignResult",
     "CampaignStatus",
     "CampaignUnit",
-    "cell_label",
     "evaluate_unit",
-    "location_label",
     "plan_scenario_units",
 ]
 
 
-# ----------------------------------------------------------------------
-# Work-unit specs beyond the attack kind (picklable, self-contained)
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _PassiveChunkSpec:
-    """One block of jammed telemetry packets at one location."""
-
-    location_index: int
-    n_packets: int
-    jam_margin_db: float
-    seed: int | np.random.SeedSequence
-
-
-@dataclass(frozen=True)
-class _MimoChunkSpec:
-    """One block of multi-antenna eavesdropping attempts at one separation."""
-
-    separation_m: float
-    n_packets: int
-    packet_bits: int
-    n_antennas: int
-    sir_db: float
-    snr_db: float
-    seed: np.random.SeedSequence
-
-
-@dataclass(frozen=True)
-class _PhysioChunkSpec:
-    """One block of cardiac telemetry records at one location."""
-
-    location_index: int
-    n_records: int
-    jam_margin_db: float
-    shield_present: bool
-    rhythm: str
-    packets_per_record: int
-    seed: int | np.random.SeedSequence
-
-
-def _run_passive_chunk(spec: _PassiveChunkSpec) -> dict:
-    """Evaluate one passive unit: eavesdropper BER moments over its block.
-
-    The sum of squares rides along so downstream statistics (confidence
-    intervals, adaptive stopping) can reconstruct the sample variance
-    from cached chunks without keeping per-packet values.
-    """
-    from repro.experiments.waveform_lab import PassiveLab
-
-    lab = PassiveLab(seed=spec.seed)
-    batch = lab.run_batch(
-        spec.jam_margin_db,
-        n_packets=spec.n_packets,
-        location_index=spec.location_index,
-        score_shield=False,
-    )
-    return {
-        "ber_sum": float(np.sum(batch.eavesdropper_ber)),
-        "ber_sqsum": float(np.sum(np.square(batch.eavesdropper_ber))),
-        "n_packets": spec.n_packets,
-    }
-
-
-def _run_mimo_chunk(spec: _MimoChunkSpec) -> dict:
-    """Evaluate one MIMO unit: blind-projection attacks at one separation."""
-    from repro.adversary.mimo import MIMOEavesdropper
-    from repro.core.jamming import ShapedJammer
-    from repro.phy.fsk import FSKConfig
-
-    rng = np.random.default_rng(spec.seed)
-    fsk = FSKConfig()
-    eavesdropper = MIMOEavesdropper(spec.n_antennas, config=fsk, rng=rng)
-    jammer = ShapedJammer.matched_to_fsk(
-        fsk.deviation_hz, fsk.bit_rate, fsk.sample_rate, rng=rng
-    )
-    ber_sum = 0.0
-    ber_sqsum = 0.0
-    rejection_sum = 0.0
-    for _ in range(spec.n_packets):
-        bits = rng.integers(0, 2, size=spec.packet_bits)
-        jam = jammer.generate(fsk.n_samples(spec.packet_bits))
-        result = eavesdropper.attack(
-            bits,
-            jam,
-            source_separation_m=spec.separation_m,
-            sir_db=spec.sir_db,
-            snr_db=spec.snr_db,
-        )
-        ber_sum += result.bit_error_rate
-        ber_sqsum += result.bit_error_rate**2
-        rejection_sum += result.jam_rejection_db
-    return {
-        "ber_sum": ber_sum,
-        "ber_sqsum": ber_sqsum,
-        "rejection_sum": rejection_sum,
-        "n_packets": spec.n_packets,
-    }
-
-
-def _run_physio_chunk(spec: _PhysioChunkSpec) -> dict:
-    """Evaluate one physio unit: leakage moments over its record block.
-
-    The :class:`~repro.experiments.physio_lab.PhysioBatchResult` reduces
-    itself to mergeable sums/sums-of-squares per leakage metric, so
-    cached chunks rebuild exact means and confidence intervals in any
-    order -- the same contract the passive BER units honour.
-    """
-    from repro.experiments.physio_lab import PhysioLab
-
-    seed = spec.seed
-    if isinstance(seed, np.random.SeedSequence):
-        # PhysioLab spawns from its seed, which advances the sequence's
-        # spawn counter; a copy keeps the spec unchanged, so evaluating
-        # it again (or a pickled copy of it) gives the same result.
-        seed = np.random.SeedSequence(
-            seed.entropy,
-            spawn_key=seed.spawn_key,
-            pool_size=seed.pool_size,
-            n_children_spawned=seed.n_children_spawned,
-        )
-    lab = PhysioLab(seed=seed, packets_per_record=spec.packets_per_record)
-    batch = lab.run_records(
-        spec.n_records,
-        jam_margin_db=spec.jam_margin_db,
-        location_index=spec.location_index,
-        shield_present=spec.shield_present,
-        rhythm=spec.rhythm,
-    )
-    return batch.moments()
-
-
 def evaluate_unit(spec) -> dict:
     """Module-level dispatcher so every unit kind survives pickling."""
-    if isinstance(spec, AttackChunkSpec):
-        wins, alarms = run_attack_chunk(spec)
-        return {"wins": int(wins), "alarms": int(alarms)}
-    if isinstance(spec, _PassiveChunkSpec):
-        return _run_passive_chunk(spec)
-    if isinstance(spec, _MimoChunkSpec):
-        return _run_mimo_chunk(spec)
-    if isinstance(spec, _PhysioChunkSpec):
-        return _run_physio_chunk(spec)
-    if isinstance(spec, FleetChunkSpec):
-        return run_fleet_chunk(spec)
+    for kind in KINDS.values():
+        if type(spec) is kind.spec_type:
+            return kind.evaluate(spec)
     raise TypeError(f"unknown work-unit spec {type(spec).__name__}")
 
 
 # ----------------------------------------------------------------------
 # Plan / status / result containers
 # ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CampaignUnit:
-    """One schedulable work unit: content key, plan coordinates, spec."""
-
-    key: str
-    coords: dict
-    spec: object
 
 
 @dataclass(frozen=True)
@@ -263,17 +94,7 @@ class CampaignResult:
     @property
     def value_key(self) -> str:
         """The headline per-point quantity (for reports and compares)."""
-        if self.scenario.kind == "attack":
-            return "success_probability"
-        if self.scenario.kind == "physio":
-            return "hr_abs_error"
-        if self.scenario.kind == "fleet":
-            return (
-                "attack_prevalence"
-                if self.scenario.fleet_task == "attack"
-                else "hr_leak_median_bpm"
-            )
-        return "ber"
+        return KINDS[self.scenario.kind].headline(self.scenario)
 
     def point(self, axis) -> dict:
         for point in self.points:
@@ -301,28 +122,6 @@ class CampaignResult:
 # ----------------------------------------------------------------------
 # Unit planning (shared by the runner and the adaptive scheduler)
 # ----------------------------------------------------------------------
-
-
-_GEOMETRY: TestbedGeometry | None = None
-
-
-def location_label(index: int) -> str:
-    """Human label of one Fig. 6 testbed location."""
-    global _GEOMETRY
-    if _GEOMETRY is None:
-        _GEOMETRY = TestbedGeometry()
-    location = _GEOMETRY.location(index)
-    kind = "LOS" if location.line_of_sight else "NLOS"
-    return f"location {index} ({location.distance_m:g} m {kind})"
-
-
-def cell_label(scenario: Scenario, axis) -> str:
-    """Human label of one grid point of a scenario."""
-    if scenario.kind == "mimo":
-        return f"separation {axis:.2f} m"
-    if scenario.kind == "fleet":
-        return f"cohort of {scenario.n_patients} patients"
-    return location_label(axis)
 
 
 def plan_scenario_units(
@@ -355,173 +154,10 @@ def plan_scenario_units(
     trials = scenario.n_trials if n_trials is None else n_trials
     if trials < 1:
         raise ValueError(f"n_trials must be positive, got {trials}")
-    if scenario.kind == "fleet":
-        if round_index is not None:
-            raise ValueError(
-                "fleet scenarios run fixed-budget only: a cohort is one "
-                "population draw, not a per-cell precision target "
-                "(adaptive rounds are not planned for kind='fleet')"
-            )
-        return _plan_fleet_units(scenario, trials)
-    units: list[CampaignUnit] = []
-    for position in positions:
-        if scenario.kind == "attack":
-            location = scenario.location_indices[position]
-            for spec in plan_attack_chunks(
-                (location,),
-                trials,
-                scenario.command,
-                scenario.attacker,
-                scenario.shield_present,
-                scenario.antenna_gain_dbi,
-                scenario.seed,
-                scenario.chunk_size,
-                metric=scenario.metric,
-                round_index=round_index,
-            ):
-                coords = {
-                    "kind": "attack",
-                    "location": spec.location_index,
-                    "chunk": spec.chunk_index,
-                    "n_trials": spec.n_trials,
-                }
-                if round_index is not None:
-                    coords["round"] = round_index
-                units.append(CampaignUnit(unit_hash(coords), coords, spec))
-        elif scenario.kind == "passive_ber":
-            location = scenario.location_indices[position]
-            sizes = chunk_sizes(trials, scenario.chunk_size)
-            for chunk_index, size in enumerate(sizes):
-                if round_index is not None:
-                    seed: int | np.random.SeedSequence = round_seed_sequence(
-                        scenario.seed, location, round_index, chunk_index
-                    )
-                elif len(sizes) == 1:
-                    # Mirror the attack plan's seeding convention: a
-                    # whole-location block keeps the seed+location
-                    # scheme, sharded blocks get per-chunk streams.
-                    seed = scenario.seed + location
-                else:
-                    seed = unit_seed_sequence(
-                        scenario.seed, (location, chunk_index)
-                    )
-                coords = {
-                    "kind": "passive_ber",
-                    "location": location,
-                    "chunk": chunk_index,
-                    "n_trials": size,
-                }
-                if round_index is not None:
-                    coords["round"] = round_index
-                spec = _PassiveChunkSpec(
-                    location_index=location,
-                    n_packets=size,
-                    jam_margin_db=scenario.jam_margin_db,
-                    seed=seed,
-                )
-                units.append(CampaignUnit(unit_hash(coords), coords, spec))
-        elif scenario.kind == "physio":
-            location = scenario.location_indices[position]
-            sizes = chunk_sizes(trials, scenario.chunk_size)
-            for chunk_index, size in enumerate(sizes):
-                if round_index is not None:
-                    seed: np.random.SeedSequence = round_seed_sequence(
-                        scenario.seed, location, round_index, chunk_index
-                    )
-                else:
-                    seed = unit_seed_sequence(
-                        scenario.seed, (location, chunk_index)
-                    )
-                coords = {
-                    "kind": "physio",
-                    "location": location,
-                    "chunk": chunk_index,
-                    "n_trials": size,
-                }
-                if round_index is not None:
-                    coords["round"] = round_index
-                spec = _PhysioChunkSpec(
-                    location_index=location,
-                    n_records=size,
-                    jam_margin_db=scenario.jam_margin_db,
-                    shield_present=scenario.shield_present,
-                    rhythm=scenario.rhythm,
-                    packets_per_record=scenario.packets_per_record,
-                    seed=seed,
-                )
-                units.append(CampaignUnit(unit_hash(coords), coords, spec))
-        else:  # mimo
-            separation = scenario.separations_m[position]
-            sizes = chunk_sizes(trials, scenario.chunk_size)
-            for chunk_index, size in enumerate(sizes):
-                if round_index is not None:
-                    seed = round_seed_sequence(
-                        scenario.seed, position, round_index, chunk_index
-                    )
-                else:
-                    seed = unit_seed_sequence(
-                        scenario.seed, (position, chunk_index)
-                    )
-                coords = {
-                    "kind": "mimo",
-                    "separation_index": position,
-                    "chunk": chunk_index,
-                    "n_trials": size,
-                }
-                if round_index is not None:
-                    coords["round"] = round_index
-                spec = _MimoChunkSpec(
-                    separation_m=separation,
-                    n_packets=size,
-                    packet_bits=scenario.packet_bits,
-                    n_antennas=scenario.n_antennas,
-                    sir_db=scenario.sir_db,
-                    snr_db=scenario.snr_db,
-                    seed=seed,
-                )
-                units.append(CampaignUnit(unit_hash(coords), coords, spec))
-    return units
-
-
-def _plan_fleet_units(scenario: Scenario, trials: int) -> list[CampaignUnit]:
-    """Shard a cohort into contiguous patient-range work units.
-
-    Unit identity is (shard index, patient range, trials per patient):
-    pure plan coordinates, exactly like every other kind -- patient
-    streams are keyed by absolute patient index, so the shard layout
-    never touches the numbers, only the caching/parallelism grain.
-    """
-    cohort = cohort_from_scenario(scenario)
-    shard = (
-        scenario.chunk_size
-        if scenario.chunk_size is not None
-        else DEFAULT_FLEET_SHARD
-    )
-    units: list[CampaignUnit] = []
-    start = 0
-    for shard_index, size in enumerate(
-        chunk_sizes(scenario.n_patients, shard)
-    ):
-        coords = {
-            "kind": "fleet",
-            "shard": shard_index,
-            "start": start,
-            "n_patients": size,
-            "n_trials": trials,
-        }
-        spec = FleetChunkSpec(
-            cohort=cohort,
-            start=start,
-            count=size,
-            trials_per_patient=trials,
-            task=scenario.fleet_task,
-            attacker=scenario.attacker,
-            command=scenario.command,
-            packets_per_record=scenario.packets_per_record,
-        )
-        units.append(CampaignUnit(unit_hash(coords), coords, spec))
-        start += size
-    return units
+    kind = KINDS[scenario.kind]
+    if round_index is not None and not kind.adaptive:
+        raise fixed_budget_only(scenario.kind)
+    return kind.plan(scenario, positions, trials, round_index)
 
 
 # ----------------------------------------------------------------------
@@ -1067,163 +703,4 @@ class CampaignRunner:
     def _reduce(
         self, units: list[CampaignUnit], results: list[dict]
     ) -> list[dict]:
-        scenario = self.scenario
-        if scenario.kind == "attack":
-            plan = [u.spec for u in units]
-            counts = [(r["wins"], r["alarms"]) for r in results]
-            by_location = reduce_attack_counts(
-                plan, counts, scenario.n_trials, scenario.location_indices
-            )
-            # Carry the integer counts alongside the probabilities so
-            # downstream consumers (confidence intervals, merges) never
-            # have to reconstruct them from a float.
-            wins: dict[int, int] = {loc: 0 for loc in scenario.location_indices}
-            alarms: dict[int, int] = {loc: 0 for loc in scenario.location_indices}
-            for spec, (chunk_wins, chunk_alarms) in zip(plan, counts):
-                wins[spec.location_index] += chunk_wins
-                alarms[spec.location_index] += chunk_alarms
-            return [
-                {
-                    "axis": location,
-                    "label": self._location_label(location),
-                    "success_probability": by_location[location].success_probability,
-                    "alarm_probability": by_location[location].alarm_probability,
-                    "wins": wins[location],
-                    "alarms": alarms[location],
-                    "n_trials": scenario.n_trials,
-                }
-                for location in scenario.location_indices
-            ]
-        if scenario.kind == "passive_ber":
-            ber_sum: dict[int, float] = {}
-            ber_sqsum: dict[int, float] = {}
-            packets: dict[int, int] = {}
-            for unit, result in zip(units, results):
-                location = unit.coords["location"]
-                ber_sum[location] = ber_sum.get(location, 0.0) + result["ber_sum"]
-                ber_sqsum[location] = (
-                    ber_sqsum.get(location, 0.0) + result["ber_sqsum"]
-                )
-                packets[location] = packets.get(location, 0) + result["n_packets"]
-            return [
-                {
-                    "axis": location,
-                    "label": self._location_label(location),
-                    "ber": ber_sum[location] / packets[location],
-                    # Raw moments, so downstream statistics (confidence
-                    # intervals, golden-figure validation) never have to
-                    # reconstruct them from the mean.
-                    "ber_sum": ber_sum[location],
-                    "ber_sqsum": ber_sqsum[location],
-                    "n_packets": packets[location],
-                }
-                for location in scenario.location_indices
-            ]
-        if scenario.kind == "physio":
-            sums: dict[int, dict[str, float]] = {}
-            for unit, result in zip(units, results):
-                location = unit.coords["location"]
-                bucket = sums.setdefault(location, {})
-                for key, value in result.items():
-                    bucket[key] = bucket.get(key, 0.0) + value
-            points = []
-            for location in scenario.location_indices:
-                bucket = sums[location]
-                n = int(bucket["n_records"])
-                point = {
-                    "axis": location,
-                    "label": self._location_label(location),
-                    "rhythm_accuracy": bucket["rhythm_correct"] / n,
-                    "ber": bucket["ber_sum"] / n,
-                    "ber_clear": bucket["ber_clear_sum"] / n,
-                    "n_records": n,
-                }
-                for metric, (total, _) in PHYSIO_MOMENT_KEYS.items():
-                    point[metric] = bucket[total] / n
-                # Raw moments ride along so downstream statistics never
-                # reconstruct them from the means.
-                point.update(
-                    {key: bucket[key] for key in bucket if key != "n_records"}
-                )
-                point["rhythm_correct"] = int(bucket["rhythm_correct"])
-                points.append(point)
-            return points
-        if scenario.kind == "fleet":
-            return [_reduce_fleet(scenario, results)]
-        # mimo
-        ber_sums: dict[int, float] = {}
-        ber_sqsums: dict[int, float] = {}
-        rejection_sums: dict[int, float] = {}
-        counts_by_sep: dict[int, int] = {}
-        for unit, result in zip(units, results):
-            index = unit.coords["separation_index"]
-            ber_sums[index] = ber_sums.get(index, 0.0) + result["ber_sum"]
-            ber_sqsums[index] = ber_sqsums.get(index, 0.0) + result["ber_sqsum"]
-            rejection_sums[index] = (
-                rejection_sums.get(index, 0.0) + result["rejection_sum"]
-            )
-            counts_by_sep[index] = (
-                counts_by_sep.get(index, 0) + result["n_packets"]
-            )
-        return [
-            {
-                "axis": separation,
-                "label": f"separation {separation:.2f} m",
-                "ber": ber_sums[index] / counts_by_sep[index],
-                "ber_sum": ber_sums[index],
-                "ber_sqsum": ber_sqsums[index],
-                "jam_rejection_db": rejection_sums[index] / counts_by_sep[index],
-                "n_packets": counts_by_sep[index],
-            }
-            for index, separation in enumerate(scenario.separations_m)
-        ]
-
-    def _location_label(self, index: int) -> str:
-        return location_label(index)
-
-
-def _reduce_fleet(scenario: Scenario, results: list[dict]) -> dict:
-    """Merge shard accumulators into the one population grid point.
-
-    The merge is a stream of fixed-size statistic folds -- never a
-    per-patient list -- so the reduction's memory is O(1) in cohort
-    size.  The full merged accumulator payload rides along under
-    ``"accumulator"`` so golden-figure validation can rebuild exact
-    estimators (including the quantile sketch) from the cached point.
-    """
-    merged = FleetAccumulator()
-    for result in results:
-        merged.merge(FleetAccumulator.from_payload(result))
-    point: dict = {
-        "axis": "population",
-        "label": cell_label(scenario, "population"),
-        "n_patients": merged.patients,
-        "shield_worn": merged.shield_worn,
-        "trials_total": merged.trials_total,
-        "patient_days": merged.patient_days,
-        "accumulator": merged.to_payload(),
-    }
-    if merged.patients:
-        point["shield_worn_fraction"] = merged.shield_worn / merged.patients
-    if scenario.fleet_task == "attack":
-        point.update(
-            {
-                "attack_prevalence": merged.prevalence_estimator().estimate,
-                "patients_compromised": merged.patients_compromised,
-                "wins_total": merged.wins_total,
-                "alarms_total": merged.alarms_total,
-                "alarm_rate_per_day": merged.alarm_rate_estimator().estimate,
-            }
-        )
-    else:
-        point.update(
-            {
-                "hr_leak_median_bpm": merged.hr_quantile_estimator(0.5).estimate,
-                "hr_leak_p10_bpm": merged.hr_quantile_estimator(0.1).estimate,
-                "hr_leak_p90_bpm": merged.hr_quantile_estimator(0.9).estimate,
-                "mean_hr_leak_bpm": merged.hr_err_sum / merged.physio_patients,
-                "mean_ber": merged.mean_ber_estimator().estimate,
-                "ber_strata": dict(merged.strata),
-            }
-        )
-    return point
+        return KINDS[self.scenario.kind].reduce(self.scenario, units, results)

@@ -6,7 +6,8 @@ channel geometry axis it sweeps, and the Monte-Carlo budget -- so runs
 can be listed, cached, resumed, and compared by name instead of by
 hand-edited script.
 
-Three scenario kinds cover the repo's experiment layers:
+Five scenario kinds cover the repo's experiment layers, each owned by
+one module under :mod:`repro.campaigns.kinds`:
 
 * ``"attack"`` -- the Fig. 11/12/13 event-level sweeps: an active
   adversary (``fcc`` or ``highpower``) walks the numbered testbed
@@ -16,6 +17,10 @@ Three scenario kinds cover the repo's experiment layers:
   eavesdropper's bit error rate under shaped jamming, by location.
 * ``"mimo"`` -- the S3.2 multi-antenna eavesdropper: blind jam-subspace
   projection versus shield-to-IMD source separation.
+* ``"physio"`` -- cardiac-content privacy leakage: the vitals an
+  eavesdropper decodes from jammed telemetry, by location.
+* ``"fleet"`` -- population cohorts: attack prevalence, leakage
+  quantiles and alarm burden across patients.
 
 Identity is *content-addressed*: :meth:`Scenario.scenario_hash` digests
 the canonical execution payload (kind, axes, seeds, trial counts -- not
@@ -30,7 +35,7 @@ import hashlib
 import json
 from dataclasses import dataclass, fields, replace
 
-from repro.experiments.sweeps import ATTACK_METRICS
+from repro.campaigns.kinds import KINDS
 
 __all__ = ["Scenario", "SCHEMA_VERSION"]
 
@@ -41,102 +46,10 @@ __all__ = ["Scenario", "SCHEMA_VERSION"]
 #: intervals and adaptive stopping.  v3: the ``physio`` scenario kind
 #: (cardiac telemetry content + privacy-leakage moments).  v4: the
 #: ``fleet`` scenario kind (population cohorts + sharded streaming
-#: reduction).
+#: reduction).  Each kind stamps its own version into its payload
+#: (:attr:`ScenarioKind.schema`), so adding a kind never changes the
+#: content hash of another kind's scenarios.
 SCHEMA_VERSION = 4
-
-#: Schema version stamped into each kind's payload: the version at
-#: which that kind's payload semantics or unit-result shape last
-#: changed.  Versioning per kind means adding a new kind (v4: fleet)
-#: cannot invalidate the cached results of the existing kinds -- their
-#: payloads, and therefore their content hashes, are byte-identical to
-#: what v3 wrote.  Regression-pinned by the scenario-hash stability
-#: tests.
-_KIND_SCHEMA_VERSION = {
-    "attack": 3,
-    "passive_ber": 3,
-    "mimo": 3,
-    "physio": 3,
-    "fleet": 4,
-}
-
-_KINDS = ("attack", "passive_ber", "mimo", "physio", "fleet")
-_ATTACKERS = ("fcc", "highpower")
-_COMMANDS = ("interrogate", "therapy")
-
-#: Execution-relevant fields per kind -- exactly what the content hash
-#: covers.  Display fields (name, title, description, tags) are *not*
-#: identity: renaming a scenario must not orphan its cached results.
-_PAYLOAD_FIELDS: dict[str, tuple[str, ...]] = {
-    "attack": (
-        "seed",
-        "n_trials",
-        "chunk_size",
-        "location_indices",
-        "attacker",
-        "command",
-        "shield_present",
-        "metric",
-        "antenna_gain_dbi",
-    ),
-    "passive_ber": (
-        "seed",
-        "n_trials",
-        "chunk_size",
-        "location_indices",
-        "jam_margin_db",
-    ),
-    "mimo": (
-        "seed",
-        "n_trials",
-        "chunk_size",
-        "separations_m",
-        "n_antennas",
-        "sir_db",
-        "snr_db",
-        "packet_bits",
-    ),
-    "physio": (
-        "seed",
-        "n_trials",
-        "chunk_size",
-        "location_indices",
-        "jam_margin_db",
-        "shield_present",
-        "rhythm",
-        "packets_per_record",
-    ),
-    "fleet": (
-        "seed",
-        "n_trials",
-        "chunk_size",
-        "location_indices",
-        "n_patients",
-        "fleet_task",
-        "attacker",
-        "command",
-        "rhythm_prevalence",
-        "location_weights",
-        "shield_worn_fraction",
-        "jam_margin_mean_db",
-        "jam_margin_std_db",
-        "p_thresh_std_db",
-        "cancellation_std_db",
-        "observation_days",
-        "packets_per_record",
-    ),
-}
-
-
-def _testbed_location_indices() -> frozenset[int]:
-    """The location numbers the default Fig. 6 geometry defines.
-
-    Scenarios always compile against the default testbed, so an index
-    outside it would only fail deep inside a run; rejecting it at spec
-    time keeps the error at the CLI/registration boundary.
-    """
-    from repro.channel.geometry import TestbedGeometry
-
-    return frozenset(loc.index for loc in TestbedGeometry().locations)
 
 
 @dataclass(frozen=True)
@@ -231,9 +144,10 @@ class Scenario:
                 f"scenario name must be a non-empty kebab-case slug, "
                 f"got {self.name!r}"
             )
-        if self.kind not in _KINDS:
+        if self.kind not in KINDS:
             raise ValueError(
-                f"unknown scenario kind {self.kind!r}; expected one of {_KINDS}"
+                f"unknown scenario kind {self.kind!r}; "
+                f"expected one of {tuple(KINDS)}"
             )
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
@@ -243,85 +157,7 @@ class Scenario:
             raise ValueError(
                 f"chunk_size must be positive or None, got {self.chunk_size}"
             )
-        if self.kind in ("attack", "passive_ber", "physio", "fleet"):
-            if not self.location_indices:
-                raise ValueError("scenario needs at least one location")
-            if len(set(self.location_indices)) != len(self.location_indices):
-                raise ValueError("location_indices must be unique")
-            known = _testbed_location_indices()
-            bad = [loc for loc in self.location_indices if loc not in known]
-            if bad:
-                raise ValueError(
-                    f"unknown testbed location(s) {bad}; the Fig. 6 geometry "
-                    f"numbers locations {min(known)}-{max(known)}"
-                )
-        if self.kind in ("attack", "fleet"):
-            if self.attacker not in _ATTACKERS:
-                raise ValueError(
-                    f"unknown attacker {self.attacker!r}; "
-                    f"expected one of {_ATTACKERS}"
-                )
-            if self.command not in _COMMANDS:
-                raise ValueError(
-                    f"unknown command {self.command!r}; "
-                    f"expected one of {_COMMANDS}"
-                )
-            if self.metric not in ATTACK_METRICS:
-                raise ValueError(
-                    f"unknown metric {self.metric!r}; "
-                    f"expected one of {ATTACK_METRICS}"
-                )
-        if self.kind == "physio":
-            # Deferred import: the physio package is a leaf; the spec
-            # module must stay importable without pulling experiments in.
-            from repro.physio.ecg import RHYTHM_CHOICES
-
-            if self.rhythm not in RHYTHM_CHOICES:
-                raise ValueError(
-                    f"unknown rhythm {self.rhythm!r}; "
-                    f"expected one of {RHYTHM_CHOICES}"
-                )
-            if self.packets_per_record < 1:
-                raise ValueError(
-                    f"packets_per_record must be positive, "
-                    f"got {self.packets_per_record}"
-                )
-        if self.kind == "mimo":
-            if not self.separations_m:
-                raise ValueError("a MIMO scenario needs separations_m")
-            if any(s < 0 for s in self.separations_m):
-                raise ValueError("separations cannot be negative")
-            if self.n_antennas < 2:
-                raise ValueError("spatial nulling needs at least two antennas")
-            if self.packet_bits < 8:
-                raise ValueError("packet_bits must be at least 8")
-        if self.kind == "fleet":
-            # Deferred import, as for physio: the fleet package is a
-            # leaf and the spec module must not pull experiments in.
-            from repro.fleet.cohort import FLEET_TASKS, validate_cohort_fields
-
-            if self.fleet_task not in FLEET_TASKS:
-                raise ValueError(
-                    f"unknown fleet task {self.fleet_task!r}; "
-                    f"expected one of {FLEET_TASKS}"
-                )
-            if self.packets_per_record < 1:
-                raise ValueError(
-                    f"packets_per_record must be positive, "
-                    f"got {self.packets_per_record}"
-                )
-            validate_cohort_fields(
-                n_patients=self.n_patients,
-                rhythm_prevalence=self.rhythm_prevalence,
-                location_indices=self.location_indices,
-                location_weights=self.location_weights,
-                shield_worn_fraction=self.shield_worn_fraction,
-                jam_margin_mean_db=self.jam_margin_mean_db,
-                jam_margin_std_db=self.jam_margin_std_db,
-                p_thresh_std_db=self.p_thresh_std_db,
-                cancellation_std_db=self.cancellation_std_db,
-                observation_days=self.observation_days,
-            )
+        KINDS[self.kind].validate(self)
 
     # -- identity -------------------------------------------------------
 
@@ -332,11 +168,9 @@ class Scenario:
         kind's semantics last changed), so introducing a new kind never
         orphans the cached results of the existing ones.
         """
-        out: dict = {
-            "schema": _KIND_SCHEMA_VERSION[self.kind],
-            "kind": self.kind,
-        }
-        for name in _PAYLOAD_FIELDS[self.kind]:
+        kind = KINDS[self.kind]
+        out: dict = {"schema": kind.schema, "kind": self.kind}
+        for name in kind.payload_fields:
             value = getattr(self, name)
             out[name] = list(value) if isinstance(value, tuple) else value
         return out
@@ -349,17 +183,8 @@ class Scenario:
     # -- derived views --------------------------------------------------
 
     def axis_values(self) -> tuple:
-        """The grid axis this scenario sweeps (locations or separations).
-
-        A fleet scenario has one grid cell -- the population itself;
-        its per-patient variation lives inside the cohort, not on a
-        sweep axis.
-        """
-        if self.kind == "mimo":
-            return self.separations_m
-        if self.kind == "fleet":
-            return ("population",)
-        return self.location_indices
+        """The grid axis this scenario sweeps, one value per cell."""
+        return KINDS[self.kind].axis_values(self)
 
     def grid_size(self) -> int:
         return len(self.axis_values())
@@ -383,9 +208,11 @@ class Scenario:
         if unknown:
             raise ValueError(f"unknown scenario fields: {sorted(unknown)}")
         kind = changes.get("kind", self.kind)
-        if kind in _PAYLOAD_FIELDS:
+        if kind in KINDS:
             display = {"name", "kind", "title", "description", "tags"}
-            inapplicable = set(changes) - display - set(_PAYLOAD_FIELDS[kind])
+            inapplicable = (
+                set(changes) - display - set(KINDS[kind].payload_fields)
+            )
             if inapplicable:
                 raise ValueError(
                     f"field(s) {sorted(inapplicable)} do not apply to a "
@@ -395,40 +222,4 @@ class Scenario:
 
     def summary(self) -> str:
         """One human line: what this scenario actually runs."""
-        if self.kind == "attack":
-            shield = "shield on" if self.shield_present else "shield off"
-            return (
-                f"{self.attacker} attacker, {self.command} command, {shield}, "
-                f"{len(self.location_indices)} locations x {self.n_trials} trials"
-            )
-        if self.kind == "passive_ber":
-            return (
-                f"passive eavesdropper at +{self.jam_margin_db:g} dB jamming, "
-                f"{len(self.location_indices)} locations x {self.n_trials} packets"
-            )
-        if self.kind == "physio":
-            condition = (
-                f"shield at +{self.jam_margin_db:g} dB"
-                if self.shield_present
-                else "no shield"
-            )
-            return (
-                f"{self.rhythm} cardiac telemetry, {condition}, "
-                f"{len(self.location_indices)} locations x "
-                f"{self.n_trials} records"
-            )
-        if self.kind == "fleet":
-            encounter = (
-                "attack encounters"
-                if self.fleet_task == "attack"
-                else "telemetry records"
-            )
-            return (
-                f"{self.n_patients}-patient cohort "
-                f"({self.shield_worn_fraction:.0%} shield-worn) x "
-                f"{self.n_trials} {encounter}"
-            )
-        return (
-            f"{self.n_antennas}-antenna eavesdropper, "
-            f"{len(self.separations_m)} separations x {self.n_trials} attempts"
-        )
+        return KINDS[self.kind].summary(self)

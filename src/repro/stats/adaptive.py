@@ -34,7 +34,6 @@ __all__ = [
     "AdaptivePolicy",
     "AdaptiveRunResult",
     "AdaptiveScheduler",
-    "PHYSIO_MOMENT_KEYS",
     "metric_estimator",
     "scenario_metrics",
 ]
@@ -59,30 +58,11 @@ DEFAULT_PRECISION = {
 
 def scenario_metrics(kind: str) -> tuple[str, ...]:
     """Every metric a scenario kind's work units measure."""
-    if kind == "attack":
-        return ("success_probability", "alarm_probability")
-    if kind == "physio":
-        return (
-            "hr_abs_error",
-            "hr_error_vs_chance",
-            "hr_abs_error_clear",
-            "beat_f1",
-            "rhythm_accuracy",
-            "waveform_nrmse",
-        )
-    if kind == "fleet":
-        # The union over fleet tasks; a given scenario only populates
-        # its own task's estimators, and expectation evaluation judges
-        # a metric with zero samples inconclusive, never passing.
-        return (
-            "attack_prevalence",
-            "alarm_rate_per_day",
-            "hr_leak_median_bpm",
-            "hr_leak_p10_bpm",
-            "hr_leak_p90_bpm",
-            "mean_ber",
-        )
-    return ("ber",)
+    # Deferred import: repro.campaigns pulls its registry in, which
+    # itself imports the expectation records from this package.
+    from repro.campaigns.kinds import KINDS
+
+    return KINDS[kind].metrics
 
 
 #: Physical range each mean-valued metric's interval clips to; ``None``
@@ -103,27 +83,6 @@ _PROPORTION_METRICS = frozenset(
      "attack_prevalence"}
 )
 
-#: Physio mean-valued metric -> the reduced point's (sum, sum-of-squares)
-#: keys.  Shared by the adaptive absorb path and the fixed-budget
-#: ``cells_from_result`` so the two reductions can never drift apart;
-#: ``rhythm_accuracy`` is a proportion and is handled separately.
-PHYSIO_MOMENT_KEYS: dict[str, tuple[str, str]] = {
-    "hr_abs_error": ("hr_err_sum", "hr_err_sqsum"),
-    "hr_error_vs_chance": ("hr_gap_sum", "hr_gap_sqsum"),
-    "hr_abs_error_clear": ("hr_err_clear_sum", "hr_err_clear_sqsum"),
-    "beat_f1": ("beat_f1_sum", "beat_f1_sqsum"),
-    "waveform_nrmse": ("nrmse_sum", "nrmse_sqsum"),
-}
-
-
-#: Fleet population quantiles: not constructible as fresh accumulating
-#: estimators -- they are views over a merged
-#: :class:`~repro.fleet.metrics.QuantileSketch`, built by
-#: ``cells_from_result`` from a reduced fleet point.
-_SKETCH_METRICS = frozenset(
-    {"hr_leak_median_bpm", "hr_leak_p10_bpm", "hr_leak_p90_bpm"}
-)
-
 
 def metric_estimator(metric: str) -> SequentialEstimator | MeanEstimator:
     """A fresh estimator of the right family for one metric.
@@ -132,17 +91,9 @@ def metric_estimator(metric: str) -> SequentialEstimator | MeanEstimator:
     prevalence) get the binomial :class:`SequentialEstimator`;
     everything else accumulates streaming moments in a
     :class:`MeanEstimator` clipped to the metric's physical range.
-    Fleet quantile metrics have no fresh-estimator form and are
-    rejected with a pointer to their sketch-backed construction.
     """
     if metric in _PROPORTION_METRICS:
         return SequentialEstimator()
-    if metric in _SKETCH_METRICS:
-        raise ValueError(
-            f"metric {metric!r} is a population quantile backed by a "
-            f"merged QuantileSketch; build it from a reduced fleet "
-            f"point via FleetAccumulator.hr_quantile_estimator"
-        )
     if metric not in _METRIC_BOUNDS:
         raise ValueError(f"unknown metric {metric!r}")
     return MeanEstimator(bounds=_METRIC_BOUNDS[metric])
@@ -246,7 +197,9 @@ class AdaptiveRunResult:
     @property
     def fixed_trials(self) -> int:
         """What the scenario's fixed-count budget would have spent."""
-        return self.scenario.n_trials * self.scenario.grid_size()
+        from repro.campaigns.kinds import KINDS
+
+        return KINDS[self.scenario.kind].fixed_trials(self.scenario)
 
     def cell_stats(self) -> list[CellStats]:
         return [cell.stats() for cell in self.cells]
@@ -320,15 +273,12 @@ class AdaptiveScheduler:
         # Deferred import: repro.campaigns pulls its registry in, which
         # itself imports the expectation records from this package.
         from repro.campaigns.cache import ResultCache, default_cache_dir
+        from repro.campaigns.kinds import KINDS, fixed_budget_only
         from repro.runtime import SweepExecutor
 
-        if scenario.kind == "fleet":
-            raise ValueError(
-                "fleet scenarios run fixed-budget only: population "
-                "quantile sketches have no per-round stopping statistic; "
-                "validate them without --adaptive (the CLI does this "
-                "automatically)"
-            )
+        self._kind = KINDS[scenario.kind]
+        if not self._kind.adaptive:
+            raise fixed_budget_only(scenario.kind)
         self.scenario = scenario
         self.policy = policy or AdaptivePolicy()
         self.executor = SweepExecutor(workers)
@@ -341,7 +291,7 @@ class AdaptiveScheduler:
             if persist
             else None
         )
-        metrics = scenario_metrics(scenario.kind)
+        metrics = self._kind.metrics
         self._tracked: dict[int, tuple[str, ...]] = {}
         for position in range(scenario.grid_size()):
             if tracked is None:
@@ -366,45 +316,20 @@ class AdaptiveScheduler:
     # -- cell bookkeeping ----------------------------------------------
 
     def _new_cells(self) -> list[AdaptiveCell]:
-        from repro.campaigns.runner import cell_label
-
-        cells = []
-        for position, axis in enumerate(self.scenario.axis_values()):
-            label = cell_label(self.scenario, axis)
-            estimators: dict[str, SequentialEstimator | MeanEstimator] = {
-                metric: metric_estimator(metric)
-                for metric in scenario_metrics(self.scenario.kind)
-            }
-            cells.append(
-                AdaptiveCell(
-                    position=position,
-                    axis=axis,
-                    label=label,
-                    estimators=estimators,
-                    tracked=self._tracked[position],
-                )
+        return [
+            AdaptiveCell(
+                position=position,
+                axis=axis,
+                label=self._kind.cell_label(self.scenario, axis),
+                estimators=self._kind.estimators(),
+                tracked=self._tracked[position],
             )
-        return cells
+            for position, axis in enumerate(self.scenario.axis_values())
+        ]
 
     def _absorb(self, cell: AdaptiveCell, coords: dict, result: dict) -> None:
-        n = coords["n_trials"]
-        if self.scenario.kind == "attack":
-            cell.estimators["success_probability"].update(result["wins"], n)
-            cell.estimators["alarm_probability"].update(result["alarms"], n)
-        elif self.scenario.kind == "physio":
-            n_records = result["n_records"]
-            for metric, (total, sq_total) in PHYSIO_MOMENT_KEYS.items():
-                cell.estimators[metric].update(
-                    n_records, result[total], result[sq_total]
-                )
-            cell.estimators["rhythm_accuracy"].update(
-                result["rhythm_correct"], n_records
-            )
-        else:
-            cell.estimators["ber"].update(
-                result["n_packets"], result["ber_sum"], result["ber_sqsum"]
-            )
-        cell.trials += n
+        self._kind.absorb(cell.estimators, coords["n_trials"], result)
+        cell.trials += coords["n_trials"]
 
     def _cell_done(self, cell: AdaptiveCell) -> bool:
         policy = self.policy

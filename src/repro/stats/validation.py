@@ -20,14 +20,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.stats.adaptive import (
-    PHYSIO_MOMENT_KEYS,
-    AdaptivePolicy,
-    AdaptiveScheduler,
-    metric_estimator,
-    scenario_metrics,
-)
-from repro.stats.estimator import MeanEstimator, SequentialEstimator
+from repro.stats.adaptive import AdaptivePolicy, AdaptiveScheduler
 from repro.stats.expectations import (
     CellStats,
     Expectation,
@@ -53,56 +46,19 @@ def _json_float(value: float) -> float | None:
 def cells_from_result(result) -> list[CellStats]:
     """Per-cell estimators of a fixed-budget :class:`CampaignResult`.
 
-    The reduced points carry integer counts (attack) or raw moments
-    (BER sums and sums of squares), so the estimators here hold exactly
-    what a fresh evaluation would have accumulated.
+    The reduced points carry integer counts or raw moments, and each
+    point is absorbed the way the adaptive path absorbs a unit result,
+    so the estimators hold exactly what a fresh evaluation would have
+    accumulated.
     """
+    from repro.campaigns.kinds import KINDS
+
+    scenario = result.scenario
+    kind = KINDS[scenario.kind]
     cells = []
     for point in result.points:
-        estimators: dict[str, SequentialEstimator | MeanEstimator] = {}
-        if result.scenario.kind == "attack":
-            estimators["success_probability"] = SequentialEstimator(
-                point["wins"], point["n_trials"]
-            )
-            estimators["alarm_probability"] = SequentialEstimator(
-                point["alarms"], point["n_trials"]
-            )
-        elif result.scenario.kind == "physio":
-            for metric, (total, sq_total) in PHYSIO_MOMENT_KEYS.items():
-                estimator = metric_estimator(metric)
-                estimator.update(
-                    point["n_records"], point[total], point[sq_total]
-                )
-                estimators[metric] = estimator
-            estimators["rhythm_accuracy"] = SequentialEstimator(
-                point["rhythm_correct"], point["n_records"]
-            )
-        elif result.scenario.kind == "fleet":
-            # Rebuild exact population estimators (counts, moments, the
-            # quantile sketch) from the merged accumulator the reduction
-            # stored with the point.
-            from repro.fleet.metrics import FleetAccumulator
-
-            acc = FleetAccumulator.from_payload(point["accumulator"])
-            # Only the metrics this cohort's task actually simulated: a
-            # physio cohort ran zero attack trials, and a zero-count
-            # prevalence estimator must stay absent (inconclusive), not
-            # read as a measured 0%.
-            if acc.trials_total:
-                estimators["attack_prevalence"] = acc.prevalence_estimator()
-                estimators["alarm_rate_per_day"] = acc.alarm_rate_estimator()
-            if acc.physio_patients:
-                estimators["hr_leak_median_bpm"] = acc.hr_quantile_estimator(0.5)
-                estimators["hr_leak_p10_bpm"] = acc.hr_quantile_estimator(0.1)
-                estimators["hr_leak_p90_bpm"] = acc.hr_quantile_estimator(0.9)
-                estimators["mean_ber"] = acc.mean_ber_estimator()
-        else:
-            estimators["ber"] = MeanEstimator(
-                point["n_packets"],
-                point["ber_sum"],
-                point["ber_sqsum"],
-                bounds=(0.0, 1.0),
-            )
+        estimators = kind.estimators()
+        kind.absorb(estimators, scenario.n_trials, point)
         cells.append(CellStats(point["axis"], point["label"], estimators))
     return cells
 
@@ -115,23 +71,14 @@ def tracked_metrics(scenario, expectations) -> dict[int, set[str]]:
     exactly where a claim will be judged, and an alarm-rate expectation
     on the near locations does not hold the far locations open.
     """
-    if scenario.kind == "attack":
-        headline = "success_probability"
-    elif scenario.kind == "physio":
-        headline = "hr_abs_error"
-    elif scenario.kind == "fleet":
-        headline = (
-            "attack_prevalence"
-            if scenario.fleet_task == "attack"
-            else "hr_leak_median_bpm"
-        )
-    else:
-        headline = "ber"
+    from repro.campaigns.kinds import KINDS
+
+    kind = KINDS[scenario.kind]
+    headline = kind.headline(scenario)
     axes = scenario.axis_values()
     tracked = {position: {headline} for position in range(len(axes))}
-    known = set(scenario_metrics(scenario.kind))
     for expectation in expectations:
-        if expectation.metric not in known:
+        if expectation.metric not in kind.metrics:
             continue
         for position, axis in enumerate(axes):
             if expectation.axes is None or axis in expectation.axes:
@@ -228,6 +175,7 @@ def validate_scenario(
     the verdicts (``None`` keeps each expectation's declared level);
     adaptive *stopping* decisions use ``policy.confidence`` either way.
     """
+    from repro.campaigns.kinds import KINDS
     from repro.campaigns.runner import CampaignRunner
 
     if not expectations:
@@ -236,12 +184,10 @@ def validate_scenario(
             f"register some before validating against it"
         )
     method = policy.method if policy is not None else "jeffreys"
-    # A fleet cohort is one population draw; its quantile sketches have
-    # no per-round stopping statistic, so ``validate --adaptive`` runs
-    # it at the fixed budget instead of refusing the whole invocation.
-    if adaptive and scenario.kind == "fleet":
-        adaptive = False
-    if adaptive:
+    kind = KINDS[scenario.kind]
+    # ``validate --adaptive`` runs a fixed-budget-only kind at its fixed
+    # budget instead of refusing the whole invocation.
+    if adaptive and kind.adaptive:
         scheduler = AdaptiveScheduler(
             scenario,
             policy=policy,
@@ -282,9 +228,7 @@ def validate_scenario(
         evaluate_expectation(e, cells, method=method, confidence=confidence)
         for e in expectations
     )
-    trials = scenario.n_trials * scenario.grid_size()
-    if scenario.kind == "fleet":
-        trials = scenario.n_trials * scenario.n_patients
+    trials = kind.fixed_trials(scenario)
     return ScenarioValidation(
         scenario=scenario,
         outcomes=outcomes,

@@ -14,6 +14,7 @@ import pytest
 import repro.campaigns.runner as runner_module
 from repro.campaigns import CampaignRunner, registry
 from repro.campaigns.cli import _budget_scenario
+from repro.campaigns.kinds import KINDS
 from repro.campaigns.runner import evaluate_unit, plan_scenario_units
 from repro.campaigns.spec import Scenario
 from repro.experiments.sweeps import attack_success_sweep
@@ -213,3 +214,32 @@ class TestUnitPurity:
         assert evaluate_unit(
             smallest(plan_scenario_units(scenario)).spec
         ) == first
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            name
+            for name in registry.names()
+            if KINDS[registry.get(name).kind].adaptive
+        ],
+    )
+    @pytest.mark.parametrize("plan", ["chunked", "round0"])
+    def test_seed_sequence_units_are_pure(self, name, plan):
+        """The same, for the units that draw from a SeedSequence: a
+        sharded cell's chunks and an adaptive round's units."""
+        scenario = _budget_scenario(registry.get(name), "smoke")
+
+        def first_unit():
+            if plan == "chunked":
+                units = plan_scenario_units(scenario.override(chunk_size=2))
+            else:
+                units = plan_scenario_units(
+                    scenario, positions=[0], n_trials=2, round_index=0
+                )
+            return units[0].spec
+
+        spec = first_unit()
+        first = evaluate_unit(spec)
+        assert evaluate_unit(spec) == first
+        assert evaluate_unit(pickle.loads(pickle.dumps(spec))) == first
+        assert evaluate_unit(first_unit()) == first
