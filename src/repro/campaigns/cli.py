@@ -129,16 +129,21 @@ def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
         raise SystemExit(f"error: {exc}") from None
 
 
-def _runner(scenario: Scenario, args: argparse.Namespace) -> CampaignRunner:
+def _tracer(args: argparse.Namespace, name: str) -> Tracer | None:
+    """A tracer under the cache root when tracing is on
+    (``--trace``/``--no-trace`` > ``REPRO_TRACE`` > off)."""
     try:
-        tracer = None
-        if resolve_tracing(getattr(args, "trace", None)):
-            root = Path(
-                args.cache_dir
-                if args.cache_dir is not None
-                else default_cache_dir()
-            )
-            tracer = Tracer(root, scenario.name)
+        if not resolve_tracing(getattr(args, "trace", None)):
+            return None
+    except ValueError as exc:  # junk REPRO_TRACE
+        raise SystemExit(f"error: {exc}") from None
+    root = args.cache_dir
+    return Tracer(default_cache_dir() if root is None else root, name)
+
+
+def _runner(scenario: Scenario, args: argparse.Namespace) -> CampaignRunner:
+    tracer = _tracer(args, scenario.name)
+    try:
         return CampaignRunner(
             scenario,
             cache_dir=args.cache_dir,
@@ -149,7 +154,7 @@ def _runner(scenario: Scenario, args: argparse.Namespace) -> CampaignRunner:
             tracer=tracer,
             progress=getattr(args, "progress", None),
         )
-    except ValueError as exc:  # e.g. --workers -1, junk REPRO_TRACE
+    except ValueError as exc:  # e.g. --workers -1, junk REPRO_PROGRESS
         raise SystemExit(f"error: {exc}") from None
 
 
@@ -325,15 +330,8 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
     scenario = _apply_overrides(_resolve(args.scenario), args)
     worker_id = args.worker_id or default_worker_id()
-    tracer = None
+    tracer = _tracer(args, f"{scenario.name}-worker-{worker_id}")
     try:
-        if resolve_tracing(getattr(args, "trace", None)):
-            root = Path(
-                args.cache_dir
-                if args.cache_dir is not None
-                else default_cache_dir()
-            )
-            tracer = Tracer(root, f"{scenario.name}-worker-{worker_id}")
         stats = run_worker(
             scenario,
             cache_dir=args.cache_dir,
@@ -355,7 +353,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         # a clean drain (0).
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:  # e.g. filesystem backend, junk REPRO_TRACE
+    except ValueError as exc:  # e.g. filesystem backend, junk REPRO_PROGRESS
         raise SystemExit(f"error: {exc}") from None
     console(
         f"worker {stats.worker_id}: {stats.claimed} claim(s), "

@@ -21,21 +21,19 @@ runner only looks the kind up.
 from __future__ import annotations
 
 import cProfile
-import json
-import platform
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-
-import numpy as np
 
 from repro.campaigns.cache import ResultCache, default_cache_dir
 from repro.campaigns.kinds import KINDS, CampaignUnit, fixed_budget_only
-from repro.campaigns.spec import SCHEMA_VERSION, Scenario
+from repro.campaigns.spec import Scenario
 from repro.obs.log import get_logger
-from repro.obs.metrics import ObsAccumulator, take_global
-from repro.obs.progress import ProgressPublisher, resolve_progress
-from repro.obs.trace import Tracer, git_revision
+from repro.obs.metrics import observed_call
+from repro.obs.observer import RunObserver
+from repro.obs.progress import resolve_progress
+from repro.obs.trace import Tracer
 from repro.runtime import SweepExecutor
 
 _log = get_logger("campaigns")
@@ -274,19 +272,11 @@ class CampaignRunner:
         whole plan materializes; calling this repeatedly (or across
         interrupted processes) converges to a fully cached campaign.
         """
-        tracer = self._active_tracer()
-        try:
+        with self._observer("runner") as observer:
             units, _, computed = self._execute(
-                limit=limit, force=force, collect=False
+                observer, limit=limit, force=force, collect=False
             )
-        except BaseException:
-            if tracer is not None:
-                tracer.finish(interrupted=True)
-            raise
-        if tracer is not None:
-            tracer.finish(
-                total_units=len(units), computed_units=computed
-            )
+            observer.finish(total_units=len(units), computed_units=computed)
         return computed
 
     def run(self, force: bool = False) -> CampaignResult:
@@ -296,40 +286,24 @@ class CampaignRunner:
         per batch, so an interrupt resumes); ``force=True`` ignores and
         overwrites existing cache entries.
         """
-        tracer = self._active_tracer()
-        try:
+        with self._observer("runner") as observer:
             units, results, computed = self._execute(
-                limit=None, force=force, collect=True
+                observer, limit=None, force=force, collect=True
             )
-            assert results is not None
             cached = len(units) - computed
-            reduce_start = time.perf_counter()
-            points = self._reduce(units, [results[u.key] for u in units])
-            if tracer is not None:
-                tracer.emit(
-                    "phase",
-                    name="reduce",
-                    seconds=time.perf_counter() - reduce_start,
-                    units=len(units),
-                )
-                tracer.finish(
-                    total_units=len(units),
-                    cached_units=cached,
-                    computed_units=computed,
-                )
-            return CampaignResult(
-                scenario=self.scenario,
-                points=points,
+            points = self._reduce(observer, units, results)
+            observer.finish(
                 total_units=len(units),
                 cached_units=cached,
                 computed_units=computed,
             )
-        except BaseException:
-            # An interrupted traced run still leaves a readable trace
-            # (manifest + whatever spans were buffered).
-            if tracer is not None:
-                tracer.finish(interrupted=True)
-            raise
+        return CampaignResult(
+            scenario=self.scenario,
+            points=points,
+            total_units=len(units),
+            cached_units=cached,
+            computed_units=computed,
+        )
 
     def run_distributed(
         self,
@@ -358,12 +332,8 @@ class CampaignRunner:
             )
         from repro.campaigns.queue import WorkQueue
 
-        scenario_hash = self.scenario.scenario_hash()
-        queue = WorkQueue(self.cache.store, scenario_hash)
-        tracer = self._active_tracer()
-        try:
-            if tracer is not None and not tracer.started:
-                take_global()
+        queue = WorkQueue(self.cache.store, self.scenario.scenario_hash())
+        with self._observer("coordinator") as observer:
             plan_start = time.perf_counter()
             units = self.plan()
             plan_seconds = time.perf_counter() - plan_start
@@ -373,21 +343,15 @@ class CampaignRunner:
             enqueue_start = time.perf_counter()
             enqueued = queue.enqueue(pending)
             enqueue_seconds = time.perf_counter() - enqueue_start
-            if tracer is not None:
-                if not tracer.started:
-                    manifest = self._manifest(
-                        len(units), forced_serial=False
-                    )
-                    manifest["distributed"] = True
-                    tracer.start_run(manifest)
-                tracer.emit(
-                    "phase", name="plan", seconds=plan_seconds,
-                    units=len(units),
-                )
-                tracer.emit(
-                    "phase", name="enqueue", seconds=enqueue_seconds,
-                    units=len(pending), new=enqueued,
-                )
+            observer.start(
+                self.scenario, len(units),
+                **self._manifest_fields(forced_serial=False),
+                distributed=True,
+            )
+            observer.phase("plan", plan_seconds, units=len(units))
+            observer.phase(
+                "enqueue", enqueue_seconds, units=len(pending), new=enqueued
+            )
             _log.info(
                 "distributed %s: %d units planned, %d cached, %d queued "
                 "(%d newly); start workers with: python -m repro worker %s "
@@ -396,20 +360,13 @@ class CampaignRunner:
                 enqueued, self.scenario.name, self._cache_root,
                 self.cache.backend,
             )
-            publisher = self._progress_publisher(
-                "coordinator", len(units), tracer
-            )
             wait_start = time.perf_counter()
             done = set(cached)
-            if publisher is not None:
-                publisher.advance(
-                    done=len(done), reused=len(done), phase="wait"
-                )
+            observer.progress("wait", done=len(done), reused=len(done))
             while len(done) < len(keys):
                 waited = time.perf_counter() - wait_start
                 if wait_timeout_s is not None and waited > wait_timeout_s:
-                    if publisher is not None:
-                        publisher.finish(phase="timeout")
+                    observer.finish(phase="timeout")
                     counts = queue.counts()
                     raise RuntimeError(
                         f"distributed campaign {self.scenario.name} timed "
@@ -423,20 +380,12 @@ class CampaignRunner:
                     )
                 time.sleep(poll_s)
                 done = self.cache.cached_keys(self.scenario, keys)
-                if publisher is not None:
-                    # The coordinator never evaluates: its "done" is
-                    # whatever the fleet has cached so far.
-                    publisher.done_units = len(done)
-                    publisher.publish(phase="wait")
-            wait_seconds = time.perf_counter() - wait_start
-            if publisher is not None:
-                publisher.done_units = len(done)
-                publisher.finish(phase="reduce")
-            if tracer is not None:
-                tracer.emit(
-                    "phase", name="wait", seconds=wait_seconds,
-                    units=len(pending),
-                )
+                # The coordinator never evaluates: its "done" is
+                # whatever the fleet has cached so far.
+                observer.progress("wait", done=len(done))
+            observer.phase(
+                "wait", time.perf_counter() - wait_start, units=len(pending)
+            )
             results: dict[str, dict] = {}
             for unit in units:
                 result = self.cache.get(self.scenario, unit.key)
@@ -446,74 +395,37 @@ class CampaignRunner:
                         "from the cache between completion and reduce"
                     )
                 results[unit.key] = result
-            reduce_start = time.perf_counter()
-            points = self._reduce(units, [results[u.key] for u in units])
-            if tracer is not None:
-                tracer.emit(
-                    "phase", name="reduce",
-                    seconds=time.perf_counter() - reduce_start,
-                    units=len(units),
-                )
-                tracer.emit("metrics", metrics=take_global())
-                tracer.finish(
-                    total_units=len(units),
-                    cached_units=len(cached),
-                    computed_units=len(pending),
-                    distributed=True,
-                )
-            return CampaignResult(
-                scenario=self.scenario,
-                points=points,
+            points = self._reduce(observer, units, results)
+            observer.finish(
                 total_units=len(units),
                 cached_units=len(cached),
                 computed_units=len(pending),
+                distributed=True,
             )
-        except BaseException:
-            if tracer is not None:
-                tracer.finish(interrupted=True)
-            raise
+        return CampaignResult(
+            scenario=self.scenario,
+            points=points,
+            total_units=len(units),
+            cached_units=len(cached),
+            computed_units=len(pending),
+        )
 
-    def _active_tracer(self) -> Tracer | None:
-        """The run's tracer, or ``None`` once it has already closed."""
-        if self.tracer is not None and not self.tracer.finished:
-            return self.tracer
-        return None
-
-    def _progress_publisher(
-        self, role: str, total_units: int, tracer: Tracer | None
-    ) -> ProgressPublisher | None:
-        """This run's live-progress publisher, or None when disabled.
-
-        Needs a persistent cache: snapshots travel through its store
-        (that is what makes them visible to ``repro top`` across
-        processes and mounts).
-        """
-        if not self.progress or self.cache is None:
-            return None
-        return ProgressPublisher(
-            self.cache.store,
-            self.scenario.scenario_hash(),
-            role,
+    def _observer(self, role: str) -> RunObserver:
+        """This run's observer: the tracer, plus live progress through
+        the cache's store when progress is on and there is a store."""
+        publish = self.progress and self.cache is not None
+        return RunObserver.for_run(
+            self.scenario,
+            self.tracer,
+            self.cache.store if publish else None,
+            source=role,
             role=role,
-            total_units=total_units,
-            scenario=self.scenario.name,
-            run_id=tracer.run_id if tracer is not None else None,
             workers=self.executor.workers,
         )
 
-    def _manifest(self, total_units: int, forced_serial: bool) -> dict:
-        """The run manifest: what ran, resolved how, at which versions."""
-        from repro import __version__ as package_version
-
-        scenario = self.scenario
+    def _manifest_fields(self, forced_serial: bool) -> dict:
+        """The run manifest's execution config: resolved how."""
         return {
-            "scenario": scenario.name,
-            "scenario_hash": scenario.scenario_hash(),
-            "kind": scenario.kind,
-            "seed": scenario.seed,
-            "n_trials": scenario.n_trials,
-            "grid_size": scenario.grid_size(),
-            "total_units": total_units,
             "workers": self.executor.workers,
             "effective_workers": 1 if forced_serial else self.executor.workers,
             "forced_serial": forced_serial,
@@ -523,41 +435,31 @@ class CampaignRunner:
             ),
             "cache_root": str(self._cache_root),
             "persist": self.persist,
-            "schema_version": SCHEMA_VERSION,
-            "package_version": package_version,
-            "git_revision": git_revision(),
-            "python_version": platform.python_version(),
-            "numpy_version": np.__version__,
         }
 
     def _execute(
-        self, limit: int | None, force: bool, collect: bool
+        self,
+        observer: RunObserver,
+        limit: int | None,
+        force: bool,
+        collect: bool,
     ) -> tuple[list[CampaignUnit], dict[str, dict] | None, int]:
         """Shared engine of :meth:`materialize` and :meth:`run`."""
-        tracer = self._active_tracer()
-        if tracer is not None and not tracer.started:
-            # Metrics accumulated before this run (imports, other
-            # campaigns in-process) are not this run's story; reset
-            # before the first instrumented call (the cache scan).
-            take_global()
         plan_start = time.perf_counter()
         units = self.plan()
         plan_seconds = time.perf_counter() - plan_start
         results: dict[str, dict] = {}
         pending: list[CampaignUnit] = []
         hits: list[tuple[CampaignUnit, float]] = []
-        load_seconds = 0.0
         for unit in units:
-            if force or self.cache is None:
-                cached = None
-            else:
+            cached = None
+            if not force and self.cache is not None:
                 load_start = time.perf_counter()
                 cached = self.cache.get(self.scenario, unit.key)
                 load_seconds = time.perf_counter() - load_start
             if cached is not None:
                 results[unit.key] = cached
-                if tracer is not None:
-                    hits.append((unit, load_seconds))
+                hits.append((unit, load_seconds))
             else:
                 pending.append(unit)
         if limit is not None:
@@ -573,27 +475,13 @@ class CampaignRunner:
                 len(pending),
                 self.scenario.name,
             )
-        if tracer is not None:
-            if not tracer.started:
-                tracer.start_run(self._manifest(len(units), forced_serial))
-            tracer.emit(
-                "phase", name="plan", seconds=plan_seconds, units=len(units)
-            )
-            for unit, hit_load_s in hits:
-                tracer.emit(
-                    "unit",
-                    key=unit.key,
-                    coords=unit.coords,
-                    status="hit",
-                    load_s=hit_load_s,
-                )
-        publisher = self._progress_publisher("runner", len(units), tracer)
-        if publisher is not None:
-            # Cache hits count as done immediately; the executor hook
-            # below advances the computed ones as they stream back.
-            publisher.advance(
-                done=len(results), reused=len(results), phase="execute"
-            )
+        observer.start(
+            self.scenario, len(units), **self._manifest_fields(forced_serial)
+        )
+        observer.phase("plan", plan_seconds, units=len(units))
+        observer.progress("execute")
+        for unit, load_seconds in hits:
+            observer.hit(unit, load_s=load_seconds)
         computed = 0
         # Streaming submission: results arrive in unit order as they
         # complete, and each is flushed to the cache immediately -- an
@@ -606,24 +494,18 @@ class CampaignRunner:
             # pickling.  Serial evaluation is bit-identical by contract.
             executor = SweepExecutor(1)
             profiler = cProfile.Profile()
-        run_metrics = ObsAccumulator() if tracer is not None else None
-        if publisher is not None:
-            executor.unit_callback = publisher.unit_done
-        specs = [u.spec for u in pending]
         execute_start = time.perf_counter()
         submit_mono = time.monotonic()
-        if tracer is not None:
-            streamed = executor.imap_observed(evaluate_unit, specs)
-        else:
-            streamed = (
-                (result, None) for result in executor.imap(evaluate_unit, specs)
-            )
+        streamed = executor.imap(
+            partial(observed_call, evaluate_unit), [u.spec for u in pending]
+        )
         if profiler is not None:
             profiler.enable()
         try:
-            for unit, (result, obs) in zip(pending, streamed):
+            for unit, envelope in zip(pending, streamed):
                 if profiler is not None:
                     profiler.disable()
+                result = envelope["result"]
                 flush_start = time.perf_counter()
                 if self.cache is not None:
                     self.cache.put(
@@ -632,50 +514,26 @@ class CampaignRunner:
                 flush_seconds = time.perf_counter() - flush_start
                 results[unit.key] = result
                 computed += 1
-                if tracer is not None and obs is not None:
-                    run_metrics.merge_payload(obs["metrics"])
-                    tracer.emit(
-                        "unit",
-                        key=unit.key,
-                        coords=unit.coords,
-                        status="computed",
-                        # monotonic clocks are comparable across
-                        # processes on Linux; clamp for platforms where
-                        # they are not.
-                        queue_s=max(0.0, obs["start_mono"] - submit_mono),
-                        exec_s=obs["exec_s"],
-                        flush_s=flush_seconds,
-                        pid=obs["pid"],
-                        result_bytes=len(
-                            json.dumps(
-                                result, sort_keys=True, separators=(",", ":")
-                            )
-                        ),
-                    )
+                observer.computed(
+                    unit, envelope, flush_seconds,
+                    # monotonic clocks are comparable across processes
+                    # on Linux; clamp for platforms where they are not.
+                    queue_s=max(
+                        0.0, envelope["obs"]["start_mono"] - submit_mono
+                    ),
+                )
                 if profiler is not None:
                     profiler.enable()
         finally:
-            executor.unit_callback = None
-            if publisher is not None:
-                publisher.finish(
-                    phase="done" if computed >= len(pending) else "interrupted"
-                )
             if profiler is not None:
                 profiler.disable()
                 self.profile_path = self._dump_profile(profiler)
-            if tracer is not None:
-                tracer.emit(
-                    "phase",
-                    name="execute",
-                    seconds=time.perf_counter() - execute_start,
-                    units=len(pending),
-                    workers=1 if forced_serial else executor.workers,
-                )
-                # Worker deltas rode back per unit; fold in whatever the
-                # parent process itself accumulated (cache IO, serial
-                # evaluation).
-                run_metrics.merge_payload(take_global())
-                tracer.emit("metrics", metrics=run_metrics.to_payload())
+            observer.phase(
+                "execute",
+                time.perf_counter() - execute_start,
+                units=len(pending),
+                workers=executor.workers,
+            )
         if not collect:
             return units, None, computed
         missing = [u.key for u in units if u.key not in results]
@@ -701,6 +559,17 @@ class CampaignRunner:
     # -- reduction -----------------------------------------------------
 
     def _reduce(
-        self, units: list[CampaignUnit], results: list[dict]
+        self,
+        observer: RunObserver,
+        units: list[CampaignUnit],
+        results: dict[str, dict],
     ) -> list[dict]:
-        return KINDS[self.scenario.kind].reduce(self.scenario, units, results)
+        """The kind's reduction over the plan, in plan order."""
+        start = time.perf_counter()
+        points = KINDS[self.scenario.kind].reduce(
+            self.scenario, units, [results[u.key] for u in units]
+        )
+        observer.phase(
+            "reduce", time.perf_counter() - start, units=len(units)
+        )
+        return points

@@ -29,12 +29,13 @@ from pathlib import Path
 from repro.campaigns.cache import ResultCache, default_cache_dir
 from repro.campaigns.queue import DEFAULT_LEASE_S, WorkQueue
 from repro.campaigns.runner import evaluate_unit, plan_scenario_units
-from repro.campaigns.spec import SCHEMA_VERSION, Scenario
+from repro.campaigns.spec import Scenario
 from repro.campaigns.store import SQLiteStore
 from repro.obs.log import get_logger
-from repro.obs.metrics import observed_call, take_global
-from repro.obs.progress import ProgressPublisher, resolve_progress
-from repro.obs.trace import Tracer, git_revision
+from repro.obs.metrics import observed_call
+from repro.obs.observer import RunObserver
+from repro.obs.progress import resolve_progress
+from repro.obs.trace import Tracer
 
 __all__ = [
     "HeartbeatError",
@@ -202,190 +203,137 @@ def run_worker(
     cache = ResultCache(cache_root, backend=cache_backend)
     scenario_hash = scenario.scenario_hash()
     queue = WorkQueue(cache.store, scenario_hash)
-    units = plan_scenario_units(scenario)
-    by_key = {u.key: u for u in units}
-    all_keys = list(by_key)
-    # Enqueue the plan ourselves (idempotent), so workers can start
-    # before, after, or without a coordinator -- but skip units already
-    # cached: a claim for those would only be reuse-retired anyway.
-    already = cache.cached_keys(scenario, all_keys)
-    queue.enqueue([u for u in units if u.key not in already])
     stats = WorkerStats(worker_id=worker_id)
-    if tracer is not None and not tracer.started:
-        take_global()
-        tracer.start_run(_worker_manifest(
-            scenario, worker_id, lease_s, cache, cache_root,
-        ))
-    _log.info(
-        "worker %s: joined %s (%d planned units, lease %.0fs)",
-        worker_id, scenario.name, len(units), lease_s,
+    observer = RunObserver.for_run(
+        scenario, tracer,
+        cache.store if resolve_progress(progress) else None,
+        source=worker_id, role="worker",
     )
-    heartbeat = _HeartbeatThread(
-        cache_root, scenario_hash, worker_id, lease_s
-    )
-    heartbeat.start()
-    publisher: ProgressPublisher | None = None
-    if resolve_progress(progress):
-        publisher = ProgressPublisher(
-            cache.store, scenario_hash, worker_id,
-            role="worker", total_units=len(units),
-            scenario=scenario.name,
-            run_id=tracer.run_id if tracer is not None else None,
+    with observer:
+        units = plan_scenario_units(scenario)
+        by_key = {u.key: u for u in units}
+        all_keys = list(by_key)
+        # Enqueue the plan ourselves (idempotent), so workers can start
+        # before, after, or without a coordinator -- but skip units
+        # already cached: a claim for those would only be reuse-retired.
+        already = cache.cached_keys(scenario, all_keys)
+        queue.enqueue([u for u in units if u.key not in already])
+        observer.start(
+            scenario, len(units), role="worker", worker_id=worker_id,
+            lease_s=lease_s, cache_backend=cache.backend,
+            cache_root=str(cache_root),
         )
-        publisher.advance(done=0, phase="claim")
-    idle_since: float | None = None
-    exit_phase = "exit"
-    try:
-        while True:
-            if heartbeat.error is not None:
-                raise HeartbeatError(
-                    f"worker {worker_id}: lease heartbeat hit a store "
-                    f"error ({heartbeat.error}); exiting"
-                ) from heartbeat.error
-            if max_units is not None and stats.claimed >= max_units:
-                exit_phase = "done"
-                break
-            claim = queue.claim(worker_id, lease_s)
-            if claim is None:
-                remaining = set(all_keys) - cache.cached_keys(
-                    scenario, all_keys
-                )
-                if not remaining:
-                    _log.info(
-                        "worker %s: campaign %s complete",
-                        worker_id, scenario.name,
-                    )
+        _log.info(
+            "worker %s: joined %s (%d planned units, lease %.0fs)",
+            worker_id, scenario.name, len(units), lease_s,
+        )
+        heartbeat = _HeartbeatThread(
+            cache_root, scenario_hash, worker_id, lease_s
+        )
+        heartbeat.start()
+        idle_since: float | None = None
+        exit_phase = "interrupted"
+        try:
+            while True:
+                observer.progress("claim")
+                if heartbeat.error is not None:
+                    raise HeartbeatError(
+                        f"worker {worker_id}: lease heartbeat hit a store "
+                        f"error ({heartbeat.error}); exiting"
+                    ) from heartbeat.error
+                if max_units is not None and stats.claimed >= max_units:
                     exit_phase = "done"
                     break
-                now = time.monotonic()
-                if idle_since is None:
-                    idle_since = now
-                elif (idle_timeout_s is not None
-                      and now - idle_since > idle_timeout_s):
-                    stats.idle_timeout = True
-                    _log.warning(
-                        "worker %s: no claimable work for %.0fs with %d "
-                        "unit(s) still uncached (leases held elsewhere?); "
-                        "giving up",
-                        worker_id, idle_timeout_s, len(remaining),
+                claim = queue.claim(worker_id, lease_s)
+                if claim is None:
+                    remaining = set(all_keys) - cache.cached_keys(
+                        scenario, all_keys
                     )
-                    exit_phase = "idle-timeout"
-                    break
-                if publisher is not None:
-                    publisher.publish(phase="idle")
-                time.sleep(poll_s)
-                continue
-            idle_since = None
-            stats.claimed += 1
-            unit = by_key.get(claim.key)
-            if unit is None:
-                # A queue row from a different plan revision; leave it
-                # for a worker that recognizes it.
-                _log.warning(
-                    "worker %s: claimed unknown unit %s (stale queue "
-                    "row?); abandoning",
-                    worker_id, claim.key,
-                )
-                queue.abandon(claim.key, worker_id)
-                continue
-            if cache.get(scenario, claim.key) is not None:
-                # Cached after enqueue (another worker, earlier run):
-                # just retire the queue row.
-                queue.complete(claim.key, worker_id)
-                stats.reused += 1
-                if publisher is not None:
-                    publisher.advance(done=1, reused=1, phase="claim")
-                if tracer is not None:
-                    tracer.emit(
-                        "unit", key=claim.key, coords=unit.coords,
-                        status="reused", worker=worker_id,
+                    if not remaining:
+                        _log.info(
+                            "worker %s: campaign %s complete",
+                            worker_id, scenario.name,
+                        )
+                        exit_phase = "done"
+                        break
+                    now = time.monotonic()
+                    if idle_since is None:
+                        idle_since = now
+                    elif (idle_timeout_s is not None
+                          and now - idle_since > idle_timeout_s):
+                        stats.idle_timeout = True
+                        _log.warning(
+                            "worker %s: no claimable work for %.0fs with "
+                            "%d unit(s) still uncached (leases held "
+                            "elsewhere?); giving up",
+                            worker_id, idle_timeout_s, len(remaining),
+                        )
+                        exit_phase = "idle-timeout"
+                        break
+                    observer.progress("idle")
+                    time.sleep(poll_s)
+                    continue
+                idle_since = None
+                stats.claimed += 1
+                unit = by_key.get(claim.key)
+                if unit is None:
+                    # A queue row from a different plan revision; leave
+                    # it for a worker that recognizes it.
+                    _log.warning(
+                        "worker %s: claimed unknown unit %s (stale queue "
+                        "row?); abandoning",
+                        worker_id, claim.key,
+                    )
+                    queue.abandon(claim.key, worker_id)
+                    continue
+                if cache.get(scenario, claim.key) is not None:
+                    # Cached after enqueue (another worker, earlier
+                    # run): just retire the queue row.
+                    queue.complete(claim.key, worker_id)
+                    stats.reused += 1
+                    observer.hit(
+                        unit, status="reused", worker=worker_id,
                         attempt=claim.attempt,
                     )
-                continue
-            heartbeat.watch(claim.key)
-            if publisher is not None:
-                publisher.publish(phase="evaluate")
-            try:
-                envelope = observed_call(evaluate_unit, unit.spec)
-            except BaseException:
-                heartbeat.clear()
-                queue.abandon(claim.key, worker_id)
-                raise
-            heartbeat.clear()
-            if heartbeat.error is not None:
-                # The store died while we were computing: abandon the
-                # claim (best effort -- the store may refuse even that)
-                # and surface the failure instead of pretending the
-                # result landed.
+                    continue
+                heartbeat.watch(claim.key)
+                observer.progress("evaluate")
                 try:
+                    envelope = observed_call(evaluate_unit, unit.spec)
+                except BaseException:
+                    heartbeat.clear()
                     queue.abandon(claim.key, worker_id)
-                except Exception:
-                    pass
-                raise HeartbeatError(
-                    f"worker {worker_id}: lease heartbeat hit a store "
-                    f"error mid-unit ({heartbeat.error}); abandoning "
-                    f"{claim.key} and exiting"
-                ) from heartbeat.error
-            cache.put(scenario, claim.key, unit.coords, envelope["result"])
-            queue.complete(claim.key, worker_id)
-            stats.computed += 1
-            stats.busy_s += envelope["obs"]["exec_s"]
-            if publisher is not None:
-                publisher.advance(done=1, computed=1, phase="claim")
-            if claim.key in heartbeat.lost:
-                stats.lease_lost += 1
-            if tracer is not None:
-                tracer.emit(
-                    "unit", key=claim.key, coords=unit.coords,
-                    status="computed", worker=worker_id,
-                    exec_s=envelope["obs"]["exec_s"],
-                    pid=envelope["obs"]["pid"],
-                    attempt=claim.attempt,
-                    lease_lost=claim.key in heartbeat.lost,
+                    raise
+                heartbeat.clear()
+                if heartbeat.error is not None:
+                    # The store died while we were computing: abandon
+                    # the claim (best effort -- the store may refuse
+                    # even that) and surface the failure instead of
+                    # pretending the result landed.
+                    try:
+                        queue.abandon(claim.key, worker_id)
+                    except Exception:
+                        pass
+                    raise HeartbeatError(
+                        f"worker {worker_id}: lease heartbeat hit a store "
+                        f"error mid-unit ({heartbeat.error}); abandoning "
+                        f"{claim.key} and exiting"
+                    ) from heartbeat.error
+                flush_start = time.perf_counter()
+                cache.put(scenario, claim.key, unit.coords, envelope["result"])
+                queue.complete(claim.key, worker_id)
+                flush_seconds = time.perf_counter() - flush_start
+                stats.computed += 1
+                stats.busy_s += envelope["obs"]["exec_s"]
+                lease_lost = claim.key in heartbeat.lost
+                if lease_lost:
+                    stats.lease_lost += 1
+                observer.computed(
+                    unit, envelope, flush_seconds, worker=worker_id,
+                    attempt=claim.attempt, lease_lost=lease_lost,
                 )
-    except BaseException:
-        exit_phase = "interrupted"
-        if tracer is not None:
-            tracer.finish(interrupted=True, **stats.to_payload())
-        raise
-    finally:
-        heartbeat.stop()
-        heartbeat.join(timeout=5.0)
-        if publisher is not None:
-            publisher.finish(phase=exit_phase)
-    if tracer is not None:
-        tracer.emit("metrics", metrics=take_global())
-        tracer.finish(**stats.to_payload())
+        finally:
+            heartbeat.stop()
+            heartbeat.join(timeout=5.0)
+            observer.finish(exit_phase, **stats.to_payload())
     return stats
-
-
-def _worker_manifest(
-    scenario: Scenario,
-    worker_id: str,
-    lease_s: float,
-    cache: ResultCache,
-    cache_root: Path,
-) -> dict:
-    """A worker trace manifest, parallel in shape to the runner's."""
-    import platform
-
-    import numpy as np
-
-    from repro import __version__ as package_version
-
-    return {
-        "role": "worker",
-        "worker_id": worker_id,
-        "scenario": scenario.name,
-        "scenario_hash": scenario.scenario_hash(),
-        "kind": scenario.kind,
-        "seed": scenario.seed,
-        "lease_s": lease_s,
-        "cache_backend": cache.backend,
-        "cache_root": str(cache_root),
-        "schema_version": SCHEMA_VERSION,
-        "package_version": package_version,
-        "git_revision": git_revision(),
-        "python_version": platform.python_version(),
-        "numpy_version": np.__version__,
-    }

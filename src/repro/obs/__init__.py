@@ -21,11 +21,15 @@ resolved.  This package is the runtime's eyes:
   span per work unit (queue -> execute -> flush timings, cache
   hit/miss, worker pid, payload bytes) written to
   ``<cache>/runs/<run_id>/trace.jsonl``;
+* :mod:`repro.obs.observer` -- :class:`RunObserver`, the one place
+  the runner, the distributed coordinator and queue workers send
+  their run events, fanned out to the trace, live progress and the
+  merged run metrics;
 * :mod:`repro.obs.report` -- the ``python -m repro report`` analysis:
   per-stage latency percentiles, cache hit rate, worker utilization,
   bytes moved, slowest units;
 * :mod:`repro.obs.progress` -- live progress snapshots: runners,
-  pool sweeps, and distributed workers publish periodic
+  coordinators, and distributed workers publish periodic
   units-done/throughput/ETA state through the result store
   (best-effort, throttled, default-on via ``REPRO_PROGRESS``);
 * :mod:`repro.obs.top` -- the ``python -m repro top`` live view over
@@ -77,6 +81,7 @@ from repro.obs.history import (
     load_history,
     record_run,
 )
+from repro.obs.observer import RunObserver
 from repro.obs.progress import (
     PROGRESS_ENV,
     ProgressPublisher,
@@ -100,6 +105,7 @@ __all__ = [
     "ObsAccumulator",
     "PROGRESS_ENV",
     "ProgressPublisher",
+    "RunObserver",
     "TRACE_ENV",
     "TRACE_SCHEMA_VERSION",
     "Timing",

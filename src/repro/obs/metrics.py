@@ -12,12 +12,12 @@ serial process, or N pool workers shipping per-unit deltas back through
 the normal result path -- merges to the totals a single serial pass
 would have produced.
 
-:func:`observed_call` is the worker-side wrapper the executor's
-observed map uses: it runs one work unit, snapshots the process-local
-accumulator (everything recorded since the previous unit on that
-worker), and returns ``{"result", "obs"}`` so the measurement rides
-the existing result path -- same pickling, same submission-order
-delivery.
+:func:`observed_call` is the wrapper every campaign unit runs in (the
+runner maps it over its pending units, a queue worker calls it per
+claim): it runs one work unit, snapshots the process-local accumulator
+(everything recorded since the previous unit on that worker), and
+returns ``{"result", "obs"}`` so the measurement rides the existing
+result path -- same pickling, same submission-order delivery.
 
 Nothing here touches RNG streams, cache keys, or result payloads: the
 accumulator is observability state only, and a traced run stays

@@ -1,12 +1,12 @@
 """Live progress snapshots: the campaign's pulse, published in flight.
 
 Tracing (:mod:`repro.obs.trace`) answers *what happened* after a run;
-this module answers *what is happening now*.  The serial runner, the
-pool executor, the distributed coordinator, and every worker publish
-small JSON snapshots -- units done/total/failed, throughput, ETA, what
-phase the publisher is in -- through the campaign's existing result
-store, where ``python -m repro top`` and ``repro export-metrics`` poll
-them:
+this module answers *what is happening now*.  The runner (serial or
+pooled), the distributed coordinator, and every worker (each through
+its :class:`~repro.obs.observer.RunObserver`) publish small JSON
+snapshots -- units done/total/failed, throughput, ETA, what phase the
+publisher is in -- through the campaign's existing result store, where
+``python -m repro top`` and ``repro export-metrics`` poll them:
 
 * the SQLite backend keeps snapshots in a ``progress`` table beside
   ``queue``/``leases`` (one upsert per publish, shared-mount visible);
@@ -180,10 +180,6 @@ class ProgressPublisher:
         if phase is not None:
             self.phase = phase
         self.publish()
-
-    def unit_done(self) -> None:
-        """Executor hook form of :meth:`advance`: one computed unit."""
-        self.advance(done=1, computed=1, phase="execute")
 
     # -- publishing ----------------------------------------------------
 

@@ -1,27 +1,34 @@
 """Span-based structured tracing: one JSONL file per campaign run.
 
 A traced run writes ``<cache>/runs/<run_id>/trace.jsonl``: the first
-line is the *run manifest* (what ran, with which resolved backends, at
-which versions), every following line one event.  Events are flat JSON
+line is the *run manifest* (what ran, configured how, at which
+versions), every following line one event.  Events are flat JSON
 objects with two reserved fields -- ``type`` and ``t`` (seconds since
 the manifest, monotonic) -- so the file streams through ``jq`` and
 loads line-by-line without a schema library:
 
 ``manifest``
-    scenario name/hash/kind, seed, trial budget, grid size, resolved
-    cache backend, worker count, forced-serial fact,
+    scenario name/hash/kind, seed, trial budget, grid size, plan size,
+    the role's execution config (worker count and forced-serial fact,
+    or worker id and lease), cache backend and root,
     schema/package versions, git revision, ISO start time.
 ``unit``
-    one span per work unit: cache ``status`` (hit / computed), queue ->
-    execute -> flush stage durations, worker pid, payload bytes, the
-    unit's plan coordinates, and the worker's merged metrics delta.
+    one span per work unit: cache ``status`` (hit / reused /
+    computed), queue -> execute -> flush stage durations, worker pid,
+    payload bytes, and the unit's plan coordinates.
 ``phase``
-    a named runner phase (plan, reduce) with its duration.
+    a named run phase (plan, enqueue, wait, execute, reduce) with its
+    duration.
 ``metrics``
     the run's merged :class:`~repro.obs.metrics.ObsAccumulator`
-    payload (worker deltas + parent-side counters).
+    payload (per-unit deltas + the process's own counters); unit spans
+    carry no metrics of their own.
 ``summary``
     totals: wall seconds, unit counts by status, executed seconds.
+
+Campaign code writes these events through
+:class:`~repro.obs.observer.RunObserver`, never through the tracer
+directly.
 
 Tracing is opt-in (``--trace`` or ``REPRO_TRACE=1``) and write-only:
 nothing here feeds back into cache keys, RNG streams, or results -- a

@@ -15,10 +15,9 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from functools import partial
 from typing import Callable, Iterable, Iterator, TypeVar
 
-from repro.obs.metrics import counter_inc, observed_call, take_global
+from repro.obs.metrics import counter_inc, take_global
 
 __all__ = ["SweepExecutor", "resolve_workers"]
 
@@ -81,12 +80,6 @@ class SweepExecutor:
     def __init__(self, workers: int | None = None):
         self.workers = resolve_workers(workers)
         self._pool: ProcessPoolExecutor | None = None
-        #: Optional per-unit completion hook: called (no arguments,
-        #: exceptions swallowed) once per result :meth:`imap` yields,
-        #: serial and pooled alike.  The campaign runner points this at
-        #: its live progress publisher; anything observing a sweep can
-        #: use it -- by contract the hook must never influence results.
-        self.unit_callback: Callable[[], None] | None = None
 
     @property
     def parallel(self) -> bool:
@@ -140,9 +133,7 @@ class SweepExecutor:
         if not self.parallel or len(units) <= 1:
             counter_inc("executor.serial_units", len(units))
             for unit in units:
-                result = fn(unit)
-                self._notify_unit()
-                yield result
+                yield fn(unit)
             return
         counter_inc("executor.pool_units", len(units))
         # Inside a pool_session the session's pool serves this call;
@@ -150,35 +141,7 @@ class SweepExecutor:
         pool = self._pool or _new_pool(min(self.workers, len(units)))
         try:
             for result in pool.map(fn, units):
-                self._notify_unit()
                 yield result
         finally:
             if pool is not self._pool:
                 pool.shutdown(wait=True)
-
-    def _notify_unit(self) -> None:
-        """Fire the per-unit hook; a broken observer never breaks a sweep."""
-        if self.unit_callback is None:
-            return
-        try:
-            self.unit_callback()
-        except Exception:
-            counter_inc("executor.unit_callback_error")
-
-    def imap_observed(
-        self, fn: Callable[[T], R], units: Iterable[T]
-    ) -> Iterator[tuple[R, dict]]:
-        """:meth:`imap`, yielding ``(result, observation)`` pairs.
-
-        Each unit is evaluated through
-        :func:`repro.obs.metrics.observed_call`, so the observation
-        carries the worker's pid, monotonic start, execute seconds,
-        and the worker's metrics delta -- shipped back through the
-        exact result path :meth:`imap` uses (same pickling, same
-        submission order), which is what keeps serial and parallel
-        observability output identical in shape.  Results themselves are untouched: evaluation order,
-        RNG streams, and values match :meth:`imap` bit for bit.
-        """
-        wrapped = partial(observed_call, fn)
-        for envelope in self.imap(wrapped, units):
-            yield envelope["result"], envelope["obs"]

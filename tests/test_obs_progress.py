@@ -28,7 +28,6 @@ from repro.obs.progress import (
     read_progress,
     resolve_progress,
 )
-from repro.runtime.executor import SweepExecutor
 
 
 class TestResolveProgress:
@@ -224,33 +223,6 @@ class TestStoreProgress:
         assert [r["age_s"] for r in rows] == [1.0, 5.0, 10.0]
 
 
-class TestExecutorUnitCallback:
-    def test_fires_once_per_unit_serial_and_pooled(self):
-        for workers in (1, 2):
-            executor = SweepExecutor(workers=workers)
-            fired = []
-            executor.unit_callback = lambda: fired.append(1)
-            with executor.pool_session():
-                assert executor.map(_double, [1, 2, 3]) == [2, 4, 6]
-            assert len(fired) == 3
-
-    def test_callback_errors_never_break_the_sweep(self):
-        take_global()  # drain counters other tests accumulated
-        executor = SweepExecutor(workers=1)
-
-        def boom():
-            raise RuntimeError("observer crashed")
-
-        executor.unit_callback = boom
-        assert executor.map(_double, [1, 2]) == [2, 4]
-        metrics = take_global()
-        assert metrics["counters"]["executor.unit_callback_error"] == 2
-
-
-def _double(x):
-    return 2 * x
-
-
 # ----------------------------------------------------------------------
 # The bit-identity invariant
 # ----------------------------------------------------------------------
@@ -394,6 +366,20 @@ class TestRunnerPublishing:
         assert snap["phase"] == "done"
         assert snap["done_units"] == snap["total_units"] == 2
         assert snap["computed_units"] == 2
+
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool2"])
+    def test_run_ends_with_every_unit_counted(self, tmp_path, workers):
+        scenario = _attack_scenario()
+        _run(scenario, tmp_path, progress=True, workers=workers)
+        cache = ResultCache(tmp_path)
+        (snap,) = read_progress(cache.store, scenario.scenario_hash())
+        assert snap["role"] == "runner"
+        assert snap["workers"] == workers
+        assert snap["phase"] == "done"
+        assert (
+            snap["done_units"] == snap["computed_units"]
+            == snap["total_units"] == 2
+        )
 
     def test_second_run_reports_cache_hits_as_reused(self, tmp_path):
         scenario = _attack_scenario()

@@ -13,8 +13,11 @@ from pathlib import Path
 import pytest
 
 from repro.campaigns import registry
+from repro.campaigns import worker as worker_module
 from repro.campaigns.cli import _budget_scenario, main
-from repro.campaigns.runner import CampaignRunner
+from repro.campaigns.runner import CampaignRunner, plan_scenario_units
+from repro.campaigns.worker import run_worker
+from repro.obs.report import load_trace, summarize_run
 from repro.obs.trace import (
     TRACE_ENV,
     TRACE_FILENAME,
@@ -390,6 +393,43 @@ class TestCliTracing:
         assert manifest["workers"] == 2
         assert manifest["effective_workers"] == 1
 
+    _WORKER_ARGS = (
+        "worker", "fleet-attack-prevalence",
+        "--patients", "10", "--trials", "1", "--chunk-size", "5",
+        "--cache-backend", "sqlite", "--worker-id", "w1",
+        "--poll", "0.01", "--idle-timeout", "30",
+    )
+
+    @pytest.mark.parametrize("env,flags,traced", [
+        (None, ("--trace",), True),
+        ("1", (), True),
+        ("1", ("--no-trace",), False),
+        (None, (), False),
+    ])
+    def test_worker_tracing_follows_flag_then_environment(
+        self, capsys, tmp_path, monkeypatch, env, flags, traced
+    ):
+        monkeypatch.delenv(TRACE_ENV, raising=False)
+        if env is not None:
+            monkeypatch.setenv(TRACE_ENV, env)
+        assert main(
+            [*self._WORKER_ARGS, "--cache-dir", str(tmp_path), *flags]
+        ) == 0
+        traces = self._trace_files(tmp_path)
+        assert len(traces) == int(traced)
+        if traced:
+            manifest = json.loads(traces[0].read_text().splitlines()[0])
+            assert manifest["role"] == "worker"
+            assert manifest["worker_id"] == "w1"
+            assert f"trace: {traces[0]}" in capsys.readouterr().out
+
+    def test_worker_junk_environment_exits_with_error(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv(TRACE_ENV, "maybe")
+        with pytest.raises(SystemExit, match=TRACE_ENV):
+            main([*self._WORKER_ARGS, "--cache-dir", str(tmp_path)])
+
     def test_validate_notes_tracing_is_unsupported(self, capsys, tmp_path):
         assert main([
             "validate", "crypto-only-baseline",
@@ -397,3 +437,122 @@ class TestCliTracing:
             "--cache-dir", str(tmp_path), "--trace",
         ]) in (0, 1)
         assert "validate runs untraced" in capsys.readouterr().err
+
+
+def _smoke_physio():
+    return _budget_scenario(
+        registry.get("physio-leakage-by-location"), "smoke"
+    )
+
+
+def _trace_metrics(events: list[dict]) -> dict:
+    (metrics,) = [e["metrics"] for e in events if e["type"] == "metrics"]
+    return metrics["counters"]
+
+
+class TestWorkerTrace:
+    """A drained worker's trace tells the same story as a serial run's."""
+
+    @pytest.fixture(scope="class")
+    def traces(self, tmp_path_factory):
+        scenario = _smoke_physio()
+        root = tmp_path_factory.mktemp("worker-trace")
+        runner_tracer = Tracer(root / "runner", scenario.name)
+        CampaignRunner(
+            scenario, cache_dir=root / "runner", cache_backend="sqlite",
+            tracer=runner_tracer, progress=False,
+        ).run()
+        worker_tracer = Tracer(root / "worker", f"{scenario.name}-worker-w1")
+        run_worker(
+            scenario, cache_dir=root / "worker", cache_backend="sqlite",
+            worker_id="w1", idle_timeout_s=30.0, tracer=worker_tracer,
+            progress=False,
+        )
+        return (
+            scenario,
+            load_trace(runner_tracer.path),
+            load_trace(worker_tracer.path),
+        )
+
+    def test_worker_metrics_count_every_unit(self, traces):
+        scenario, (_, runner_events), (_, worker_events) = traces
+        runner = _trace_metrics(runner_events)
+        worker = _trace_metrics(worker_events)
+        for name in ("store.sqlite.put", "store.sqlite.write_bytes"):
+            assert worker[name] == runner[name], name
+        assert worker["queue.completed"] == len(
+            plan_scenario_units(scenario)
+        )
+
+    def test_computed_spans_share_one_shape(self, traces):
+        _, runner_trace, worker_trace = traces
+        runner = summarize_run(*runner_trace)
+        worker = summarize_run(*worker_trace)
+        assert worker["bytes"]["results"] == runner["bytes"]["results"] > 0
+        assert {"execute", "flush"} <= set(worker["stages"])
+        units = [e for e in worker_trace[1] if e["type"] == "unit"]
+        assert units and all(u["status"] == "computed" for u in units)
+        for unit in units:
+            assert unit["worker"] == "w1"
+            assert unit["attempt"] >= 1
+            assert unit["lease_lost"] is False
+            assert unit["flush_s"] >= 0.0
+
+    def test_interrupted_worker_still_writes_its_metrics(
+        self, tmp_path, monkeypatch
+    ):
+        scenario = _smoke_physio()
+        real_evaluate = worker_module.evaluate_unit
+        calls = {"n": 0}
+
+        def dying_evaluate(spec):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                raise KeyboardInterrupt
+            return real_evaluate(spec)
+
+        monkeypatch.setattr(worker_module, "evaluate_unit", dying_evaluate)
+        tracer = Tracer(tmp_path, f"{scenario.name}-worker-w1")
+        with pytest.raises(KeyboardInterrupt):
+            run_worker(
+                scenario, cache_dir=tmp_path, cache_backend="sqlite",
+                worker_id="w1", idle_timeout_s=30.0, tracer=tracer,
+                progress=False,
+            )
+        events = _read_events(tracer.path)
+        assert [e["type"] for e in events[-2:]] == ["metrics", "summary"]
+        assert events[-1]["interrupted"] is True
+        assert _trace_metrics(events)["store.sqlite.put"] == 1
+
+
+#: Direct observability calls the campaign layer must leave to
+#: :class:`~repro.obs.observer.RunObserver`, besides any method call on
+#: a tracer or a progress publisher.
+_OBSERVER_ONLY = {"emit", "start_run", "take_global", "ProgressPublisher"}
+
+
+def _direct_observability_calls() -> list[str]:
+    """``path:line`` of every trace/progress/metrics call in campaigns/."""
+    import ast
+
+    root = Path(__file__).resolve().parents[1] / "src" / "repro" / "campaigns"
+    found = set()
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(
+                func, "id", None
+            )
+            receiver = getattr(func, "value", None)
+            receiver = getattr(receiver, "attr", getattr(receiver, "id", ""))
+            if name in _OBSERVER_ONLY or str(receiver).endswith(
+                ("tracer", "publisher")
+            ):
+                found.add(f"{path.relative_to(root)}:{node.lineno}")
+    return sorted(found)
+
+
+def test_campaigns_observe_only_through_the_run_observer():
+    assert _direct_observability_calls() == []
