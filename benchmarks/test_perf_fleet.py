@@ -82,7 +82,7 @@ def test_perf_quantile_sketch_fill(benchmark):
 
 
 def test_perf_sqlite_put_get(benchmark, tmp_path):
-    """The cache-backend loop: 200 unit upserts + 200 indexed reads."""
+    """The cache store loop: 200 unit upserts + 200 indexed reads."""
     payload = _PAYLOADS[0]
     scenario_hash = Scenario(
         name="bench-fleet", kind="fleet", n_patients=10

@@ -16,9 +16,9 @@ exists.
 Run:  PYTHONPATH=src python examples/fleet_prevalence.py
 
 Full-size cohorts run as cached, resumable campaigns (the SQLite
-backend keeps 10^5-10^6 work units in one file)::
+cache keeps 10^5-10^6 work units in one file)::
 
-    python -m repro run fleet-attack-prevalence --cache-backend sqlite
+    python -m repro run fleet-attack-prevalence
     python -m repro validate fleet-attack-prevalence
 """
 

@@ -13,10 +13,9 @@ budget.  This package makes that space declarative and operable:
 * :mod:`repro.campaigns.cache` -- the per-unit result cache keyed by
   (scenario hash, unit coordinates): re-runs are incremental and
   interrupted campaigns resume instead of restarting;
-* :mod:`repro.campaigns.store` -- the pluggable storage behind the
-  cache: the historical filesystem layout, or a single-file SQLite
-  store (WAL, atomic upserts) for population-scale unit counts
-  (``--cache-backend`` / ``REPRO_CACHE_BACKEND``);
+* :mod:`repro.campaigns.store` -- the storage behind the cache: one
+  ``results.sqlite`` per cache root (WAL, one atomic upsert per unit),
+  which also hosts the work queue and live progress;
 * :mod:`repro.campaigns.runner` -- :class:`CampaignRunner`, which
   compiles a scenario into :class:`~repro.runtime.SweepExecutor` work
   units and reduces cached + fresh results to bit-identical numbers in
@@ -38,16 +37,15 @@ validate`` judges runs against it -- fixed-budget or adaptive-precision
 (:class:`~repro.stats.adaptive.AdaptiveScheduler`) -- see
 ``docs/validation.md``.
 
-Future scaling work (sharding campaigns across machines, alternate
-backends, distributed workers) should extend this package: everything
-above it -- CLI, examples, reports -- already consumes scenarios by
-name.
+Future scaling work (sharding campaigns across machines, a networked
+queue) should extend this package: everything above it -- CLI,
+examples, reports -- already consumes scenarios by name.
 """
 
 from repro.campaigns import registry
 from repro.campaigns.cache import ResultCache, default_cache_dir
-from repro.campaigns.store import FilesystemStore, ResultStore, SQLiteStore
-from repro.campaigns.queue import WorkQueue, supports_queue
+from repro.campaigns.store import SQLiteStore
+from repro.campaigns.queue import WorkQueue
 from repro.campaigns.runner import (
     CampaignResult,
     CampaignRunner,
@@ -64,9 +62,7 @@ __all__ = [
     "CampaignRunner",
     "CampaignStatus",
     "CampaignUnit",
-    "FilesystemStore",
     "ResultCache",
-    "ResultStore",
     "SQLiteStore",
     "Scenario",
     "WorkQueue",
@@ -76,5 +72,4 @@ __all__ = [
     "plan_scenario_units",
     "registry",
     "run_worker",
-    "supports_queue",
 ]

@@ -11,14 +11,11 @@ of restarting.
 Invalidation needs no bookkeeping: changing any execution parameter
 changes the scenario hash, which lands in a fresh, empty namespace.
 
-Storage is pluggable (:mod:`repro.campaigns.store`): the default
-filesystem backend keeps the historical one-JSON-file-per-unit layout
-(atomic temp-file + ``os.replace`` writes, so a run killed mid-write
-never leaves a corrupt entry), while the SQLite backend packs every
-unit of a cache root into one WAL-journaled file -- the layout
-population-scale fleet campaigns need, where 10^5-10^6 tiny files
-would collapse the filesystem.  Select with ``backend=``, the
-``--cache-backend`` CLI flag, or ``REPRO_CACHE_BACKEND``.
+Storage is one :class:`~repro.campaigns.store.SQLiteStore` per cache
+root: every unit lives in ``<root>/results.sqlite``, written one
+transaction per unit, so a run killed mid-write never leaves a corrupt
+entry.  Old one-JSON-file-per-unit directories in a root are ignored;
+their units recompute into the database.
 """
 
 from __future__ import annotations
@@ -29,13 +26,7 @@ import os
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.campaigns.store import (
-    CacheStats,
-    FilesystemStore,
-    ResultStore,
-    make_store,
-    resolve_backend,
-)
+from repro.campaigns.store import CacheStats, SQLiteStore
 
 if TYPE_CHECKING:
     from repro.campaigns.spec import Scenario
@@ -52,6 +43,21 @@ def default_cache_dir() -> Path:
     return Path(raw) if raw else Path(".repro-cache")
 
 
+def check_store_name(backend: str | None) -> None:
+    """Accept the store names callers may still pass: ``None``/``"sqlite"``.
+
+    A compatibility shim for the ``cache_backend`` keyword of
+    :class:`~repro.campaigns.runner.CampaignRunner` and
+    :func:`~repro.campaigns.worker.run_worker`; SQLite is the only
+    store.
+    """
+    if backend not in (None, "sqlite"):
+        raise ValueError(
+            f"unknown cache backend {backend!r}: the filesystem layout was "
+            "removed, and every cache root now uses results.sqlite"
+        )
+
+
 def unit_hash(coords: dict) -> str:
     """Content address of one work unit inside its scenario namespace.
 
@@ -66,28 +72,14 @@ def unit_hash(coords: dict) -> str:
 class ResultCache:
     """Per-unit result cache rooted at one directory.
 
-    The scenario-aware façade over a :class:`~repro.campaigns.store`
-    backend: it owns content addressing (scenario hashes, manifests)
-    and delegates persistence, so runners never see which layout holds
-    their units.
+    The scenario-aware façade over the root's
+    :class:`~repro.campaigns.store.SQLiteStore`: it owns content
+    addressing (scenario hashes, manifests) and delegates persistence.
     """
 
-    def __init__(self, root: Path | str, backend: str | None = None):
+    def __init__(self, root: Path | str):
         self.root = Path(root)
-        self.backend = resolve_backend(backend)
-        self.store: ResultStore = make_store(self.root, self.backend)
-
-    def scenario_dir(self, scenario: Scenario) -> Path:
-        """The filesystem namespace of a scenario (filesystem backend).
-
-        Kept for the filesystem layout's tooling and tests; the SQLite
-        backend has no per-scenario directory and raises here.
-        """
-        if not isinstance(self.store, FilesystemStore):
-            raise ValueError(
-                f"the {self.backend!r} backend has no per-scenario directory"
-            )
-        return self.store.scenario_dir(scenario.scenario_hash())
+        self.store = SQLiteStore(self.root)
 
     def get(self, scenario: Scenario, key: str) -> dict | None:
         """The stored result of one unit, or None if absent/unreadable."""
@@ -109,8 +101,7 @@ class ResultCache:
     def cached_keys(self, scenario: Scenario, keys: list[str]) -> set[str]:
         """Which of ``keys`` the store already holds.
 
-        One membership query per call (a single directory listing or
-        indexed SELECT), never a filesystem stat per key -- the
+        One indexed SELECT per call, never a lookup per key -- the
         difference between an instant and an unusable ``repro status``
         on a 10^5-unit fleet campaign.
         """

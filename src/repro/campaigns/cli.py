@@ -57,20 +57,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import sqlite3
 import sys
 from pathlib import Path
 
 from repro.campaigns import registry
 from repro.campaigns.cache import default_cache_dir
 from repro.campaigns.kinds import BUDGETS, KINDS
-from repro.campaigns.store import (
-    BACKENDS,
-    CACHE_BACKEND_ENV,
-    SQLiteStore,
-    make_store,
-    resolve_backend,
-)
+from repro.campaigns.store import SQLiteStore
 from repro.campaigns.runner import CampaignResult, CampaignRunner
 from repro.campaigns.spec import Scenario
 from repro.experiments.report import ExperimentReport
@@ -129,6 +123,12 @@ def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
         raise SystemExit(f"error: {exc}") from None
 
 
+def _cache_root(args: argparse.Namespace) -> Path:
+    """The cache root a verb works on: ``--cache-dir``, else the default."""
+    root = getattr(args, "cache_dir", None)
+    return Path(root) if root is not None else default_cache_dir()
+
+
 def _tracer(args: argparse.Namespace, name: str) -> Tracer | None:
     """A tracer under the cache root when tracing is on
     (``--trace``/``--no-trace`` > ``REPRO_TRACE`` > off)."""
@@ -137,8 +137,7 @@ def _tracer(args: argparse.Namespace, name: str) -> Tracer | None:
             return None
     except ValueError as exc:  # junk REPRO_TRACE
         raise SystemExit(f"error: {exc}") from None
-    root = args.cache_dir
-    return Tracer(default_cache_dir() if root is None else root, name)
+    return Tracer(_cache_root(args), name)
 
 
 def _runner(scenario: Scenario, args: argparse.Namespace) -> CampaignRunner:
@@ -149,7 +148,6 @@ def _runner(scenario: Scenario, args: argparse.Namespace) -> CampaignRunner:
             cache_dir=args.cache_dir,
             workers=args.workers,
             persist=not args.no_cache,
-            cache_backend=args.cache_backend,
             profile=getattr(args, "profile", False),
             tracer=tracer,
             progress=getattr(args, "progress", None),
@@ -335,7 +333,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         stats = run_worker(
             scenario,
             cache_dir=args.cache_dir,
-            cache_backend=args.cache_backend,
             worker_id=worker_id,
             lease_s=args.lease,
             poll_s=args.poll,
@@ -353,7 +350,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         # a clean drain (0).
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:  # e.g. filesystem backend, junk REPRO_PROGRESS
+    except ValueError as exc:  # e.g. junk REPRO_PROGRESS
         raise SystemExit(f"error: {exc}") from None
     console(
         f"worker {stats.worker_id}: {stats.claimed} claim(s), "
@@ -374,12 +371,8 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 def _cmd_status(args: argparse.Namespace) -> int:
     scenario = _apply_overrides(_resolve(args.scenario), args)
     try:
-        runner = CampaignRunner(
-            scenario,
-            cache_dir=args.cache_dir,
-            cache_backend=args.cache_backend,
-        )
-    except ValueError as exc:  # e.g. a bad REPRO_CACHE_BACKEND
+        runner = CampaignRunner(scenario, cache_dir=args.cache_dir)
+    except ValueError as exc:  # e.g. junk REPRO_WORKERS or REPRO_PROGRESS
         raise SystemExit(f"error: {exc}") from None
     status = runner.status()
     if args.json:
@@ -503,7 +496,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
                 workers=args.workers,
                 persist=not args.no_cache,
                 confidence=args.confidence,
-                cache_backend=args.cache_backend,
             )
         except ValueError as exc:  # e.g. bad --workers
             raise SystemExit(f"error: {exc}") from None
@@ -527,92 +519,43 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _cache_stores(args: argparse.Namespace) -> list:
-    """The stores a ``cache`` verb operates on.
-
-    An explicit selection (``--cache-backend`` or
-    ``REPRO_CACHE_BACKEND``) names one store.  With no selection the
-    verb covers *every* layout living in the root -- both backends can
-    share one cache directory, and "stats" or "prune --all" that
-    silently skipped the other layout's (possibly large) data would
-    misreport what is actually on disk.
-    """
-    root = Path(
-        args.cache_dir if args.cache_dir is not None else default_cache_dir()
-    )
-    selected = (
-        args.cache_backend is not None
-        or os.environ.get(CACHE_BACKEND_ENV, "").strip()
-    )
-    try:
-        if selected:
-            # resolve_backend owns the flag -> env -> default policy.
-            return [make_store(root, resolve_backend(args.cache_backend))]
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}") from None
-    stores = [make_store(root, "filesystem")]
-    if (root / SQLiteStore.FILENAME).exists():
-        stores.append(make_store(root, "sqlite"))
-    return stores
-
-
 def _cmd_cache_stats(args: argparse.Namespace) -> int:
-    all_stats = [store.stats() for store in _cache_stores(args)]
-    entries = sum(s.entries for s in all_stats)
-    n_bytes = sum(s.bytes for s in all_stats)
+    stats = SQLiteStore(_cache_root(args)).stats()
     if args.json:
         print(json.dumps(
             {
-                "entries": entries,
-                "bytes": n_bytes,
+                "entries": stats.entries,
+                "bytes": stats.bytes,
+                "location": stats.location,
                 "scenarios": [
                     {
                         "hash": s.scenario_hash,
                         "name": s.name,
-                        "backend": stats.backend,
                         "entries": s.entries,
                         "bytes": s.bytes,
                     }
-                    for stats in all_stats
                     for s in stats.scenarios
-                ],
-                "stores": [
-                    {
-                        "backend": stats.backend,
-                        "location": stats.location,
-                        "entries": stats.entries,
-                        "bytes": stats.bytes,
-                    }
-                    for stats in all_stats
                 ],
             },
             indent=2,
             sort_keys=True,
         ))
         return 0
-    locations = ", ".join(
-        f"{stats.location} [{stats.backend}]" for stats in all_stats
-    )
     report = ExperimentReport(
-        f"cache at {locations}",
+        f"cache at {stats.location}",
         headers=("scenario", "hash", "entries", "size"),
     )
-    namespaces = 0
-    for stats in all_stats:
-        # The backend tag only matters when the root holds both layouts.
-        tag = f" [{stats.backend}]" if len(all_stats) > 1 else ""
-        for s in stats.scenarios:
-            namespaces += 1
-            report.add(
-                s.name or "(no manifest)",
-                f"{s.scenario_hash}{tag}",
-                str(s.entries),
-                _human_bytes(s.bytes),
-            )
+    for s in stats.scenarios:
+        report.add(
+            s.name or "(no manifest)",
+            s.scenario_hash,
+            str(s.entries),
+            _human_bytes(s.bytes),
+        )
     print(report.render())
     console(
-        f"\ntotal: {entries} unit(s), {_human_bytes(n_bytes)} "
-        f"across {namespaces} scenario namespace(s)"
+        f"\ntotal: {stats.entries} unit(s), {_human_bytes(stats.bytes)} "
+        f"across {len(stats.scenarios)} scenario namespace(s)"
     )
     return 0
 
@@ -622,37 +565,30 @@ def _cmd_cache_prune(args: argparse.Namespace) -> int:
         raise SystemExit(
             "error: pass exactly one of --scenario NAME or --all"
         )
-    stores = _cache_stores(args)
+    store = SQLiteStore(_cache_root(args))
     if args.all:
-        removed = sum(store.prune() for store in stores)
-        console(f"pruned {removed} unit(s) (everything)")
+        console(f"pruned {store.prune()} unit(s) (everything)")
         return 0
     # A name may own several namespaces (overridden trials, seeds, old
-    # schema versions) in either layout; prune every namespace whose
-    # manifest carries it.  Resolution reads only the manifests --
-    # never the unit entries, which at fleet counts would turn a name
-    # lookup into a full metadata sweep.
-    removed = 0
-    namespaces = 0
-    known: set[str] = set()
-    for store in stores:
-        names = store.namespace_names()
-        known.update(name for name in names.values() if name)
-        matches = [
-            scenario_hash
-            for scenario_hash, name in names.items()
-            if name == args.scenario
-        ]
-        if matches:
-            removed += store.prune(matches)
-            namespaces += len(matches)
-    if not namespaces:
+    # schema versions); prune every namespace whose manifest carries
+    # it.  Resolution reads only the manifests -- never the unit
+    # entries, which at fleet counts would turn a name lookup into a
+    # full scan.
+    names = store.namespace_names()
+    matches = [
+        scenario_hash
+        for scenario_hash, name in names.items()
+        if name == args.scenario
+    ]
+    if not matches:
+        known = sorted({name for name in names.values() if name})
         raise SystemExit(
             f"error: no cached namespace is named {args.scenario!r}; "
-            f"cached scenarios: {', '.join(sorted(known)) or '(none)'}"
+            f"cached scenarios: {', '.join(known) or '(none)'}"
         )
+    removed = store.prune(matches)
     console(
-        f"pruned {removed} unit(s) from {namespaces} namespace(s) "
+        f"pruned {removed} unit(s) from {len(matches)} namespace(s) "
         f"of {args.scenario!r}"
     )
     return 0
@@ -732,9 +668,7 @@ def _report_table(summary: dict) -> ExperimentReport:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    root = Path(
-        args.cache_dir if args.cache_dir is not None else default_cache_dir()
-    )
+    root = _cache_root(args)
     runs = find_runs(root, scenario=args.scenario)
     if not runs:
         what = f"of {args.scenario!r} " if args.scenario else ""
@@ -824,13 +758,7 @@ def _watch_cache(args: argparse.Namespace):
     """The read-only cache the live verbs (top, export-metrics) poll."""
     from repro.campaigns.cache import ResultCache
 
-    root = Path(
-        args.cache_dir if args.cache_dir is not None else default_cache_dir()
-    )
-    try:
-        return ResultCache(root, backend=args.cache_backend)
-    except ValueError as exc:  # e.g. a bad REPRO_CACHE_BACKEND
-        raise SystemExit(f"error: {exc}") from None
+    return ResultCache(_cache_root(args))
 
 
 def _cmd_top(args: argparse.Namespace) -> int:
@@ -1020,9 +948,7 @@ def _cmd_export_metrics(args: argparse.Namespace) -> int:
 def _cmd_history(args: argparse.Namespace) -> int:
     from repro.obs.history import history_path, load_history
 
-    root = Path(
-        args.cache_dir if args.cache_dir is not None else default_cache_dir()
-    )
+    root = _cache_root(args)
     entries = load_history(root, scenario=args.scenario)
     if args.limit is not None and args.limit > 0:
         entries = entries[-args.limit:]
@@ -1089,9 +1015,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         load_history,
     )
 
-    root = Path(
-        args.cache_dir if args.cache_dir is not None else default_cache_dir()
-    )
+    root = _cache_root(args)
     entries = {}
     for label, run_id in (("baseline", args.run_a), ("candidate", args.run_b)):
         entry = find_entry(root, run_id)
@@ -1217,11 +1141,6 @@ def _add_execution_args(parser: argparse.ArgumentParser) -> None:
         help=f"result cache root (default: REPRO_CACHE_DIR or {default_cache_dir()})",
     )
     parser.add_argument(
-        "--cache-backend", choices=BACKENDS, default=None,
-        help="result store layout (default: REPRO_CACHE_BACKEND, else "
-             "filesystem; fleet-scale runs should use sqlite)",
-    )
-    parser.add_argument(
         "--no-cache", action="store_true",
         help="run fully in memory: no cache reads or writes",
     )
@@ -1308,11 +1227,6 @@ def build_parser() -> argparse.ArgumentParser:
              f"{default_cache_dir()})",
     )
     p_worker.add_argument(
-        "--cache-backend", choices=BACKENDS, default=None,
-        help="result store layout; the work queue needs sqlite "
-             "(default: REPRO_CACHE_BACKEND)",
-    )
-    p_worker.add_argument(
         "--trace", action=argparse.BooleanOptionalAction, default=None,
         help="write this worker's spans to its own "
              "<cache>/runs/<run_id>/trace.jsonl",
@@ -1331,10 +1245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_status.add_argument("scenario", help="registered scenario name")
     p_status.add_argument("--json", action="store_true", help="emit JSON")
     p_status.add_argument("--cache-dir", default=None, help="result cache root")
-    p_status.add_argument(
-        "--cache-backend", choices=BACKENDS, default=None,
-        help="result store layout (default: REPRO_CACHE_BACKEND)",
-    )
     _add_override_args(p_status)
     _add_log_args(p_status)
     p_status.set_defaults(func=_cmd_status)
@@ -1410,10 +1320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cache_stats.add_argument(
         "--cache-dir", default=None, help="result cache root"
     )
-    p_cache_stats.add_argument(
-        "--cache-backend", choices=BACKENDS, default=None,
-        help="result store layout (default: REPRO_CACHE_BACKEND)",
-    )
     _add_log_args(p_cache_stats)
     p_cache_stats.set_defaults(func=_cmd_cache_stats)
 
@@ -1429,10 +1335,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cache_prune.add_argument(
         "--cache-dir", default=None, help="result cache root"
-    )
-    p_cache_prune.add_argument(
-        "--cache-backend", choices=BACKENDS, default=None,
-        help="result store layout (default: REPRO_CACHE_BACKEND)",
     )
     _add_log_args(p_cache_prune)
     p_cache_prune.set_defaults(func=_cmd_cache_prune)
@@ -1567,11 +1469,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"shared cache root being watched (default: REPRO_CACHE_DIR "
              f"or {default_cache_dir()})",
     )
-    p_top.add_argument(
-        "--cache-backend", choices=BACKENDS, default=None,
-        help="result store layout (default: REPRO_CACHE_BACKEND; queue "
-             "and lease sections need sqlite)",
-    )
     _add_override_args(p_top)
     _add_log_args(p_top)
     p_top.set_defaults(func=_cmd_top)
@@ -1599,10 +1496,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir", default=None,
         help=f"shared cache root being exported (default: REPRO_CACHE_DIR "
              f"or {default_cache_dir()})",
-    )
-    p_export.add_argument(
-        "--cache-backend", choices=BACKENDS, default=None,
-        help="result store layout (default: REPRO_CACHE_BACKEND)",
     )
     _add_override_args(p_export)
     _add_log_args(p_export)
@@ -1679,3 +1572,10 @@ def main(argv: list[str] | None = None) -> int:
             "re-run to resume from where this stopped"
         )
         return 130
+    except sqlite3.DatabaseError as exc:  # e.g. a junk results.sqlite
+        print(
+            f"error: cache store {_cache_root(args) / SQLiteStore.FILENAME} "
+            f"is unreadable: {exc}",
+            file=sys.stderr,
+        )
+        return 1

@@ -5,7 +5,7 @@ scenario derives the same unit keys and coordinates (see
 ``plan_scenario_units``), so distributing a campaign does not require
 shipping work -- only *arbitrating* it.  This module layers that
 arbitration on the :class:`~repro.campaigns.store.SQLiteStore` cache
-file that fleet campaigns already share:
+file every participant already shares:
 
 ``queue``
     one row per planned unit (``unit_key``, JSON coordinates, an
@@ -40,14 +40,13 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from repro.campaigns.store import ResultStore, SQLiteStore
+from repro.campaigns.store import SQLiteStore
 
 __all__ = [
     "LeaseInfo",
     "QueueClaim",
     "QueueCounts",
     "WorkQueue",
-    "supports_queue",
 ]
 
 #: Default lease duration: long enough to cover any realistic unit
@@ -104,19 +103,13 @@ class QueueCounts:
         return self.queued == 0 and self.leased == 0
 
 
-def supports_queue(store: ResultStore) -> bool:
-    """Whether a store backend can host the distributed queue."""
-    return isinstance(store, SQLiteStore)
-
-
 class WorkQueue:
     """Claim arbitration for one scenario's planned units.
 
     Parameters
     ----------
     store:
-        The campaign cache's store; must be an :class:`SQLiteStore`
-        (the filesystem backend has no transactional claim primitive).
+        The campaign cache's store.
     scenario_hash:
         The content hash namespacing this campaign's units.
     clock:
@@ -128,17 +121,11 @@ class WorkQueue:
 
     def __init__(
         self,
-        store: ResultStore,
+        store: SQLiteStore,
         scenario_hash: str,
         clock: Callable[[], float] = time.time,
     ):
-        if not supports_queue(store):
-            raise ValueError(
-                "distributed execution needs the sqlite cache backend "
-                "(--cache-backend sqlite or REPRO_CACHE_BACKEND=sqlite); "
-                f"got {type(store).__name__}"
-            )
-        self.store: SQLiteStore = store
+        self.store = store
         self.scenario_hash = scenario_hash
         self.clock = clock
 

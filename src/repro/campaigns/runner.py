@@ -26,7 +26,11 @@ from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
-from repro.campaigns.cache import ResultCache, default_cache_dir
+from repro.campaigns.cache import (
+    ResultCache,
+    check_store_name,
+    default_cache_dir,
+)
 from repro.campaigns.kinds import KINDS, CampaignUnit, fixed_budget_only
 from repro.campaigns.spec import Scenario
 from repro.obs.log import get_logger
@@ -181,10 +185,8 @@ class CampaignRunner:
         ``False`` runs fully in memory (examples, throwaway grids): no
         cache reads, no writes.
     cache_backend:
-        Result-store layout: ``"filesystem"`` (default) or
-        ``"sqlite"``; ``None`` defers to ``REPRO_CACHE_BACKEND``.
-        Fleet-scale campaigns should prefer SQLite -- one WAL file
-        instead of 10^5-10^6 tiny JSON files.
+        Kept for compatibility: only ``None`` or ``"sqlite"``, the one
+        store; any other value raises :class:`ValueError`.
     profile:
         Wrap pending-unit evaluation in :mod:`cProfile` and write
         ``profiles/<scenario>.pstats`` next to the cache root when the
@@ -224,6 +226,7 @@ class CampaignRunner:
         tracer: Tracer | None = None,
         progress: bool | None = None,
     ):
+        check_store_name(cache_backend)
         self.scenario = scenario
         self.executor = SweepExecutor(workers)
         self.persist = persist
@@ -235,9 +238,7 @@ class CampaignRunner:
             cache_dir if cache_dir is not None else default_cache_dir()
         )
         self.cache: ResultCache | None = (
-            ResultCache(self._cache_root, backend=cache_backend)
-            if persist
-            else None
+            ResultCache(self._cache_root) if persist else None
         )
 
     # -- planning ------------------------------------------------------
@@ -355,10 +356,9 @@ class CampaignRunner:
             _log.info(
                 "distributed %s: %d units planned, %d cached, %d queued "
                 "(%d newly); start workers with: python -m repro worker %s "
-                "--cache-dir %s --cache-backend %s",
+                "--cache-dir %s",
                 self.scenario.name, len(units), len(cached), len(pending),
                 enqueued, self.scenario.name, self._cache_root,
-                self.cache.backend,
             )
             wait_start = time.perf_counter()
             done = set(cached)
@@ -375,8 +375,7 @@ class CampaignRunner:
                         f"queued, {counts.leased} leased); are workers "
                         f"running? (python -m repro worker "
                         f"{self.scenario.name} --cache-dir "
-                        f"{self._cache_root} --cache-backend "
-                        f"{self.cache.backend})"
+                        f"{self._cache_root})"
                     )
                 time.sleep(poll_s)
                 done = self.cache.cached_keys(self.scenario, keys)
@@ -430,9 +429,7 @@ class CampaignRunner:
             "effective_workers": 1 if forced_serial else self.executor.workers,
             "forced_serial": forced_serial,
             "profile": self.profile,
-            "cache_backend": (
-                self.cache.backend if self.cache is not None else None
-            ),
+            "cache_backend": "sqlite" if self.cache is not None else None,
             "cache_root": str(self._cache_root),
             "persist": self.persist,
         }

@@ -1,84 +1,33 @@
-"""Pluggable result stores behind the campaign cache.
+"""The SQLite result store behind the campaign cache.
 
-:class:`~repro.campaigns.cache.ResultCache` used to *be* the
-one-file-per-unit filesystem layout; population-scale fleet campaigns
-(10^5-10^6 work units) turn that layout into a directory of a million
-tiny JSON files, where every metadata operation -- membership checks,
-pruning, even ``ls`` -- collapses.  This module extracts the storage
-contract into a :class:`ResultStore` protocol with two interchangeable
-backends:
+Every completed unit of a cache root lives in one ``results.sqlite``
+file: WAL journaling so readers never block the writer, one atomic
+upsert per completed unit, and one indexed query for any membership or
+stats question.  A SIGKILL mid-run loses at most the in-flight unit --
+every write is one transaction.  The same file hosts the distributed
+work queue, its leases and the live progress snapshots.
 
-:class:`FilesystemStore`
-    The historical layout, byte-identical on disk to what every
-    previous release wrote: one directory per scenario content hash,
-    one ``<unit_hash>.json`` per completed unit, a ``scenario.json``
-    manifest, atomic temp-file + ``os.replace`` writes.
-:class:`SQLiteStore`
-    A single ``results.sqlite`` file per cache root: WAL journaling so
-    readers never block the writer, one atomic upsert per completed
-    unit, and one indexed query for any membership/stats question.
-    This is the backend fleet campaigns default to recommending.
-
-Both backends answer the same five questions -- get, put, membership,
-stats, prune -- and both are safe against mid-write kills: the
-filesystem store by atomic rename, the SQLite store by transactional
-journaling.  Selection happens per :class:`ResultCache` via the
-``backend=`` argument, the ``--cache-backend`` CLI flag, or the
-``REPRO_CACHE_BACKEND`` environment variable.
+It is the only store: no flag or environment variable selects a
+layout.  A cache root that still holds ``<hash>/*.json`` directories
+from the one-file-per-unit layout of earlier releases is ignored;
+those units recompute into ``results.sqlite``.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sqlite3
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Protocol, runtime_checkable
+from typing import Iterable
 
 from repro.obs.log import get_logger
 from repro.obs.metrics import counter_inc, timing_observe
 
 _log = get_logger("store")
 
-__all__ = [
-    "BACKENDS",
-    "CACHE_BACKEND_ENV",
-    "CacheStats",
-    "FilesystemStore",
-    "ResultStore",
-    "ScenarioStats",
-    "SQLiteStore",
-    "make_store",
-    "resolve_backend",
-]
-
-#: Environment variable selecting the cache backend.
-CACHE_BACKEND_ENV = "REPRO_CACHE_BACKEND"
-
-#: Recognized backend names.
-BACKENDS = ("filesystem", "sqlite")
-
-
-def resolve_backend(backend: str | None = None) -> str:
-    """Which store backend to use.
-
-    Explicit ``backend`` wins; otherwise ``REPRO_CACHE_BACKEND`` from
-    the environment; otherwise the filesystem layout (the historical
-    default -- existing caches keep working untouched).  Both paths are
-    normalized identically (stripped, lowercased): ``backend="SQLite"``
-    and ``REPRO_CACHE_BACKEND=SQLite`` select the same store.
-    """
-    if backend is None:
-        backend = os.environ.get(CACHE_BACKEND_ENV, "")
-    backend = backend.strip().lower() or "filesystem"
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown cache backend {backend!r}; expected one of {BACKENDS} "
-            f"(set via backend=, --cache-backend, or {CACHE_BACKEND_ENV})"
-        )
-    return backend
+__all__ = ["CacheStats", "ScenarioStats", "SQLiteStore"]
 
 
 @dataclass(frozen=True)
@@ -95,318 +44,10 @@ class ScenarioStats:
 class CacheStats:
     """Aggregate cache usage of one store."""
 
-    backend: str
     location: str
     entries: int
     bytes: int
     scenarios: tuple[ScenarioStats, ...]
-
-
-@runtime_checkable
-class ResultStore(Protocol):
-    """What a campaign cache backend must answer.
-
-    Keys are pure content addresses (scenario hash, unit hash); values
-    are the JSON-serializable per-unit result dicts the runners reduce.
-    Every method must be safe against a concurrent reader and against
-    the process dying mid-call -- a partial write can never surface as
-    a corrupt entry, only as an absent one.
-    """
-
-    def get(self, scenario_hash: str, key: str) -> dict | None:
-        """The stored result of one unit, or None if absent/unreadable."""
-        ...
-
-    def put(
-        self,
-        scenario_hash: str,
-        key: str,
-        coords: dict,
-        result: dict,
-        manifest: dict | None = None,
-    ) -> None:
-        """Persist one completed unit atomically (upsert semantics)."""
-        ...
-
-    def cached_keys(self, scenario_hash: str, keys: Iterable[str]) -> set[str]:
-        """Which of ``keys`` the store already holds.
-
-        Implementations must answer from one membership query per call
-        (a directory listing, an indexed SELECT) -- never one metadata
-        operation per key, which is what made status checks on large
-        campaigns quadratic-feeling.
-        """
-        ...
-
-    def stats(self) -> CacheStats:
-        """Entries, bytes, and per-scenario counts for ``repro cache stats``."""
-        ...
-
-    def namespace_names(self) -> dict[str, str]:
-        """Scenario hash -> manifest name for every namespace held.
-
-        The cheap lookup ``cache prune --scenario`` needs: reads only
-        the manifests (one file per namespace / one table scan), never
-        the unit entries -- :meth:`stats` at fleet unit counts would
-        stat the world just to resolve a name.
-        """
-        ...
-
-    def prune(self, scenario_hashes: Iterable[str] | None = None) -> int:
-        """Drop whole scenario namespaces (``None`` = everything).
-
-        Returns how many unit entries were removed.
-        """
-        ...
-
-    def progress_publish(
-        self, scenario_hash: str, source: str, payload: dict, now: float
-    ) -> None:
-        """Replace one source's live progress snapshot (best-effort).
-
-        Snapshots are advisory telemetry (:mod:`repro.obs.progress`):
-        they must never appear where cached results are fingerprinted,
-        so both backends keep them outside the unit namespaces.
-        """
-        ...
-
-    def progress_read(
-        self, scenario_hash: str
-    ) -> list[tuple[str, dict, float]]:
-        """Every source's latest snapshot: (source, payload, updated_at)."""
-        ...
-
-
-# ----------------------------------------------------------------------
-# Filesystem backend (the historical on-disk layout, byte-identical)
-# ----------------------------------------------------------------------
-
-
-class FilesystemStore:
-    """One directory per scenario hash, one JSON file per unit."""
-
-    backend = "filesystem"
-
-    def __init__(self, root: Path | str):
-        self.root = Path(root)
-
-    # -- paths ----------------------------------------------------------
-
-    def scenario_dir(self, scenario_hash: str) -> Path:
-        return self.root / scenario_hash
-
-    def _unit_path(self, scenario_hash: str, key: str) -> Path:
-        return self.scenario_dir(scenario_hash) / f"{key}.json"
-
-    # -- protocol -------------------------------------------------------
-
-    def get(self, scenario_hash: str, key: str) -> dict | None:
-        path = self._unit_path(scenario_hash, key)
-        start = time.perf_counter()
-        try:
-            text = path.read_text()
-            payload = json.loads(text)
-        # ValueError covers JSONDecodeError and UnicodeDecodeError alike:
-        # any unreadable entry (truncated write, disk corruption, stray
-        # binary) must look absent, never crash the resume.
-        except (OSError, ValueError):
-            counter_inc("store.filesystem.get_miss")
-            return None
-        finally:
-            timing_observe(
-                "store.filesystem.get", time.perf_counter() - start
-            )
-        if not isinstance(payload, dict) or "result" not in payload:
-            counter_inc("store.filesystem.get_miss")
-            return None
-        counter_inc("store.filesystem.get_hit")
-        counter_inc("store.filesystem.read_bytes", len(text))
-        return payload["result"]
-
-    def put(
-        self,
-        scenario_hash: str,
-        key: str,
-        coords: dict,
-        result: dict,
-        manifest: dict | None = None,
-    ) -> None:
-        start = time.perf_counter()
-        directory = self.scenario_dir(scenario_hash)
-        directory.mkdir(parents=True, exist_ok=True)
-        if manifest is not None:
-            self._write_manifest(directory, manifest)
-        payload = {"coords": coords, "result": result}
-        path = self._unit_path(scenario_hash, key)
-        tmp = path.with_suffix(".json.tmp")
-        text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
-        tmp.write_text(text)
-        os.replace(tmp, path)
-        counter_inc("store.filesystem.put")
-        counter_inc("store.filesystem.write_bytes", len(text))
-        timing_observe("store.filesystem.put", time.perf_counter() - start)
-
-    def cached_keys(self, scenario_hash: str, keys: Iterable[str]) -> set[str]:
-        """Membership from ONE directory listing, not a stat per key.
-
-        A million-unit campaign's status check must not issue a million
-        ``Path.exists`` calls; a single ``scandir`` of the scenario
-        namespace answers every key at once.  Present-but-corrupt
-        entries (possible only from external tampering -- writes are
-        atomic) are reported as cached here and recomputed lazily when
-        :meth:`get` actually reads them.
-        """
-        try:
-            with os.scandir(self.scenario_dir(scenario_hash)) as entries:
-                present = {entry.name for entry in entries}
-        except OSError:
-            return set()
-        return {key for key in keys if f"{key}.json" in present}
-
-    def stats(self) -> CacheStats:
-        scenarios: list[ScenarioStats] = []
-        total_entries = 0
-        total_bytes = 0
-        if self.root.is_dir():
-            for scenario_dir in sorted(self.root.iterdir()):
-                if not scenario_dir.is_dir():
-                    continue
-                name = ""
-                entries = 0
-                n_bytes = 0
-                for path in scenario_dir.iterdir():
-                    try:
-                        size = path.stat().st_size
-                    except OSError:
-                        continue
-                    n_bytes += size
-                    if path.name == "scenario.json":
-                        name = self._manifest_name(path)
-                    elif path.suffix == ".json":
-                        entries += 1
-                scenarios.append(
-                    ScenarioStats(scenario_dir.name, name, entries, n_bytes)
-                )
-                total_entries += entries
-                total_bytes += n_bytes
-        return CacheStats(
-            backend=self.backend,
-            location=str(self.root),
-            entries=total_entries,
-            bytes=total_bytes,
-            scenarios=tuple(scenarios),
-        )
-
-    def namespace_names(self) -> dict[str, str]:
-        names: dict[str, str] = {}
-        if self.root.is_dir():
-            for scenario_dir in self.root.iterdir():
-                if scenario_dir.is_dir():
-                    names[scenario_dir.name] = self._manifest_name(
-                        scenario_dir / "scenario.json"
-                    )
-        return names
-
-    def prune(self, scenario_hashes: Iterable[str] | None = None) -> int:
-        import shutil
-
-        if scenario_hashes is None:
-            if not self.root.is_dir():
-                return 0
-            scenario_hashes = [
-                p.name for p in self.root.iterdir() if p.is_dir()
-            ]
-        removed = 0
-        for scenario_hash in scenario_hashes:
-            directory = self.scenario_dir(scenario_hash)
-            if not directory.is_dir():
-                continue
-            removed += sum(
-                1
-                for p in directory.iterdir()
-                if p.suffix == ".json" and p.name != "scenario.json"
-            )
-            shutil.rmtree(directory)
-        return removed
-
-    # -- live progress (repro.obs.progress) ----------------------------
-
-    def _progress_dir(self, scenario_hash: str) -> Path:
-        # Deliberately *inside* runs/: everything that fingerprints
-        # cached results (bit-identity digests, scenario namespaces)
-        # already excludes the runs/ tree, and a dotted name keeps the
-        # run-discovery scan from ever mistaking it for a run.
-        return self.root / "runs" / ".progress" / scenario_hash
-
-    def progress_publish(
-        self, scenario_hash: str, source: str, payload: dict, now: float
-    ) -> None:
-        directory = self._progress_dir(scenario_hash)
-        directory.mkdir(parents=True, exist_ok=True)
-        safe = "".join(
-            ch if ch.isalnum() or ch in "-._" else "_" for ch in source
-        ) or "source"
-        path = directory / f"{safe}.json"
-        tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(
-            {"source": source, "updated_at": now, "payload": payload},
-            sort_keys=True,
-        ) + "\n")
-        os.replace(tmp, path)
-
-    def progress_read(
-        self, scenario_hash: str
-    ) -> list[tuple[str, dict, float]]:
-        directory = self._progress_dir(scenario_hash)
-        snapshots: list[tuple[str, dict, float]] = []
-        try:
-            entries = sorted(directory.iterdir())
-        except OSError:
-            return snapshots
-        for path in entries:
-            if path.suffix != ".json":
-                continue
-            try:
-                body = json.loads(path.read_text())
-            except (OSError, ValueError):
-                continue  # torn or foreign file: advisory data, skip
-            if not isinstance(body, dict):
-                continue
-            payload = body.get("payload")
-            if not isinstance(payload, dict):
-                continue
-            source = body.get("source")
-            snapshots.append((
-                source if isinstance(source, str) else path.stem,
-                payload,
-                float(body.get("updated_at", 0.0)),
-            ))
-        return snapshots
-
-    # -- helpers --------------------------------------------------------
-
-    @staticmethod
-    def _manifest_name(path: Path) -> str:
-        try:
-            body = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return ""
-        name = body.get("name", "") if isinstance(body, dict) else ""
-        return name if isinstance(name, str) else ""
-
-    def _write_manifest(self, directory: Path, manifest: dict) -> None:
-        """A human-readable record of what this namespace holds."""
-        target = directory / "scenario.json"
-        if target.exists():
-            return
-        tmp = target.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
-        os.replace(tmp, target)
-
-
-# ----------------------------------------------------------------------
-# SQLite backend (one file, WAL, atomic upserts)
-# ----------------------------------------------------------------------
 
 
 class SQLiteStore:
@@ -418,8 +59,7 @@ class SQLiteStore:
     The schema is two tables -- ``units`` keyed by (scenario hash, unit
     key) and ``scenarios`` holding the human-readable manifests -- and
     every write is one transaction, so a SIGKILL mid-run loses at most
-    the in-flight unit, exactly like the filesystem backend's atomic
-    rename.
+    the in-flight unit.
 
     Two further tables back distributed execution
     (:mod:`repro.campaigns.queue`): ``queue`` holds the planned units a
@@ -430,10 +70,7 @@ class SQLiteStore:
     (crashed worker) is reaped and re-claimable by anyone.
     """
 
-    backend = "sqlite"
-
-    #: File name inside the cache root (shares the root with any
-    #: filesystem-backend namespaces without colliding).
+    #: File name inside the cache root.
     FILENAME = "results.sqlite"
 
     #: Pause before retrying a read (once) or the switch to WAL that
@@ -524,26 +161,32 @@ class SQLiteStore:
                     raise
             time.sleep(self.BUSY_RETRY_S)
 
+    def _absent(self) -> bool:
+        """Whether the database does not exist yet.
+
+        Reads check this first and answer empty: a read-only verb on a
+        fresh root must not leave results.sqlite + WAL files behind,
+        and must work under a read-only parent.
+        """
+        return self._conn is None and not self.path.exists()
+
     def close(self) -> None:
         if self._conn is not None:
             self._conn.close()
             self._conn = None
 
-    # -- protocol -------------------------------------------------------
+    # -- unit results ---------------------------------------------------
 
     def get(self, scenario_hash: str, key: str) -> dict | None:
-        # Reads never create the database (a status query on a fresh
-        # root must not leave results.sqlite + WAL files behind, and
-        # must work under a read-only parent); OSError covers the
-        # mkdir/open failures sqlite3.Error does not.
-        if self._conn is None and not self.path.exists():
+        if self._absent():
             counter_inc("store.sqlite.get_miss")
             return None
         start = time.perf_counter()
         try:
             row = self._read_unit_row(scenario_hash, key)
         except (sqlite3.Error, OSError) as exc:
-            # A locked or corrupt database is NOT a cache miss: the
+            # A locked, corrupt or unopenable database (OSError covers
+            # the mkdir/open failures) is NOT a cache miss: the
             # unit will recompute either way, but a silent miss hides
             # the store failure behind an inflated miss rate.  Count it
             # apart and say so.
@@ -639,7 +282,7 @@ class SQLiteStore:
         timing_observe("store.sqlite.put", time.perf_counter() - start)
 
     def cached_keys(self, scenario_hash: str, keys: Iterable[str]) -> set[str]:
-        if self._conn is None and not self.path.exists():
+        if self._absent():
             return set()
         try:
             rows = self._connect().execute(
@@ -674,7 +317,6 @@ class SQLiteStore:
                 total_entries += int(entries)
                 total_bytes += int(n_bytes)
         return CacheStats(
-            backend=self.backend,
             location=str(self.path),
             entries=total_entries,
             bytes=total_bytes,
@@ -682,7 +324,7 @@ class SQLiteStore:
         )
 
     def namespace_names(self) -> dict[str, str]:
-        if self._conn is None and not self.path.exists():
+        if self._absent():
             return {}
         names: dict[str, str] = {}
         try:
@@ -892,6 +534,8 @@ class SQLiteStore:
         self, scenario_hash: str, now: float
     ) -> tuple[int, int]:
         """(outstanding queue rows, live leases) for one scenario."""
+        if self._absent():
+            return 0, 0
         conn = self._connect()
         queued = conn.execute(
             "SELECT COUNT(*) FROM queue WHERE scenario_hash = ?",
@@ -913,7 +557,7 @@ class SQLiteStore:
         a worker's death and the next claim they are exactly the
         stalled leases ``repro top`` exists to surface.
         """
-        if self._conn is None and not self.path.exists():
+        if self._absent():
             return []
         rows = self._connect().execute(
             "SELECT unit_key, worker_id, acquired_at, expires_at"
@@ -950,7 +594,7 @@ class SQLiteStore:
     def progress_read(
         self, scenario_hash: str
     ) -> list[tuple[str, dict, float]]:
-        if self._conn is None and not self.path.exists():
+        if self._absent():
             return []
         try:
             rows = self._connect().execute(
@@ -976,10 +620,3 @@ def _is_busy(exc: sqlite3.OperationalError) -> bool:
     message = str(exc).lower()
     return "locked" in message or "busy" in message
 
-
-def make_store(root: Path | str, backend: str | None = None) -> ResultStore:
-    """Construct the store for a cache root (see :func:`resolve_backend`)."""
-    resolved = resolve_backend(backend)
-    if resolved == "sqlite":
-        return SQLiteStore(root)
-    return FilesystemStore(root)

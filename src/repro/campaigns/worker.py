@@ -26,7 +26,11 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.campaigns.cache import ResultCache, default_cache_dir
+from repro.campaigns.cache import (
+    ResultCache,
+    check_store_name,
+    default_cache_dir,
+)
 from repro.campaigns.queue import DEFAULT_LEASE_S, WorkQueue
 from repro.campaigns.runner import evaluate_unit, plan_scenario_units
 from repro.campaigns.spec import Scenario
@@ -195,12 +199,16 @@ def run_worker(
     Raises :class:`HeartbeatError` when the lease-heartbeat thread hits
     a store error (not a mere lost renewal): the worker abandons its
     claim and the CLI maps the exception to exit code 4.
+
+    ``cache_backend`` is kept for compatibility: only ``None`` or
+    ``"sqlite"``, the one store.
     """
+    check_store_name(cache_backend)
     worker_id = worker_id or default_worker_id()
     cache_root = Path(
         cache_dir if cache_dir is not None else default_cache_dir()
     )
-    cache = ResultCache(cache_root, backend=cache_backend)
+    cache = ResultCache(cache_root)
     scenario_hash = scenario.scenario_hash()
     queue = WorkQueue(cache.store, scenario_hash)
     stats = WorkerStats(worker_id=worker_id)
@@ -220,7 +228,7 @@ def run_worker(
         queue.enqueue([u for u in units if u.key not in already])
         observer.start(
             scenario, len(units), role="worker", worker_id=worker_id,
-            lease_s=lease_s, cache_backend=cache.backend,
+            lease_s=lease_s, cache_backend="sqlite",
             cache_root=str(cache_root),
         )
         _log.info(

@@ -134,19 +134,14 @@ def collect_metrics(
         "1 once every planned unit of the campaign is cached.",
     ).add(base, 1 if status["complete"] else 0)
 
-    metrics = [units, complete]
+    queue = Metric(
+        "queue_entries", "Distributed work-queue rows by state."
+    )
+    queue.add({**base, "state": "queued"}, status["queue"]["queued"])
+    queue.add({**base, "state": "leased"}, status["queue"]["leased"])
+    queue.add({**base, "state": "stalled"}, len(status["stalled_leases"]))
 
-    if status["queue"] is not None:
-        queue = Metric(
-            "queue_entries",
-            "Distributed work-queue rows by state (sqlite backend).",
-        )
-        queue.add({**base, "state": "queued"}, status["queue"]["queued"])
-        queue.add({**base, "state": "leased"}, status["queue"]["leased"])
-        queue.add(
-            {**base, "state": "stalled"}, len(status["stalled_leases"])
-        )
-        metrics.append(queue)
+    metrics = [units, complete, queue]
 
     snapshots = (status.get("workers") or []) + (status.get("runners") or [])
     if snapshots:

@@ -6,14 +6,10 @@ pooled), the distributed coordinator, and every worker (each through
 its :class:`~repro.obs.observer.RunObserver`) publish small JSON
 snapshots -- units done/total/failed, throughput, ETA, what phase the
 publisher is in -- through the campaign's existing result store, where
-``python -m repro top`` and ``repro export-metrics`` poll them:
-
-* the SQLite backend keeps snapshots in a ``progress`` table beside
-  ``queue``/``leases`` (one upsert per publish, shared-mount visible);
-* the filesystem backend writes one atomically-replaced JSON file per
-  source under ``<cache>/runs/.progress/<scenario_hash>/``, *inside*
-  the ``runs/`` namespace so nothing that fingerprints cached results
-  ever sees it.
+``python -m repro top`` and ``repro export-metrics`` poll them.  The
+store keeps snapshots in a ``progress`` table beside
+``queue``/``leases`` (one upsert per publish, shared-mount visible),
+apart from the ``units`` table that results are fingerprinted from.
 
 Hard invariant, inherited from tracing and test-enforced the same way:
 progress publishing never touches cache keys, RNG streams, or result
@@ -104,13 +100,13 @@ class ProgressPublisher:
     Parameters
     ----------
     store:
-        The campaign's result store (either backend); snapshots travel
-        through its ``progress_publish`` verb.
+        The campaign's result store; snapshots travel through its
+        ``progress_publish`` verb.
     scenario_hash:
         The content hash namespacing this campaign.
     source:
         Who is publishing: a worker id, ``coordinator``, or ``runner``.
-        One row/file per source -- each publish replaces the last.
+        One row per source -- each publish replaces the last.
     role:
         ``"runner"`` / ``"coordinator"`` / ``"worker"`` -- how ``top``
         groups the snapshot.

@@ -57,8 +57,7 @@ def scenario_status(
     ----------
     cache:
         The :class:`~repro.campaigns.cache.ResultCache` the campaign
-        writes through (any backend; queue/lease sections appear only
-        for the sqlite backend, which is the one that can distribute).
+        writes through.
     scenario:
         The :class:`~repro.campaigns.spec.Scenario` being watched; the
         plan is re-derived here, deterministically, exactly as every
@@ -72,7 +71,7 @@ def scenario_status(
     """
     # Imported lazily: campaigns imports obs (progress, metrics), so
     # the reverse dependency stays out of obs import time.
-    from repro.campaigns.queue import WorkQueue, supports_queue
+    from repro.campaigns.queue import WorkQueue
     from repro.campaigns.runner import plan_scenario_units
 
     units = plan_scenario_units(scenario)
@@ -80,6 +79,18 @@ def scenario_status(
     scenario_hash = scenario.scenario_hash()
     cached = cache.cached_keys(scenario, keys)
     now = clock()
+    queue = WorkQueue(cache.store, scenario_hash, clock=clock)
+    counts = queue.counts()
+    leases = [
+        {
+            "key": lease.key,
+            "worker_id": lease.worker_id,
+            "acquired_at": lease.acquired_at,
+            "expires_in_s": lease.expires_at - now,
+            "stalled": lease.stalled,
+        }
+        for lease in queue.leases()
+    ]
     status: dict = {
         "scenario": scenario.name,
         "scenario_hash": scenario_hash,
@@ -88,29 +99,10 @@ def scenario_status(
         "cached_units": len(cached),
         "remaining_units": len(keys) - len(cached),
         "complete": len(cached) >= len(keys),
-        "queue": None,
-        "leases": [],
-        "stalled_leases": [],
+        "queue": {"queued": counts.queued, "leased": counts.leased},
+        "leases": leases,
+        "stalled_leases": [lease for lease in leases if lease["stalled"]],
     }
-    if supports_queue(cache.store):
-        queue = WorkQueue(cache.store, scenario_hash, clock=clock)
-        counts = queue.counts()
-        status["queue"] = {"queued": counts.queued, "leased": counts.leased}
-        leases = []
-        for lease in queue.leases():
-            leases.append(
-                {
-                    "key": lease.key,
-                    "worker_id": lease.worker_id,
-                    "acquired_at": lease.acquired_at,
-                    "expires_in_s": lease.expires_at - now,
-                    "stalled": lease.stalled,
-                }
-            )
-        status["leases"] = leases
-        status["stalled_leases"] = [
-            lease for lease in leases if lease["stalled"]
-        ]
     snapshots = read_progress(cache.store, scenario_hash, now=now)
     workers = []
     others = []
@@ -179,12 +171,11 @@ def render_status(status: dict) -> list[str]:
             + ("  COMPLETE" if status["complete"] else "")
         )
     ]
-    queue = status.get("queue")
-    if queue is not None:
-        lines.append(
-            f"queue: {queue['queued']} queued, {queue['leased']} leased, "
-            f"{len(status['stalled_leases'])} stalled"
-        )
+    queue = status["queue"]
+    lines.append(
+        f"queue: {queue['queued']} queued, {queue['leased']} leased, "
+        f"{len(status['stalled_leases'])} stalled"
+    )
     workers = status.get("workers") or []
     runners = status.get("runners") or []
     if workers:
@@ -195,7 +186,7 @@ def render_status(status: dict) -> list[str]:
         lines.extend(_snapshot_line(snap) for snap in runners)
     if not workers and not runners:
         lines.append("no progress snapshots yet")
-    for lease in status.get("leases") or []:
+    for lease in status["leases"]:
         if lease["stalled"]:
             lines.append(
                 f"STALLED lease {lease['key'][:12]} held by "

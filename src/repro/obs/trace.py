@@ -114,7 +114,7 @@ class Tracer:
     ----------
     cache_root:
         The campaign cache root; traces live under ``runs/`` beside
-        the scenario namespaces (both store backends share it).
+        the result store.
     scenario_name:
         Prefixes the run id, so ``runs/`` listings read by eye and
         ``repro report <scenario>`` finds its runs without opening

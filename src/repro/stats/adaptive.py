@@ -268,7 +268,6 @@ class AdaptiveScheduler:
         cache_dir: Path | str | None = None,
         workers: int | None = None,
         persist: bool = True,
-        cache_backend: str | None = None,
     ):
         # Deferred import: repro.campaigns pulls its registry in, which
         # itself imports the expectation records from this package.
@@ -285,8 +284,7 @@ class AdaptiveScheduler:
         self.persist = persist
         self.cache = (
             ResultCache(
-                cache_dir if cache_dir is not None else default_cache_dir(),
-                backend=cache_backend,
+                cache_dir if cache_dir is not None else default_cache_dir()
             )
             if persist
             else None

@@ -161,7 +161,6 @@ def validate_scenario(
     workers: int | None = None,
     persist: bool = True,
     confidence: float | None = None,
-    cache_backend: str | None = None,
 ) -> ScenarioValidation:
     """Run (or re-read) one scenario and judge its expectations.
 
@@ -195,7 +194,6 @@ def validate_scenario(
             cache_dir=cache_dir,
             workers=workers,
             persist=persist,
-            cache_backend=cache_backend,
         )
         run = scheduler.run()
         cells = run.cell_stats()
@@ -220,7 +218,6 @@ def validate_scenario(
         cache_dir=cache_dir,
         workers=workers,
         persist=persist,
-        cache_backend=cache_backend,
     )
     result = runner.run()
     cells = cells_from_result(result)

@@ -15,9 +15,9 @@ import pytest
 
 from repro.campaigns import registry
 from repro.campaigns.cache import ResultCache
-from repro.campaigns.queue import QueueClaim, WorkQueue, supports_queue
+from repro.campaigns.queue import QueueClaim, WorkQueue
 from repro.campaigns.runner import CampaignRunner, plan_scenario_units
-from repro.campaigns.store import FilesystemStore, SQLiteStore
+from repro.campaigns.store import SQLiteStore
 from repro.campaigns.worker import run_worker
 from repro.obs.report import load_trace, summarize_run
 from repro.obs.trace import Tracer
@@ -54,12 +54,6 @@ def queue(tmp_path):
 
 
 class TestWorkQueue:
-    def test_requires_sqlite_backend(self, tmp_path):
-        store = FilesystemStore(tmp_path)
-        assert not supports_queue(store)
-        with pytest.raises(ValueError, match="sqlite"):
-            WorkQueue(store, "deadbeef")
-
     def test_enqueue_is_idempotent(self, tmp_path):
         scenario = _scenario()
         q = WorkQueue(SQLiteStore(tmp_path), scenario.scenario_hash())
@@ -140,7 +134,7 @@ class TestWorkQueue:
         cache check) instead of the row leaking forever.
         """
         scenario = _scenario()
-        cache = ResultCache(tmp_path, backend="sqlite")
+        cache = ResultCache(tmp_path)
         units = plan_scenario_units(scenario)
         q = WorkQueue(cache.store, scenario.scenario_hash())
         q.enqueue(units)
@@ -202,12 +196,12 @@ class TestRunWorker:
     def test_drains_the_campaign(self, tmp_path):
         scenario = _scenario()
         stats = run_worker(
-            scenario, cache_dir=tmp_path, cache_backend="sqlite",
+            scenario, cache_dir=tmp_path,
             worker_id="solo", lease_s=30, poll_s=0.01,
         )
         assert stats.claimed == stats.computed == 4
         assert stats.reused == 0 and stats.lease_lost == 0
-        cache = ResultCache(tmp_path, backend="sqlite")
+        cache = ResultCache(tmp_path)
         keys = [u.key for u in plan_scenario_units(scenario)]
         assert len(cache.cached_keys(scenario, keys)) == 4
         q = WorkQueue(cache.store, scenario.scenario_hash())
@@ -215,17 +209,17 @@ class TestRunWorker:
 
     def test_max_units_bounds_the_loop(self, tmp_path):
         stats = run_worker(
-            _scenario(), cache_dir=tmp_path, cache_backend="sqlite",
+            _scenario(), cache_dir=tmp_path,
             worker_id="capped", lease_s=30, poll_s=0.01, max_units=2,
         )
         assert stats.claimed == 2
 
     def test_completed_campaign_is_a_noop(self, tmp_path):
         scenario = _scenario()
-        run_worker(scenario, cache_dir=tmp_path, cache_backend="sqlite",
+        run_worker(scenario, cache_dir=tmp_path,
                    worker_id="first", lease_s=30, poll_s=0.01)
         stats = run_worker(
-            scenario, cache_dir=tmp_path, cache_backend="sqlite",
+            scenario, cache_dir=tmp_path,
             worker_id="second", lease_s=30, poll_s=0.01,
         )
         assert stats.computed == 0
@@ -239,25 +233,18 @@ class TestRunWorker:
         while q.claim("hog", lease_s=3600) is not None:
             pass  # every unit leased by a worker that never finishes
         stats = run_worker(
-            scenario, cache_dir=tmp_path, cache_backend="sqlite",
+            scenario, cache_dir=tmp_path,
             worker_id="starved", lease_s=30, poll_s=0.01,
             idle_timeout_s=0.1,
         )
         assert stats.idle_timeout
         assert stats.computed == 0
 
-    def test_filesystem_backend_is_an_actionable_error(self, tmp_path):
-        with pytest.raises(ValueError, match="cache-backend sqlite"):
-            run_worker(
-                _scenario(), cache_dir=tmp_path,
-                cache_backend="filesystem", worker_id="wrong",
-            )
-
     def test_worker_trace_carries_worker_ids(self, tmp_path):
         scenario = _scenario()
         tracer = Tracer(tmp_path, "queue-worker", run_id="worker-trace")
         run_worker(
-            scenario, cache_dir=tmp_path, cache_backend="sqlite",
+            scenario, cache_dir=tmp_path,
             worker_id="traced-w", lease_s=30, poll_s=0.01, tracer=tracer,
         )
         manifest, events = load_trace(tracer.path)
@@ -273,20 +260,18 @@ class TestRunWorker:
 
     def test_reused_span_counts_as_cache_hit(self, tmp_path):
         scenario = _scenario()
-        cache = ResultCache(tmp_path, backend="sqlite")
+        cache = ResultCache(tmp_path)
         units = plan_scenario_units(scenario)
         # Enqueue first, then cache one unit behind the queue's back --
         # the claim hands it out and the worker must reuse, not
         # recompute.  (A unit cached before enqueue is never claimable.)
         q = WorkQueue(cache.store, scenario.scenario_hash())
         q.enqueue(units)
-        serial = CampaignRunner(
-            scenario, cache_dir=tmp_path, cache_backend="sqlite"
-        )
+        serial = CampaignRunner(scenario, cache_dir=tmp_path)
         serial.materialize(limit=1)
         tracer = Tracer(tmp_path, "queue-worker", run_id="reuse-trace")
         stats = run_worker(
-            scenario, cache_dir=tmp_path, cache_backend="sqlite",
+            scenario, cache_dir=tmp_path,
             worker_id="reuser", lease_s=30, poll_s=0.01, tracer=tracer,
         )
         assert stats.reused == 1 and stats.computed == 3
@@ -358,10 +343,10 @@ class TestHeartbeatFailure:
         scenario = _scenario()
         with pytest.raises(HeartbeatError, match="store offline"):
             run_worker(
-                scenario, cache_dir=tmp_path, cache_backend="sqlite",
+                scenario, cache_dir=tmp_path,
                 worker_id="zombie", lease_s=0.15, poll_s=0.01,
             )
-        cache = ResultCache(tmp_path, backend="sqlite")
+        cache = ResultCache(tmp_path)
         # The in-flight unit was abandoned, not silently persisted:
         # nothing cached, no lease rows left behind.
         keys = [u.key for u in plan_scenario_units(scenario)]
@@ -380,7 +365,7 @@ class TestHeartbeatFailure:
         code = main([
             "worker", "fleet-attack-prevalence",
             "--patients", "20", "--trials", "1", "--chunk-size", "5",
-            "--cache-backend", "sqlite", "--cache-dir", str(tmp_path),
+            "--cache-dir", str(tmp_path),
             "--worker-id", "zombie", "--lease", "0.15", "--poll", "0.01",
         ])
         assert code == 4
@@ -390,17 +375,13 @@ class TestHeartbeatFailure:
 class TestRunDistributed:
     def test_reduces_bit_identically_to_serial(self, tmp_path):
         scenario = _scenario()
-        serial = CampaignRunner(
-            scenario, cache_dir=tmp_path / "serial", cache_backend="sqlite"
-        ).run()
-        runner = CampaignRunner(
-            scenario, cache_dir=tmp_path / "dist", cache_backend="sqlite"
-        )
+        serial = CampaignRunner(scenario, cache_dir=tmp_path / "serial").run()
+        runner = CampaignRunner(scenario, cache_dir=tmp_path / "dist")
         worker = threading.Thread(
             target=run_worker,
             args=(scenario,),
             kwargs=dict(
-                cache_dir=tmp_path / "dist", cache_backend="sqlite",
+                cache_dir=tmp_path / "dist",
                 worker_id="bg", lease_s=30, poll_s=0.01,
                 idle_timeout_s=60,
             ),
@@ -419,9 +400,7 @@ class TestRunDistributed:
         assert distributed.computed_units == 4
 
     def test_timeout_without_workers_names_the_fix(self, tmp_path):
-        runner = CampaignRunner(
-            _scenario(), cache_dir=tmp_path, cache_backend="sqlite"
-        )
+        runner = CampaignRunner(_scenario(), cache_dir=tmp_path)
         with pytest.raises(RuntimeError, match="python -m repro worker"):
             runner.run_distributed(poll_s=0.01, wait_timeout_s=0.05)
         # The queue survives the timeout: workers can still drain it.
@@ -434,20 +413,11 @@ class TestRunDistributed:
         with pytest.raises(ValueError, match="persist"):
             runner.run_distributed()
 
-    def test_requires_the_sqlite_backend(self, tmp_path):
-        runner = CampaignRunner(
-            _scenario(), cache_dir=tmp_path, cache_backend="filesystem"
-        )
-        with pytest.raises(ValueError, match="sqlite"):
-            runner.run_distributed()
-
     def test_fully_cached_campaign_needs_no_workers(self, tmp_path):
         scenario = _scenario()
-        CampaignRunner(
-            scenario, cache_dir=tmp_path, cache_backend="sqlite"
-        ).run()
-        result = CampaignRunner(
-            scenario, cache_dir=tmp_path, cache_backend="sqlite"
-        ).run_distributed(poll_s=0.01, wait_timeout_s=5)
+        CampaignRunner(scenario, cache_dir=tmp_path).run()
+        result = CampaignRunner(scenario, cache_dir=tmp_path).run_distributed(
+            poll_s=0.01, wait_timeout_s=5
+        )
         assert result.computed_units == 0
         assert result.cached_units == 4

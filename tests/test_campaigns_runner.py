@@ -12,7 +12,7 @@ import pickle
 import pytest
 
 import repro.campaigns.runner as runner_module
-from repro.campaigns import CampaignRunner, registry
+from repro.campaigns import CampaignRunner, ResultCache, SQLiteStore, registry
 from repro.campaigns.cli import _budget_scenario
 from repro.campaigns.kinds import KINDS
 from repro.campaigns.runner import evaluate_unit, plan_scenario_units
@@ -90,8 +90,10 @@ class TestCacheRoundTrip:
         bumped = scenario.override(seed=8)
         result = CampaignRunner(bumped, cache_dir=tmp_path).run()
         assert result.computed_units == result.total_units
-        assert (tmp_path / scenario.scenario_hash()).is_dir()
-        assert (tmp_path / bumped.scenario_hash()).is_dir()
+        namespaces = {
+            s.scenario_hash for s in ResultCache(tmp_path).stats().scenarios
+        }
+        assert namespaces == {scenario.scenario_hash(), bumped.scenario_hash()}
 
     @pytest.mark.parametrize(
         "garbage", [b"{ not json", b"\xff\xfe binary \x80"]
@@ -100,12 +102,14 @@ class TestCacheRoundTrip:
         """Invalid JSON and non-UTF-8 bytes alike must read as absent."""
         scenario = _small_attack()
         first = CampaignRunner(scenario, cache_dir=tmp_path).run()
-        victim = next(
-            path
-            for path in (tmp_path / scenario.scenario_hash()).iterdir()
-            if path.name != "scenario.json"
-        )
-        victim.write_bytes(garbage)
+        store = SQLiteStore(tmp_path)
+        with store._connect() as conn:
+            conn.execute(
+                "UPDATE units SET result = ? WHERE unit_key ="
+                " (SELECT MIN(unit_key) FROM units)",
+                (garbage,),
+            )
+        store.close()
         again = CampaignRunner(scenario, cache_dir=tmp_path).run()
         assert again.computed_units == 1
         assert again.points == first.points
@@ -119,9 +123,11 @@ class TestCacheRoundTrip:
     def test_manifest_written(self, tmp_path):
         scenario = _small_attack()
         CampaignRunner(scenario, cache_dir=tmp_path).run()
-        manifest = json.loads(
-            (tmp_path / scenario.scenario_hash() / "scenario.json").read_text()
-        )
+        (text,) = SQLiteStore(tmp_path)._connect().execute(
+            "SELECT manifest FROM scenarios WHERE scenario_hash = ?",
+            (scenario.scenario_hash(),),
+        ).fetchone()
+        manifest = json.loads(text)
         assert manifest["name"] == scenario.name
         assert manifest["payload"] == scenario.payload()
 

@@ -1,14 +1,12 @@
-"""Result-store backends: parity, atomicity, scaling, and the cache CLI.
+"""The SQLite result store: contract, durability, scaling, and the cache CLI.
 
-The two backends must be interchangeable behind ``ResultCache``: same
-answers, same resume behaviour, same stats/prune surface.  The scaling
-regression pins the membership-check contract -- one metadata query per
-scenario, never a stat per key.
+``ResultCache`` answers get/put/membership/stats/prune through one
+``results.sqlite`` per cache root.  The scaling regression pins the
+membership-check contract -- one query per scenario, never one per key.
 """
 
 import json
 import logging
-import os
 import sqlite3
 import threading
 
@@ -18,12 +16,7 @@ from repro.obs.metrics import take_global
 
 from repro.campaigns.cache import ResultCache
 from repro.campaigns.spec import Scenario
-from repro.campaigns.store import (
-    FilesystemStore,
-    SQLiteStore,
-    make_store,
-    resolve_backend,
-)
+from repro.campaigns.store import SQLiteStore
 
 
 def _scenario(**changes) -> Scenario:
@@ -38,33 +31,45 @@ def _scenario(**changes) -> Scenario:
     return Scenario(**base)
 
 
-class TestBackendSelection:
-    def test_default_is_filesystem(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHE_BACKEND", raising=False)
-        assert resolve_backend() == "filesystem"
+class TestStoreShim:
+    """``cache_backend`` survives as a keyword that names the one store."""
 
-    def test_env_selects_sqlite(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_BACKEND", "sqlite")
-        assert resolve_backend() == "sqlite"
+    @pytest.mark.parametrize("backend", [None, "sqlite"])
+    def test_runner_and_worker_accept_the_one_store(self, tmp_path, backend):
+        from repro.campaigns import CampaignRunner, run_worker
 
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_BACKEND", "sqlite")
-        assert resolve_backend("filesystem") == "filesystem"
+        scenario = _scenario()
+        runner = CampaignRunner(
+            scenario, cache_dir=tmp_path, cache_backend=backend,
+            progress=False,
+        )
+        assert runner.run().computed_units > 0
+        stats = run_worker(
+            scenario, cache_dir=tmp_path, cache_backend=backend,
+            idle_timeout_s=5.0, progress=False,
+        )
+        assert stats.computed == 0
 
-    def test_unknown_backend_names_the_knobs(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHE_BACKEND", raising=False)
-        with pytest.raises(ValueError, match="REPRO_CACHE_BACKEND"):
-            resolve_backend("mongodb")
+    @pytest.mark.parametrize("backend", ["filesystem", "SQLite", ""])
+    def test_any_other_name_says_the_layout_was_removed(
+        self, tmp_path, backend
+    ):
+        from repro.campaigns import CampaignRunner, run_worker
 
-    def test_make_store_maps_names_to_classes(self, tmp_path):
-        assert isinstance(make_store(tmp_path, "filesystem"), FilesystemStore)
-        assert isinstance(make_store(tmp_path, "sqlite"), SQLiteStore)
+        with pytest.raises(ValueError, match="filesystem layout was removed"):
+            CampaignRunner(
+                _scenario(), cache_dir=tmp_path, cache_backend=backend
+            )
+        with pytest.raises(ValueError, match="filesystem layout was removed"):
+            run_worker(_scenario(), cache_dir=tmp_path, cache_backend=backend)
+        assert not (tmp_path / SQLiteStore.FILENAME).exists()
 
 
-@pytest.mark.parametrize("backend", ["filesystem", "sqlite"])
+# The one-value parameter keeps these tests' ids (``...[sqlite]``) stable.
+@pytest.mark.parametrize("backend", ["sqlite"])
 class TestBackendParity:
     def test_round_trip(self, tmp_path, backend):
-        cache = ResultCache(tmp_path, backend=backend)
+        cache = ResultCache(tmp_path)
         scenario = _scenario()
         coords = {"kind": "attack", "location": 1, "chunk": 0, "n_trials": 2}
         cache.put(scenario, "abc123", coords, {"wins": 1, "alarms": 0})
@@ -72,14 +77,14 @@ class TestBackendParity:
         assert cache.get(scenario, "missing") is None
 
     def test_upsert_overwrites(self, tmp_path, backend):
-        cache = ResultCache(tmp_path, backend=backend)
+        cache = ResultCache(tmp_path)
         scenario = _scenario()
         cache.put(scenario, "k", {}, {"wins": 1})
         cache.put(scenario, "k", {}, {"wins": 2})
         assert cache.get(scenario, "k") == {"wins": 2}
 
     def test_cached_keys_membership(self, tmp_path, backend):
-        cache = ResultCache(tmp_path, backend=backend)
+        cache = ResultCache(tmp_path)
         scenario = _scenario()
         for key in ("a1", "b2", "c3"):
             cache.put(scenario, key, {"k": key}, {"wins": 0})
@@ -87,17 +92,17 @@ class TestBackendParity:
         assert cache.cached_keys(_scenario(seed=99), ["a1"]) == set()
 
     def test_namespaces_isolated_by_scenario_hash(self, tmp_path, backend):
-        cache = ResultCache(tmp_path, backend=backend)
+        cache = ResultCache(tmp_path)
         cache.put(_scenario(), "k", {}, {"wins": 1})
         assert cache.get(_scenario(seed=99), "k") is None
 
     def test_stats_counts_entries_and_names(self, tmp_path, backend):
-        cache = ResultCache(tmp_path, backend=backend)
+        cache = ResultCache(tmp_path)
         scenario = _scenario()
         for key in ("a", "b"):
             cache.put(scenario, key, {}, {"wins": 0})
         stats = cache.stats()
-        assert stats.backend == backend
+        assert stats.location == str(tmp_path / "results.sqlite")
         assert stats.entries == 2
         assert stats.bytes > 0
         (per_scenario,) = stats.scenarios
@@ -106,7 +111,7 @@ class TestBackendParity:
         assert per_scenario.entries == 2
 
     def test_prune_by_namespace(self, tmp_path, backend):
-        cache = ResultCache(tmp_path, backend=backend)
+        cache = ResultCache(tmp_path)
         keep, drop = _scenario(), _scenario(seed=99)
         cache.put(keep, "k", {}, {"wins": 0})
         cache.put(drop, "k", {}, {"wins": 0})
@@ -116,44 +121,21 @@ class TestBackendParity:
         assert cache.get(drop, "k") is None
 
     def test_prune_all(self, tmp_path, backend):
-        cache = ResultCache(tmp_path, backend=backend)
+        cache = ResultCache(tmp_path)
         cache.put(_scenario(), "k", {}, {"wins": 0})
         cache.put(_scenario(seed=99), "k", {}, {"wins": 0})
         assert cache.prune() == 2
         assert cache.stats().entries == 0
 
     def test_empty_cache_stats(self, tmp_path, backend):
-        stats = ResultCache(tmp_path / "nothing", backend=backend).stats()
+        stats = ResultCache(tmp_path / "nothing").stats()
         assert stats.entries == 0
         assert stats.scenarios == ()
 
 
-class TestFilesystemLayoutCompatibility:
-    """The filesystem backend must keep the historical on-disk bytes."""
-
-    def test_layout_matches_historical_shape(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        scenario = _scenario()
-        cache.put(scenario, "deadbeef", {"c": 1}, {"wins": 2})
-        directory = tmp_path / scenario.scenario_hash()
-        body = json.loads((directory / "deadbeef.json").read_text())
-        assert body == {"coords": {"c": 1}, "result": {"wins": 2}}
-        manifest = json.loads((directory / "scenario.json").read_text())
-        assert manifest["name"] == scenario.name
-        assert manifest["payload"] == scenario.payload()
-
-    def test_corrupt_entry_reads_as_absent(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        scenario = _scenario()
-        cache.put(scenario, "k", {}, {"wins": 1})
-        path = tmp_path / scenario.scenario_hash() / "k.json"
-        path.write_bytes(b"\xff not json")
-        assert cache.get(scenario, "k") is None
-
-
 class TestSQLiteDurability:
     def test_single_file_holds_everything(self, tmp_path):
-        cache = ResultCache(tmp_path, backend="sqlite")
+        cache = ResultCache(tmp_path)
         for seed in range(3):
             cache.put(_scenario(seed=seed), "k", {}, {"wins": seed})
         files = {p.name for p in tmp_path.iterdir() if p.is_file()}
@@ -202,10 +184,10 @@ class TestSQLiteDurability:
         assert failures == []
 
     def test_reopen_sees_previous_writes(self, tmp_path):
-        ResultCache(tmp_path, backend="sqlite").put(
+        ResultCache(tmp_path).put(
             _scenario(), "k", {}, {"wins": 7}
         )
-        fresh = ResultCache(tmp_path, backend="sqlite")
+        fresh = ResultCache(tmp_path)
         assert fresh.get(_scenario(), "k") == {"wins": 7}
 
     def test_prune_reclaims_disk_space(self, tmp_path):
@@ -231,7 +213,29 @@ class TestSQLiteDurability:
         assert store.get("hash", "k") is None
         assert store.cached_keys("hash", ["k"]) == set()
         assert store.namespace_names() == {}
+        assert store.queue_counts("hash", 0.0) == (0, 0)
+        assert store.queue_leases("hash") == []
+        assert store.progress_read("hash") == []
         assert not (tmp_path / "fresh").exists()
+
+    def test_old_json_layout_is_ignored(self, tmp_path):
+        """A root that still holds one-JSON-file-per-unit directories
+        from earlier releases reads as empty; its units recompute into
+        results.sqlite."""
+        from repro.campaigns import CampaignRunner
+
+        scenario = _scenario()
+        first = CampaignRunner(scenario, cache_dir=tmp_path / "ref").run()
+        old = tmp_path / "old" / scenario.scenario_hash()
+        old.mkdir(parents=True)
+        for unit in CampaignRunner(scenario).plan():
+            (old / f"{unit.key}.json").write_text(
+                json.dumps({"coords": unit.coords, "result": {"junk": 1}})
+            )
+        result = CampaignRunner(scenario, cache_dir=tmp_path / "old").run()
+        assert result.cached_units == 0
+        assert result.points == first.points
+        assert (tmp_path / "old" / "results.sqlite").exists()
 
     def test_read_on_unwritable_parent_reports_absent(self, tmp_path):
         """Reads under a read-only parent degrade to 'nothing cached',
@@ -247,13 +251,12 @@ class TestSQLiteDurability:
             parent.chmod(0o700)
 
     def test_namespace_names_match_manifests(self, tmp_path):
-        for backend in ("filesystem", "sqlite"):
-            cache = ResultCache(tmp_path / backend, backend=backend)
-            scenario = _scenario()
-            cache.put(scenario, "k", {}, {"wins": 0})
-            assert cache.store.namespace_names() == {
-                scenario.scenario_hash(): "store-test"
-            }
+        cache = ResultCache(tmp_path)
+        scenario = _scenario()
+        cache.put(scenario, "k", {}, {"wins": 0})
+        assert cache.store.namespace_names() == {
+            scenario.scenario_hash(): "store-test"
+        }
 
     def test_corrupt_row_reads_as_absent(self, tmp_path):
         store = SQLiteStore(tmp_path)
@@ -265,44 +268,10 @@ class TestSQLiteDurability:
 
 
 class TestCachedKeysScaling:
-    """The satellite fix: membership is one listing, not a stat per key."""
-
-    def test_filesystem_membership_is_one_scandir(
-        self, tmp_path, monkeypatch
-    ):
-        cache = ResultCache(tmp_path)
-        scenario = _scenario()
-        keys = [f"key{i:04d}" for i in range(200)]
-        for key in keys:
-            cache.put(scenario, key, {"k": key}, {"wins": 0})
-
-        import pathlib
-
-        import repro.campaigns.store as store_module
-
-        scandir_calls = {"n": 0}
-        real_scandir = os.scandir
-
-        def counting_scandir(*args, **kwargs):
-            scandir_calls["n"] += 1
-            return real_scandir(*args, **kwargs)
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError(
-                "cached_keys must not touch per-key metadata"
-            )
-
-        monkeypatch.setattr(store_module.os, "scandir", counting_scandir)
-        monkeypatch.setattr(pathlib.Path, "exists", forbidden)
-        monkeypatch.setattr(pathlib.Path, "stat", forbidden)
-        monkeypatch.setattr(pathlib.Path, "read_text", forbidden)
-
-        hit = cache.cached_keys(scenario, keys + ["absent"])
-        assert hit == set(keys)
-        assert scandir_calls["n"] == 1
+    """Membership is one query, not a lookup per key."""
 
     def test_sqlite_membership_is_one_query(self, tmp_path, monkeypatch):
-        cache = ResultCache(tmp_path, backend="sqlite")
+        cache = ResultCache(tmp_path)
         scenario = _scenario()
         keys = [f"key{i:04d}" for i in range(100)]
         for key in keys:
@@ -390,12 +359,11 @@ class TestCacheCli:
         entries -- at fleet unit counts that is a full metadata sweep
         (regression)."""
         self._seed_cache(tmp_path)
-        from repro.campaigns.store import FilesystemStore
 
         def forbidden_stats(self):
             raise AssertionError("prune --scenario must not call stats()")
 
-        monkeypatch.setattr(FilesystemStore, "stats", forbidden_stats)
+        monkeypatch.setattr(SQLiteStore, "stats", forbidden_stats)
         out = self._run(
             capsys,
             "cache", "prune", "--scenario", "store-test",
@@ -409,6 +377,28 @@ class TestCacheCli:
             capsys, "cache", "prune", "--all", "--cache-dir", str(tmp_path)
         )
         assert "pruned 2 unit(s)" in out
+
+    def test_run_writes_the_sqlite_store(self, capsys, tmp_path):
+        out = self._run(
+            capsys,
+            "run", "attack-success-shielded",
+            "--trials", "2", "--locations", "1",
+            "--cache-dir", str(tmp_path),
+        )
+        assert "computed" in out
+        assert (tmp_path / "results.sqlite").exists()
+        assert list(tmp_path.glob("*/*.json")) == []
+
+    def test_cache_backend_flag_is_gone(self, tmp_path, capsys):
+        from repro.campaigns.cli import main
+
+        argv = ["cache", "stats", "--cache-dir", str(tmp_path)]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--cache-backend", "sqlite"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --cache-backend" in (
+            capsys.readouterr().err
+        )
 
     def test_prune_requires_exactly_one_selector(self, tmp_path):
         from repro.campaigns.cli import main
@@ -431,89 +421,28 @@ class TestCacheCli:
                 "--cache-dir", str(tmp_path),
             ])
 
-    def test_stats_and_prune_cover_both_layouts(
-        self, capsys, tmp_path, monkeypatch
-    ):
-        """Both backends can share one root; with no explicit backend
-        selection the cache verbs must see (and prune) both layouts,
-        not silently skip one (regression)."""
-        monkeypatch.delenv("REPRO_CACHE_BACKEND", raising=False)
-        scenario = _scenario()
-        ResultCache(tmp_path, backend="filesystem").put(
-            scenario, "fs-unit", {}, {"wins": 1}
-        )
-        ResultCache(tmp_path, backend="sqlite").put(
-            scenario, "sq-unit", {}, {"wins": 1}
-        )
-        out = self._run(
-            capsys, "cache", "stats", "--json", "--cache-dir", str(tmp_path)
-        )
-        payload = json.loads(out)
-        assert payload["entries"] == 2
-        assert {s["backend"] for s in payload["stores"]} == {
-            "filesystem", "sqlite",
-        }
-        out = self._run(
-            capsys, "cache", "prune", "--all", "--cache-dir", str(tmp_path)
-        )
-        assert "pruned 2 unit(s)" in out
-        assert ResultCache(tmp_path, backend="filesystem").stats().entries == 0
-        assert ResultCache(tmp_path, backend="sqlite").stats().entries == 0
+@pytest.mark.parametrize(
+    "verb",
+    [
+        ("run", "attack-success-shielded", "--trials", "2",
+         "--locations", "1", "--no-progress"),
+        ("cache", "stats"),
+        ("cache", "prune", "--all"),
+    ],
+    ids=["run", "cache-stats", "cache-prune-all"],
+)
+def test_unreadable_store_is_one_error_line(tmp_path, capsys, verb):
+    """A junk results.sqlite ends the verb with one line naming the
+    store, a non-zero exit, and no traceback."""
+    from repro.campaigns.cli import main
 
-    def test_prune_by_name_covers_both_layouts(
-        self, capsys, tmp_path, monkeypatch
-    ):
-        monkeypatch.delenv("REPRO_CACHE_BACKEND", raising=False)
-        scenario = _scenario()
-        ResultCache(tmp_path, backend="filesystem").put(
-            scenario, "fs-unit", {}, {"wins": 1}
-        )
-        ResultCache(tmp_path, backend="sqlite").put(
-            scenario, "sq-unit", {}, {"wins": 1}
-        )
-        out = self._run(
-            capsys,
-            "cache", "prune", "--scenario", "store-test",
-            "--cache-dir", str(tmp_path),
-        )
-        assert "pruned 2 unit(s) from 2 namespace(s)" in out
-
-    def test_run_with_sqlite_backend_flag(self, capsys, tmp_path):
-        out = self._run(
-            capsys,
-            "run", "attack-success-shielded",
-            "--trials", "2", "--locations", "1",
-            "--cache-dir", str(tmp_path), "--cache-backend", "sqlite",
-        )
-        assert "computed" in out
-        assert (tmp_path / "results.sqlite").exists()
-
-    def test_env_backend_selection(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_BACKEND", "sqlite")
-        self._run(
-            capsys,
-            "run", "attack-success-shielded",
-            "--trials", "2", "--locations", "1",
-            "--cache-dir", str(tmp_path),
-        )
-        assert (tmp_path / "results.sqlite").exists()
-
-
-class TestBackendNameNormalization:
-    """Explicit arguments get the same strip/lowercase the env does."""
-
-    def test_explicit_choice_is_normalized(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHE_BACKEND", raising=False)
-        assert resolve_backend(" SQLite ") == "sqlite"
-        assert resolve_backend("FILESYSTEM") == "filesystem"
-
-    def test_env_value_is_normalized(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_BACKEND", "  SQLITE\n")
-        assert resolve_backend() == "sqlite"
-
-    def test_blank_explicit_choice_falls_back_to_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHE_BACKEND", raising=False)
-        assert resolve_backend("   ") == "filesystem"
+    path = tmp_path / "results.sqlite"
+    path.write_bytes(b"this is not a database" * 100)
+    assert main([*verb, "--cache-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: cache store {path} is unreadable: " in err
+    assert "file is not a database" in err
+    assert "Traceback" not in err
 
 
 class _FlakyConnection:

@@ -25,7 +25,6 @@ _REPO = Path(__file__).resolve().parent.parent
 _OVERRIDES = [
     "fleet-attack-prevalence",
     "--patients", "10000", "--trials", "1", "--chunk-size", "200",
-    "--cache-backend", "sqlite",
 ]
 
 

@@ -27,7 +27,6 @@ _REPO = Path(__file__).resolve().parent.parent
 _RUN_ARGS = [
     "run", "fleet-attack-prevalence",
     "--patients", "10000", "--trials", "1", "--chunk-size", "200",
-    "--cache-backend", "sqlite",
 ]
 
 

@@ -31,7 +31,7 @@ def _scenario():
     )
 
 
-def _run(tmp_path, backend="sqlite", traced=False):
+def _run(tmp_path, traced=False):
     scenario = _scenario()
     from repro.campaigns.runner import CampaignRunner
 
@@ -40,14 +40,12 @@ def _run(tmp_path, backend="sqlite", traced=False):
         from repro.obs.trace import Tracer
 
         tracer = Tracer(tmp_path, scenario.name)
-    CampaignRunner(
-        scenario, cache_dir=tmp_path, cache_backend=backend, tracer=tracer
-    ).run()
+    CampaignRunner(scenario, cache_dir=tmp_path, tracer=tracer).run()
     return scenario
 
 
-def _render(tmp_path, scenario, backend="sqlite"):
-    cache = ResultCache(tmp_path, backend=backend)
+def _render(tmp_path, scenario):
+    cache = ResultCache(tmp_path)
     return render_exposition(collect_metrics(cache, scenario))
 
 
@@ -66,16 +64,17 @@ class TestCollectAndRender:
 
     def test_fresh_campaign_reports_zero_cached(self, tmp_path):
         scenario = _scenario()
-        cache = ResultCache(tmp_path, backend="sqlite")
+        cache = ResultCache(tmp_path)
         text = render_exposition(collect_metrics(cache, scenario))
         validate_exposition(text)
         assert 'state="cached"} 0' in text
         assert f"{METRIC_PREFIX}campaign_complete" in text
-
-    def test_filesystem_backend_omits_queue_gauges(self, tmp_path):
-        scenario = _run(tmp_path, backend="filesystem")
-        text = _render(tmp_path, scenario, backend="filesystem")
-        assert f"{METRIC_PREFIX}queue_entries" not in text
+        assert (
+            f'{METRIC_PREFIX}queue_entries{{scenario="{scenario.name}",'
+            f'state="queued"}} 0'
+        ) in text
+        # Exporting is read-only: a fresh root gets no store.
+        assert not (tmp_path / "results.sqlite").exists()
 
     def test_progress_snapshots_become_participant_gauges(self, tmp_path):
         scenario = _run(tmp_path)
@@ -176,7 +175,7 @@ class TestValidator:
 class TestServeMetrics:
     def test_endpoint_serves_fresh_scrapes(self, tmp_path):
         scenario = _run(tmp_path)
-        cache = ResultCache(tmp_path, backend="sqlite")
+        cache = ResultCache(tmp_path)
         server = serve_metrics(cache, scenario, port=0)
         try:
             import threading
@@ -213,7 +212,6 @@ class TestExportMetricsCli:
     _ARGS = [
         "export-metrics", "fleet-attack-prevalence",
         "--patients", "20", "--trials", "1", "--chunk-size", "5",
-        "--cache-backend", "sqlite",
     ]
 
     def test_writes_stdout_by_default(self, capsys, tmp_path):

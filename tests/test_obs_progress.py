@@ -1,24 +1,21 @@
 """Live progress streaming and its hard invariant.
 
 The invariant this file pins: **publishing progress never changes the
-numbers**.  A progress-on run's result payloads and cached bytes are
+numbers**.  A progress-on run's result payloads and cached results are
 bit-identical to a progress-off run's -- on an attack and a fleet
 scenario, in serial, 2-worker pool, and distributed modes -- because
 progress is write-only observability layered on the store, never an
 input to evaluation.
 """
 
-import hashlib
 import json
-import sqlite3
-from pathlib import Path
 
 import pytest
 
 from repro.campaigns import registry
 from repro.campaigns.cache import ResultCache
 from repro.campaigns.runner import CampaignRunner
-from repro.campaigns.store import FilesystemStore, SQLiteStore
+from repro.campaigns.store import SQLiteStore
 from repro.campaigns.worker import run_worker
 from repro.obs.metrics import take_global
 from repro.obs.progress import (
@@ -163,7 +160,7 @@ class TestProgressPublisher:
 
 
 class TestStoreProgress:
-    @pytest.mark.parametrize("store_cls", [FilesystemStore, SQLiteStore])
+    @pytest.mark.parametrize("store_cls", [SQLiteStore])
     def test_roundtrip_last_write_wins(self, tmp_path, store_cls):
         store = store_cls(tmp_path)
         store.progress_publish("h1", "w1", {"done_units": 1}, 10.0)
@@ -178,32 +175,11 @@ class TestStoreProgress:
         assert rows["w1"] == ({"done_units": 5}, 20.0)
         assert rows["w2"] == ({"done_units": 2}, 15.0)
 
-    @pytest.mark.parametrize("store_cls", [FilesystemStore, SQLiteStore])
+    @pytest.mark.parametrize("store_cls", [SQLiteStore])
     def test_empty_read_creates_nothing(self, tmp_path, store_cls):
         store = store_cls(tmp_path)
         assert store.progress_read("nothing") == []
         assert not (tmp_path / SQLiteStore.FILENAME).exists()
-
-    def test_filesystem_rows_live_under_runs(self, tmp_path):
-        # Deliberate placement: runs/ is excluded from cache digests
-        # and namespace scans, so live progress can never perturb
-        # bit-identity checks or `cache stats`.
-        store = FilesystemStore(tmp_path)
-        store.progress_publish("h1", "w/../1", {"done_units": 1}, 5.0)
-        files = list((tmp_path / "runs" / ".progress").rglob("*.json"))
-        assert len(files) == 1
-        # Separators are sanitized away: the row cannot escape its dir.
-        assert files[0].parent == tmp_path / "runs" / ".progress" / "h1"
-        assert "/" not in files[0].name
-        assert store.progress_read("h1")[0][1] == {"done_units": 1}
-
-    def test_filesystem_torn_file_is_skipped(self, tmp_path):
-        store = FilesystemStore(tmp_path)
-        store.progress_publish("h1", "ok", {"done_units": 1}, 5.0)
-        progress_dir = tmp_path / "runs" / ".progress" / "h1"
-        (progress_dir / "torn.json").write_text('{"source": "torn', "utf-8")
-        rows = store.progress_read("h1")
-        assert [source for source, _, _ in rows] == ["ok"]
 
     def test_read_progress_adds_ages_and_sorts(self, tmp_path):
         store = SQLiteStore(tmp_path)
@@ -240,49 +216,11 @@ def _fleet_scenario():
     )
 
 
-def _cache_digest(root: Path) -> dict[str, str]:
-    """Path -> content hash of every cache file except runs/."""
-    digest = {}
-    for path in sorted(root.rglob("*")):
-        relative = path.relative_to(root)
-        if relative.parts and relative.parts[0] == "runs":
-            continue
-        if path.is_file():
-            digest[str(relative)] = hashlib.sha256(
-                path.read_bytes()
-            ).hexdigest()
-    return digest
-
-
-def _sqlite_results_digest(root: Path) -> str:
-    """Hash of the sqlite store's *result* content (units, scenarios).
-
-    The raw database file is not byte-comparable across runs -- queue
-    and progress bookkeeping carry wall-clock timestamps -- but the
-    tables results are reduced from contain no clocks at all, so their
-    full dumps must match bit for bit.
-    """
-    conn = sqlite3.connect(root / SQLiteStore.FILENAME)
-    try:
-        rows = list(conn.execute(
-            "SELECT scenario_hash, unit_key, coords, result FROM units"
-            " ORDER BY scenario_hash, unit_key"
-        ))
-        rows += list(conn.execute(
-            "SELECT scenario_hash, manifest FROM scenarios"
-            " ORDER BY scenario_hash"
-        ))
-    finally:
-        conn.close()
-    return hashlib.sha256(repr(rows).encode()).hexdigest()
-
-
-def _run(scenario, cache_dir, progress, workers=None, backend=None):
+def _run(scenario, cache_dir, progress, workers=None):
     runner = CampaignRunner(
         scenario,
         cache_dir=cache_dir,
         workers=workers,
-        cache_backend=backend,
         progress=progress,
     )
     return runner.run()
@@ -298,20 +236,23 @@ def _dump(result) -> str:
 )
 class TestProgressBitIdentity:
     @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool2"])
-    def test_in_process_modes(self, tmp_path, make_scenario, workers):
+    def test_in_process_modes(
+        self, tmp_path, make_scenario, workers, results_digest
+    ):
         scenario = make_scenario()
         on_dir = tmp_path / "on"
         off_dir = tmp_path / "off"
         on = _run(scenario, on_dir, progress=True, workers=workers)
         off = _run(scenario, off_dir, progress=False, workers=workers)
         assert _dump(on) == _dump(off)
-        assert _cache_digest(on_dir) == _cache_digest(off_dir)
-        # Progress rows exist on one side only -- under runs/, outside
-        # the digest, exactly as designed.
-        assert (on_dir / "runs" / ".progress").is_dir()
-        assert not (off_dir / "runs").exists()
+        assert results_digest(on_dir) == results_digest(off_dir)
+        # Progress rows exist on one side only -- in their own table,
+        # outside the digest, exactly as designed.
+        scenario_hash = scenario.scenario_hash()
+        assert ResultCache(on_dir).store.progress_read(scenario_hash)
+        assert not ResultCache(off_dir).store.progress_read(scenario_hash)
 
-    def test_distributed_mode(self, tmp_path, make_scenario):
+    def test_distributed_mode(self, tmp_path, make_scenario, results_digest):
         scenario = make_scenario()
         results = {}
         digests = {}
@@ -320,7 +261,6 @@ class TestProgressBitIdentity:
             stats = run_worker(
                 scenario,
                 cache_dir=root,
-                cache_backend="sqlite",
                 worker_id="w1",
                 idle_timeout_s=30.0,
                 progress=progress,
@@ -329,23 +269,22 @@ class TestProgressBitIdentity:
             runner = CampaignRunner(
                 scenario,
                 cache_dir=root,
-                cache_backend="sqlite",
                 progress=progress,
             )
             results[label] = runner.run_distributed(wait_timeout_s=60.0)
-            digests[label] = _sqlite_results_digest(root)
+            digests[label] = results_digest(root)
         assert _dump(results["on"]) == _dump(results["off"])
         assert digests["on"] == digests["off"]
 
     def test_progress_on_matches_progress_off_serial_vs_pool(
-        self, tmp_path, make_scenario
+        self, tmp_path, make_scenario, results_digest
     ):
         """Progress-on pooled == progress-off serial: fully orthogonal."""
         scenario = make_scenario()
         pooled = _run(scenario, tmp_path / "p", progress=True, workers=2)
         serial = _run(scenario, tmp_path / "s", progress=False, workers=1)
         assert _dump(pooled) == _dump(serial)
-        assert _cache_digest(tmp_path / "p") == _cache_digest(tmp_path / "s")
+        assert results_digest(tmp_path / "p") == results_digest(tmp_path / "s")
 
 
 def scenario_units(scenario) -> int:
@@ -403,12 +342,11 @@ class TestRunnerPublishing:
         run_worker(
             scenario,
             cache_dir=tmp_path,
-            cache_backend="sqlite",
             worker_id="worker-a",
             idle_timeout_s=30.0,
             progress=True,
         )
-        cache = ResultCache(tmp_path, backend="sqlite")
+        cache = ResultCache(tmp_path)
         rows = read_progress(cache.store, scenario.scenario_hash())
         assert [r["source"] for r in rows] == ["worker-a"]
         snap = rows[0]

@@ -50,17 +50,18 @@ class _Clock:
 
 
 class TestScenarioStatus:
-    def test_fresh_campaign_filesystem(self, tmp_path):
+    def test_fresh_campaign_creates_no_store(self, tmp_path):
         scenario = _scenario()
-        cache = ResultCache(tmp_path)
-        status = scenario_status(cache, scenario)
+        status = scenario_status(ResultCache(tmp_path), scenario)
         assert status["scenario"] == scenario.name
         assert status["total_units"] == 4
         assert status["cached_units"] == 0
         assert not status["complete"]
-        # The filesystem backend has no queue to report.
-        assert status["queue"] is None
+        assert status["queue"] == {"queued": 0, "leased": 0}
+        assert status["leases"] == status["stalled_leases"] == []
         assert status["workers"] == []
+        # Watching is read-only: a fresh root gets no results.sqlite.
+        assert not (tmp_path / "results.sqlite").exists()
 
     def test_complete_campaign(self, tmp_path):
         scenario = _scenario()
@@ -73,7 +74,7 @@ class TestScenarioStatus:
 
     def test_stalled_lease_is_flagged(self, tmp_path):
         scenario = _scenario()
-        cache = ResultCache(tmp_path, backend="sqlite")
+        cache = ResultCache(tmp_path)
         clock = _Clock()
         queue = WorkQueue(cache.store, scenario.scenario_hash(), clock=clock)
         queue.enqueue(plan_scenario_units(scenario))
@@ -96,7 +97,7 @@ class TestScenarioStatus:
 
     def test_idle_worker_is_flagged_by_snapshot_age(self, tmp_path):
         scenario = _scenario()
-        cache = ResultCache(tmp_path, backend="sqlite")
+        cache = ResultCache(tmp_path)
         clock = _Clock()
         scenario_hash = scenario.scenario_hash()
         cache.store.progress_publish(
@@ -130,7 +131,7 @@ class TestScenarioStatus:
 
     def test_idle_phase_is_flagged_even_when_fresh(self, tmp_path):
         scenario = _scenario()
-        cache = ResultCache(tmp_path, backend="sqlite")
+        cache = ResultCache(tmp_path)
         clock = _Clock()
         cache.store.progress_publish(
             scenario.scenario_hash(), "waiting",
@@ -156,7 +157,7 @@ class TestTopCli:
     def _prime(self, tmp_path):
         assert main([
             "run", "attack-success-shielded", *self._OVERRIDES,
-            "--cache-dir", str(tmp_path), "--cache-backend", "sqlite",
+            "--cache-dir", str(tmp_path),
             "--format", "json",
         ]) == 0
 
@@ -165,7 +166,7 @@ class TestTopCli:
         capsys.readouterr()
         assert main([
             "top", "attack-success-shielded", *self._OVERRIDES,
-            "--cache-dir", str(tmp_path), "--cache-backend", "sqlite",
+            "--cache-dir", str(tmp_path),
             "--once",
         ]) == 0
         out = capsys.readouterr().out
@@ -178,7 +179,7 @@ class TestTopCli:
         capsys.readouterr()
         assert main([
             "top", "attack-success-shielded", *self._OVERRIDES,
-            "--cache-dir", str(tmp_path), "--cache-backend", "sqlite",
+            "--cache-dir", str(tmp_path),
             "--once", "--json",
         ]) == 0
         status = json.loads(capsys.readouterr().out)
@@ -192,7 +193,7 @@ class TestTopCli:
         # own (otherwise this test would hang).
         assert main([
             "top", "attack-success-shielded", *self._OVERRIDES,
-            "--cache-dir", str(tmp_path), "--cache-backend", "sqlite",
+            "--cache-dir", str(tmp_path),
             "--interval", "0.05",
         ]) == 0
 
@@ -217,7 +218,6 @@ _REPO = Path(__file__).resolve().parent.parent
 _DIST_OVERRIDES = [
     "fleet-attack-prevalence",
     "--patients", "20000", "--trials", "1", "--chunk-size", "1000",
-    "--cache-backend", "sqlite",
 ]
 
 

@@ -6,7 +6,6 @@ an untraced run's, on the classic attack path and the fleet path alike
 -- the trace is write-only observability, never an input.
 """
 
-import hashlib
 import json
 from pathlib import Path
 
@@ -137,20 +136,6 @@ def _run(scenario, cache_dir, tracer=None, workers=None):
     return runner.run()
 
 
-def _cache_digest(root: Path) -> dict[str, str]:
-    """Relative path -> content hash of every cache file except runs/."""
-    digest = {}
-    for path in sorted(root.rglob("*")):
-        relative = path.relative_to(root)
-        if relative.parts and relative.parts[0] == "runs":
-            continue
-        if path.is_file():
-            digest[str(relative)] = hashlib.sha256(
-                path.read_bytes()
-            ).hexdigest()
-    return digest
-
-
 class TestTracedCampaign:
     def test_manifest_records_the_run_configuration(self, tmp_path):
         scenario = _attack_scenario()
@@ -167,7 +152,7 @@ class TestTracedCampaign:
         assert manifest["forced_serial"] is False
         assert "transport" not in manifest
         assert "accel_backend" not in manifest
-        assert manifest["cache_backend"] == "filesystem"
+        assert manifest["cache_backend"] == "sqlite"
         for key in ("schema_version", "package_version", "python_version",
                     "numpy_version", "started_at"):
             assert key in manifest
@@ -212,7 +197,7 @@ class TestTracedCampaign:
         ids=["attack", "fleet"],
     )
     def test_traced_run_is_bit_identical_to_untraced(
-        self, tmp_path, make_scenario
+        self, tmp_path, make_scenario, results_digest
     ):
         """The hard invariant: tracing never enters results or cache."""
         scenario = make_scenario()
@@ -224,13 +209,15 @@ class TestTracedCampaign:
         )
         dump = lambda r: json.dumps(r.to_payload(), sort_keys=True)
         assert dump(traced) == dump(plain)
-        assert _cache_digest(traced_dir) == _cache_digest(plain_dir)
+        assert results_digest(traced_dir) == results_digest(plain_dir)
         # The only difference on disk is the trace itself (default-on
         # progress may leave runs/.progress snapshots on both sides).
         assert list(runs_root(traced_dir).glob("*/trace.jsonl"))
         assert not list(runs_root(plain_dir).glob("*/trace.jsonl"))
 
-    def test_parallel_traced_run_matches_serial(self, tmp_path):
+    def test_parallel_traced_run_matches_serial(
+        self, tmp_path, results_digest
+    ):
         scenario = _attack_scenario()
         serial_dir = tmp_path / "serial"
         pool_dir = tmp_path / "pool"
@@ -241,7 +228,7 @@ class TestTracedCampaign:
         assert json.dumps(pooled.to_payload(), sort_keys=True) == json.dumps(
             serial.to_payload(), sort_keys=True
         )
-        assert _cache_digest(pool_dir) == _cache_digest(serial_dir)
+        assert results_digest(pool_dir) == results_digest(serial_dir)
         # Same observability shape either way: one span per unit, with
         # the same stage fields.
         for path in (serial_tracer.path, pool_tracer.path):
@@ -269,7 +256,7 @@ class TestTracedCampaign:
                 e["metrics"] for e in _read_events(tracer.path)
                 if e["type"] == "metrics"
             ]
-            misses.append(metrics["counters"]["store.filesystem.get_miss"])
+            misses.append(metrics["counters"]["store.sqlite.get_miss"])
         assert misses == [4, 4]
 
     def test_materialize_finishes_the_trace(self, tmp_path):
@@ -396,7 +383,7 @@ class TestCliTracing:
     _WORKER_ARGS = (
         "worker", "fleet-attack-prevalence",
         "--patients", "10", "--trials", "1", "--chunk-size", "5",
-        "--cache-backend", "sqlite", "--worker-id", "w1",
+        "--worker-id", "w1",
         "--poll", "0.01", "--idle-timeout", "30",
     )
 
@@ -459,12 +446,12 @@ class TestWorkerTrace:
         root = tmp_path_factory.mktemp("worker-trace")
         runner_tracer = Tracer(root / "runner", scenario.name)
         CampaignRunner(
-            scenario, cache_dir=root / "runner", cache_backend="sqlite",
+            scenario, cache_dir=root / "runner",
             tracer=runner_tracer, progress=False,
         ).run()
         worker_tracer = Tracer(root / "worker", f"{scenario.name}-worker-w1")
         run_worker(
-            scenario, cache_dir=root / "worker", cache_backend="sqlite",
+            scenario, cache_dir=root / "worker",
             worker_id="w1", idle_timeout_s=30.0, tracer=worker_tracer,
             progress=False,
         )
@@ -515,7 +502,7 @@ class TestWorkerTrace:
         tracer = Tracer(tmp_path, f"{scenario.name}-worker-w1")
         with pytest.raises(KeyboardInterrupt):
             run_worker(
-                scenario, cache_dir=tmp_path, cache_backend="sqlite",
+                scenario, cache_dir=tmp_path,
                 worker_id="w1", idle_timeout_s=30.0, tracer=tracer,
                 progress=False,
             )

@@ -313,27 +313,25 @@ class TestSigkillResume:
         assert proc.returncode == 0, err
         return json.loads(out)
 
-    def test_sigkill_mid_campaign_resumes_bit_identically(self, tmp_path):
+    def test_sigkill_mid_campaign_resumes_bit_identically(
+        self, tmp_path, cached_unit_count
+    ):
         reference = self._run_to_completion(tmp_path / "uninterrupted")
 
         killed_dir = tmp_path / "killed"
         victim = self._spawn(killed_dir)
-        # Let a few units land on disk, then kill without cleanup.
+        # Let a few units land in the store, then kill without cleanup.
         deadline = time.time() + 60
-        scenario_dirs = []
-        while time.time() < deadline:
-            scenario_dirs = [
-                p for p in killed_dir.glob("*/*.json")
-                if p.name != "scenario.json"
-            ]
-            if len(scenario_dirs) >= 3 or victim.poll() is not None:
+        while time.time() < deadline and victim.poll() is None:
+            if cached_unit_count(killed_dir) >= 3:
                 break
             time.sleep(0.05)
-        if victim.poll() is None:
-            os.kill(victim.pid, signal.SIGKILL)
-            victim.wait(timeout=30)
-            assert len(scenario_dirs) >= 1, "kill landed before any unit cached"
+        assert victim.poll() is None, "the run finished before the kill"
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.wait(timeout=30)
+        partial = cached_unit_count(killed_dir)
+        assert partial > 0, "kill landed before any unit cached"
 
         resumed = self._run_to_completion(killed_dir)
         assert resumed["points"] == reference["points"]
-        assert resumed["units"]["from_cache"] >= len(scenario_dirs)
+        assert resumed["units"]["from_cache"] >= partial

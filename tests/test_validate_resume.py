@@ -62,17 +62,9 @@ def _cell_fingerprint(payload: dict) -> list[tuple]:
     return cells
 
 
-def _unit_files(cache_dir: Path) -> list[Path]:
-    return [
-        p
-        for p in cache_dir.glob("*/*.json")
-        if p.name != "scenario.json"
-    ]
-
-
 class TestSigkillResume:
     def test_killed_mid_round_resumes_to_identical_stopping_decisions(
-        self, tmp_path
+        self, tmp_path, cached_unit_count
     ):
         interrupted_cache = tmp_path / "interrupted"
         pristine_cache = tmp_path / "pristine"
@@ -85,7 +77,7 @@ class TestSigkillResume:
         while time.monotonic() < deadline:
             if victim.poll() is not None:
                 break
-            if _unit_files(interrupted_cache):
+            if cached_unit_count(interrupted_cache):
                 victim.kill()  # SIGKILL: no Python-level cleanup runs
                 break
             time.sleep(0.01)
@@ -94,7 +86,7 @@ class TestSigkillResume:
         # if the machine raced the process to completion the resume
         # assertions below still hold, just less interestingly.
         was_killed = victim.returncode == -signal.SIGKILL
-        partial = len(_unit_files(interrupted_cache))
+        partial = cached_unit_count(interrupted_cache)
         assert partial > 0, "no units were flushed before the kill"
 
         # 2. Resume against the survivor cache; run the control in a
