@@ -13,6 +13,7 @@ import pytest
 from repro.core.detector import ActiveDetector
 from repro.core.jamming import ShapedJammer
 from repro.experiments.sweeps import attack_success_sweep
+from repro.experiments.testbed import AttackTestbed
 from repro.experiments.waveform_lab import PassiveLab
 from repro.phy.fsk import FSKConfig, FSKModulator, NoncoherentFSKDemodulator
 from repro.protocol.commands import CommandType
@@ -64,6 +65,32 @@ def test_perf_packet_encode_decode(benchmark):
         return _CODEC.decode(_CODEC.encode(_PACKET))
 
     assert benchmark(round_trip) == _PACKET
+
+
+def test_perf_air_receive(benchmark):
+    """The event simulator's reception path, one call per kind: the
+    shield decoding an IMD reply through its own reply-window jam, and
+    the bare IMD hearing a clean command."""
+    shielded = AttackTestbed(
+        location_index=3, jam_imd_replies=True, seed=0, observer_enabled=False
+    )
+    shielded.shield.send_command_to_imd(shielded.interrogate_packet())
+    shielded.simulator.run(until=shielded.TRIAL_SPACING_S)
+    (reply,) = shielded.air.transmissions_by("imd")
+    bare = AttackTestbed(location_index=1, shield_present=False, seed=0)
+    bare.attack_once(bare.interrogate_packet())
+    (command,) = bare.air.transmissions_by("adversary")
+
+    def receive_both():
+        return (
+            shielded.air.receive(reply, "shield"),
+            bare.air.receive(command, "imd"),
+        )
+
+    jammed, clean = benchmark(receive_both)
+    thermal_sinr = jammed.rssi_dbm - shielded.links.noise_power_dbm("shield")
+    assert jammed.min_sinr_db < thermal_sinr - 3.0
+    assert clean.bit_flips == 0 and len(clean.segments) == 1
 
 
 def test_perf_crc16(benchmark):

@@ -43,6 +43,11 @@ from repro.sim.trace import TimelineTrace
 
 __all__ = ["ShieldRadio", "JamRecord"]
 
+#: Opcode bytes that only ever flow IMD -> programmer.
+_IMD_RESPONSE_OPCODES = frozenset(
+    int(opcode) for opcode in CommandType if opcode.is_imd_response
+)
+
 
 @dataclass(frozen=True)
 class JamRecord:
@@ -427,12 +432,9 @@ class ShieldRadio(RadioDevice):
         if bits is None or len(bits) < m + 8:
             return False
         opcode = 0
-        for bit in bits[m : m + 8]:
-            opcode = (opcode << 1) | int(bit)
-        try:
-            return CommandType(opcode).is_imd_response
-        except ValueError:
-            return False
+        for bit in bits[m : m + 8].tolist():
+            opcode = (opcode << 1) | bit
+        return opcode in _IMD_RESPONSE_OPCODES
 
     def _begin_jam(
         self, channel: int, trigger_tx_id: int, decision: DetectionDecision | None

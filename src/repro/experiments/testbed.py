@@ -18,7 +18,8 @@ the Fig. 11/12/13 and Table 1/2 benchmarks iterate.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,10 +32,10 @@ from repro.channel.models import BodyLoss
 from repro.core.config import ShieldConfig
 from repro.core.detector import ActiveDetector
 from repro.core.shield import ShieldRadio
-from repro.protocol.commands import TherapySettings, encode_therapy_payload
+from repro.phy.preamble import IdentifyingSequence
+from repro.protocol.commands import CommandType, TherapySettings, encode_therapy_payload
 from repro.protocol.imd import IMDevice, IMDParameters, VIRTUOSO
 from repro.protocol.packets import Packet, PacketCodec
-from repro.protocol.commands import CommandType
 from repro.sim.air import Air, LinkModel
 from repro.sim.engine import Simulator
 from repro.sim.radio import IMDRadio, ObserverRadio
@@ -44,6 +45,11 @@ __all__ = ["Placement", "ExperimentLinkModel", "AttackTestbed", "AttackOutcome"]
 
 # Link loss between two devices sharing the phantom (IMD <-> observer).
 _IN_PHANTOM_LOSS_DB = 10.0
+
+# Per-packet variation across the room (cart position, people).
+_ROOM_FADING = FadingModel(los_k_factor_db=10.0, shadowing_sigma_db=3.0)
+# The worn shield and the implant move together: tight channel.
+_BODY_FADING = FadingModel(los_k_factor_db=14.0, shadowing_sigma_db=1.0)
 
 
 @dataclass(frozen=True)
@@ -75,18 +81,16 @@ class ExperimentLinkModel(LinkModel):
         self.budget = budget
         self.geometry: TestbedGeometry = budget.geometry
         self.body: BodyLoss = budget.body
-        # Per-packet variation across the room (cart position, people).
-        self.room_fading = room_fading or FadingModel(
-            los_k_factor_db=10.0, shadowing_sigma_db=3.0
-        )
-        # The worn shield and the implant move together: tight channel.
-        self.body_fading = body_fading or FadingModel(
-            los_k_factor_db=14.0, shadowing_sigma_db=1.0
-        )
+        self.room_fading = room_fading or _ROOM_FADING
+        self.body_fading = body_fading or _BODY_FADING
         self._placements: dict[str, Placement] = {}
         # Mean link losses and fading kinds are pure functions of the
         # (static) placements; caching them keeps the per-reception cost
-        # flat over a sweep.
+        # flat over a sweep.  ``_mean_losses`` is keyed by the placements
+        # themselves, so testbeds on one budget may share it (see
+        # ``_TestbedTemplate``); ``_loss_cache`` is this model's view of
+        # it by device name, dropped whenever a device moves.
+        self._mean_losses: dict[tuple[Placement, Placement], float] = {}
         self._loss_cache: dict[tuple[str, str], float] = {}
         self._fading_kind_cache: dict[tuple[str, str], tuple[FadingModel, bool]] = {}
         self._fading_pools: dict[tuple[int, bool], list[float]] = {}
@@ -154,13 +158,14 @@ class ExperimentLinkModel(LinkModel):
         cached = self._loss_cache.get((source, destination))
         if cached is not None:
             return cached
-        loss = self._link_loss_db(source, destination)
+        pair = (self.placement(source), self.placement(destination))
+        loss = self._mean_losses.get(pair)
+        if loss is None:
+            loss = self._mean_losses[pair] = self._link_loss_db(*pair)
         self._loss_cache[(source, destination)] = loss
         return loss
 
-    def _link_loss_db(self, source: str, destination: str) -> float:
-        src = self.placement(source)
-        dst = self.placement(destination)
+    def _link_loss_db(self, src: Placement, dst: Placement) -> float:
         if src.in_phantom and dst.in_phantom:
             return _IN_PHANTOM_LOSS_DB
         loss = self._air_loss_db(src, dst)
@@ -202,6 +207,54 @@ class AttackOutcome:
     shield_jammed: bool
 
 
+#: The serial number of every testbed's IMD.
+_IMD_SERIAL = bytes(range(10))
+#: The two therapy settings ``therapy_packet`` alternates between.
+_FAST_THERAPY_PAYLOAD = encode_therapy_payload(
+    TherapySettings(pacing_rate_bpm=120, shock_energy_j=1)
+)
+_SLOW_THERAPY_PAYLOAD = encode_therapy_payload(
+    TherapySettings(pacing_rate_bpm=60, shock_energy_j=30)
+)
+
+
+@dataclass(frozen=True, eq=False)
+class _TestbedTemplate:
+    """The parts of a testbed that depend only on its geometry.
+
+    None of them draws random numbers or keeps per-trial state, so every
+    testbed on one geometry shares them: the link budget, one codec
+    (with its encode/decode memos), the detector's identifying sequence
+    and detection window, and the mean-loss memo, which is keyed by
+    placements rather than device names because callers may re-place a
+    device after construction.  A testbed builds only its simulator, air,
+    radios and seeded generators.  The memos take no lock: testbeds are
+    built and run on one thread per process (parallel sweeps use worker
+    processes).
+    """
+
+    budget: LinkBudget
+    codec: PacketCodec
+    sequence: IdentifyingSequence
+    detection_window_bits: int
+    mean_losses: dict[tuple[Placement, Placement], float] = field(
+        default_factory=dict
+    )
+
+
+@functools.lru_cache(maxsize=16)
+def _template(geometry: TestbedGeometry | None) -> _TestbedTemplate:
+    """The shared template of one geometry (``None``: the default)."""
+    budget = LinkBudget(geometry=geometry or TestbedGeometry())
+    codec = PacketCodec()
+    return _TestbedTemplate(
+        budget=budget,
+        codec=codec,
+        sequence=codec.identifying_sequence(_IMD_SERIAL),
+        detection_window_bits=codec.header_bit_count(),
+    )
+
+
 class AttackTestbed:
     """A ready-to-run attack experiment at one Fig. 6 location.
 
@@ -231,9 +284,9 @@ class AttackTestbed:
         observer_enabled: bool = True,
         shield_config: ShieldConfig | None = None,
     ):
-        geometry = geometry or TestbedGeometry()
-        self.location = geometry.location(location_index)
-        self.budget = LinkBudget(geometry=geometry)
+        template = _template(geometry)
+        self.budget = template.budget
+        self.location = self.budget.geometry.location(location_index)
         # Integer seeds keep the historical (seed, seed+1, seed+2) RNG
         # layout; a SeedSequence (what chunked/parallel sweeps pass)
         # spawns three independent streams from the work unit's own
@@ -244,15 +297,19 @@ class AttackTestbed:
             air_seed, imd_seed, shield_seed = seed, seed + 1, seed + 2
         self.rng = np.random.default_rng(air_seed)
         self.simulator = Simulator()
-        self.trace = TimelineTrace()
-        self.codec = PacketCodec()
+        # The timeline is the observer methodology's view (the examples
+        # print it); observer-less trial loops never read it.
+        self.trace: TimelineTrace | None = (
+            TimelineTrace() if observer_enabled else None
+        )
+        self.codec = template.codec
 
         self.links = ExperimentLinkModel(self.budget)
+        self.links._mean_losses = template.mean_losses
         self.air = Air(self.simulator, self.links, rng=self.rng)
 
-        serial = bytes(range(10))
         self.imd = IMDevice(
-            serial,
+            _IMD_SERIAL,
             parameters=imd_parameters or VIRTUOSO,
             codec=self.codec,
             rng=np.random.default_rng(imd_seed),
@@ -289,10 +346,10 @@ class AttackTestbed:
                 passive_jam_tx_dbm=self.budget.passive_jam_tx_dbm(
                     base.passive_jam_margin_db
                 ),
-                detection_window_bits=self.codec.header_bit_count(),
+                detection_window_bits=template.detection_window_bits,
             )
             detector = ActiveDetector(
-                self.codec.identifying_sequence(serial),
+                template.sequence,
                 b_thresh=config.b_thresh,
                 p_thresh_dbm=config.p_thresh_dbm,
                 anomaly_rssi_dbm=config.anomaly_rssi_dbm,
@@ -360,14 +417,11 @@ class AttackTestbed:
         # Alternate between two settings so every accepted command is an
         # observable state change.
         if self.imd.therapy.pacing_rate_bpm == 60:
-            target = TherapySettings(pacing_rate_bpm=120, shock_energy_j=1)
+            payload = _FAST_THERAPY_PAYLOAD
         else:
-            target = TherapySettings(pacing_rate_bpm=60, shock_energy_j=30)
+            payload = _SLOW_THERAPY_PAYLOAD
         return Packet(
-            self.imd.serial,
-            CommandType.SET_THERAPY,
-            self._sequence,
-            payload=encode_therapy_payload(target),
+            self.imd.serial, CommandType.SET_THERAPY, self._sequence, payload
         )
 
     # ------------------------------------------------------------------

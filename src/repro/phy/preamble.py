@@ -35,7 +35,7 @@ def hamming_distance(a: np.ndarray | list[int], b: np.ndarray | list[int]) -> in
     b = np.asarray(b, dtype=np.int64)
     if a.shape != b.shape:
         raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    return int(np.sum(a != b))
+    return int(np.count_nonzero(a != b))
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,17 @@ __all__ = ["Packet", "PacketCodec", "DecodeError", "SERIAL_LENGTH"]
 SERIAL_LENGTH = 10  # bytes; "its 10-byte serial number" (S7(a))
 _SYNC_BYTE = 0xD5
 _MAX_PAYLOAD = 255
+#: Entry cap of each per-codec memo.  An attack sweep resends a few
+#: hundred distinct commands; decoded IMD telemetry carries random
+#: payloads, which only push the oldest entries out.
+_MEMO_CAP = 1024
+
+
+def _remember(memo: dict, key, value) -> None:
+    """Insert into a bounded memo, dropping its oldest entry when full."""
+    if len(memo) >= _MEMO_CAP:
+        del memo[next(iter(memo))]
+    memo[key] = value
 
 
 class DecodeError(ValueError):
@@ -75,15 +86,45 @@ class PacketCodec:
 
     One codec instance is shared by every honest device and by the
     adversaries; the shield derives its per-device ``S_id`` from it.
+
+    Attack trials send the same few commands over and over, so the codec
+    memoises both directions: encoded command frames per :class:`Packet`
+    (kept as ``uint8``) and decoded packets per clean bit vector.  Both
+    memos hold at most ``_MEMO_CAP`` entries.
     """
 
     preamble_bits: np.ndarray = field(
         default_factory=lambda: DEFAULT_PREAMBLE_BITS.copy()
     )
     sync_byte: int = _SYNC_BYTE
+    _encoded: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _decoded: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def encode(self, packet: Packet) -> np.ndarray:
-        """Bit vector for a packet, preamble first."""
+        """Bit vector for a packet, preamble first.
+
+        Every call returns a fresh, writable ``int64`` array: receivers
+        and tests flip bits in place.  Only commands are memoised: IMD
+        responses carry device data (telemetry records) that seldom
+        repeats, so memoising them would only churn the memo.
+        """
+        if packet.opcode.is_imd_response:
+            return self._encode(packet)
+        try:
+            frame = self._encoded.get(packet)
+        except TypeError:  # a bytearray field: unhashable, not memoised
+            return self._encode(packet)
+        if frame is None:
+            bits = self._encode(packet)
+            _remember(self._encoded, packet, bits.astype(np.uint8))
+            return bits
+        return frame.astype(np.int64)
+
+    def _encode(self, packet: Packet) -> np.ndarray:
         body = packet.body_bytes()
         crc = packet.crc()
         frame = bytes([self.sync_byte]) + body + crc.to_bytes(2, "big")
@@ -94,18 +135,27 @@ class PacketCodec:
 
         This is the receiver the IMD runs: any checksum failure (or
         malformed field) and the packet is silently discarded -- exactly
-        the property jamming exploits.
+        the property jamming exploits.  Only vectors that parse are
+        memoised, so a corrupted one is checked afresh every time.
         """
         bits = np.asarray(bits, dtype=np.int64)
+        key = bits.tobytes()
+        packet = self._decoded.get(key)
+        if packet is None:
+            packet = self._parse(bits)
+            _remember(self._decoded, key, packet)
+        return packet
+
+    def _parse(self, bits: np.ndarray) -> Packet:
         n_pre = len(self.preamble_bits)
         min_bits = n_pre + 8 * (1 + SERIAL_LENGTH + 3 + 2)
         if len(bits) < min_bits:
             raise DecodeError(f"truncated packet: {len(bits)} bits")
         frame_bits = bits[n_pre:][: (len(bits) - n_pre) // 8 * 8]
         # packbits would silently binarise stray values; keep the old
-        # contract that non-binary input is an error (min/max scans are
-        # far cheaper than bits_to_bytes' full validation pass).
-        if frame_bits.size and (frame_bits.min() < 0 or frame_bits.max() > 1):
+        # contract that non-binary input is an error.  ``x & ~1`` is zero
+        # exactly for 0 and 1, so one pass finds any other value.
+        if np.count_nonzero(frame_bits & ~1):
             raise DecodeError("bit vector must contain only 0s and 1s")
         frame = np.packbits(frame_bits.astype(np.uint8)).tobytes()
         if frame[0] != self.sync_byte:

@@ -216,12 +216,10 @@ class Air:
         self._notify("on_transmission_end", tx)
 
     def _notify(self, method: str, tx: AirTransmission) -> None:
+        source, channel = tx.source, tx.channel
         for name, device in self._devices.items():
-            if name == tx.source:
-                continue
-            if tx.channel not in device.monitored_channels:
-                continue
-            getattr(device, method)(tx)
+            if name != source and channel in device.monitored_channels:
+                getattr(device, method)(tx)
 
     def _prune_recent(self, now: float) -> None:
         """Drop transmissions that can no longer matter from the working
@@ -301,7 +299,7 @@ class Air:
         window_end = self._window_end(tx, until)
         signal_dbm = self.rssi_dbm(tx, receiver)
         noise_dbm = self.links.noise_power_dbm(receiver)
-        segments = self._segments(tx, receiver, window_end, noise_dbm)
+        segments = self._segments(tx, receiver, window_end, signal_dbm, noise_dbm)
         sinr_values = [s for _, _, s in segments]
         bits = None
         flips = 0
@@ -331,10 +329,10 @@ class Air:
         tx: AirTransmission,
         receiver: str,
         window_end: float,
+        signal_dbm: float,
         noise_dbm: float,
     ) -> list[tuple[float, float, float]]:
         """Constant-interference intervals of [tx.start, window_end)."""
-        signal_dbm = self.rssi_dbm(tx, receiver)
         # Windows starting at or after the prune watermark can only
         # overlap transmissions still in the working set (see
         # _prune_recent); older windows fall back to the full history.

@@ -2,6 +2,8 @@
 
 Deliberately minimal: events are ``(time, sequence, callback)`` triples in
 a binary heap; cancellation marks the event dead rather than re-heaping.
+The heap holds ``(time, sequence, event)`` tuples, so ordering compares
+in C rather than through :class:`Event`'s generated ``__lt__``.
 Ties break by scheduling order, so same-instant events run
 deterministically -- important because several experiments schedule a
 jam-start and a packet-end at the same instant.
@@ -46,7 +48,7 @@ class Simulator:
     """Run callbacks in virtual-time order."""
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, Event]] = []
         self._counter = itertools.count()
         self._now = 0.0
         self._processed = 0
@@ -77,9 +79,10 @@ class Simulator:
             raise ValueError(
                 f"cannot schedule at {time} before current time {self._now}"
             )
-        event = Event(time, next(self._counter), callback, name)
+        sequence = next(self._counter)
+        event = Event(time, sequence, callback, name)
         event._on_cancel = self._on_event_cancelled
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (time, sequence, event))
         self._live += 1
         return event
 
@@ -93,17 +96,18 @@ class Simulator:
         ``until`` even if the queue empties earlier, so repeated
         ``run(until=...)`` calls compose predictably.
         """
-        while self._heap:
-            event = self._heap[0]
-            if until is not None and event.time > until:
+        heap = self._heap
+        while heap:
+            time, _, event = heap[0]
+            if until is not None and time > until:
                 break
-            heapq.heappop(self._heap)
+            heapq.heappop(heap)
             if event.cancelled:
                 event._done = True
                 continue
             event._done = True
             self._live -= 1
-            self._now = event.time
+            self._now = time
             self._processed += 1
             event.callback()
         if until is not None and until > self._now:

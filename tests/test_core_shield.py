@@ -5,6 +5,7 @@ import pytest
 
 from repro.experiments.testbed import AttackTestbed
 from repro.protocol.commands import CommandType
+from repro.protocol.crc import bytes_to_bits
 
 
 def _bed(**kwargs) -> AttackTestbed:
@@ -179,3 +180,24 @@ class TestMessageAlterationDefence:
         assert bed.air.transmissions_by("shield", kind="jam")
         # Neither the truncated relay nor the adversary command worked.
         assert bed.imd.accepted_packets == 0
+
+
+class TestImdOriginOpcodes:
+    def test_every_opcode_byte(self):
+        """The opcode set agrees with ``CommandType.is_imd_response`` on
+        all 256 bytes; a byte that is no opcode is not an IMD frame."""
+        bed = _bed()
+        prefix = bed.shield.detector.sequence.bits
+        for byte in range(256):
+            bits = np.concatenate([prefix, bytes_to_bits(bytes([byte]))])
+            try:
+                expected = CommandType(byte).is_imd_response
+            except ValueError:
+                expected = False
+            assert bed.shield._is_imd_origin_frame(bits) is expected, byte
+
+    def test_prefix_without_opcode_is_not_an_imd_frame(self):
+        bed = _bed()
+        prefix = bed.shield.detector.sequence.bits
+        assert bed.shield._is_imd_origin_frame(prefix) is False
+        assert bed.shield._is_imd_origin_frame(None) is False

@@ -12,7 +12,13 @@ from repro.protocol.crc import (
     crc16_ccitt,
     crc16_check,
 )
-from repro.protocol.packets import DecodeError, Packet, PacketCodec, SERIAL_LENGTH
+from repro.protocol.packets import (
+    _MEMO_CAP,
+    DecodeError,
+    Packet,
+    PacketCodec,
+    SERIAL_LENGTH,
+)
 
 
 class TestCRC16:
@@ -161,6 +167,76 @@ class TestCodec:
     def test_sid_serial_length_checked(self, codec):
         with pytest.raises(ValueError):
             codec.identifying_sequence(b"abc")
+
+
+class TestCodecMemos:
+    """``encode`` and ``decode`` memoise, without sharing arrays."""
+
+    def test_repeat_encodes_are_equal_distinct_and_writable(self, codec, serial):
+        packet = Packet(serial, CommandType.INTERROGATE, 3, payload=b"\x00\x01")
+        first = codec.encode(packet)
+        second = codec.encode(packet)
+        assert first.dtype == second.dtype == np.int64
+        assert np.array_equal(first, second)
+        assert not np.shares_memory(first, second)
+        assert first.flags.writeable and second.flags.writeable
+        first[:] = 0
+        second[len(DEFAULT_PREAMBLE_BITS)] ^= 1
+        assert np.array_equal(codec.encode(packet), codec._encode(packet))
+
+    def test_memoised_clean_vector_decodes_to_an_equal_packet(
+        self, codec, serial
+    ):
+        packet = Packet(serial, CommandType.SET_THERAPY, 9, payload=b"abcdef")
+        bits = codec.encode(packet)
+        assert codec.decode(bits) == packet
+        assert bits.tobytes() in codec._decoded
+        assert codec.decode(bits.copy()) == packet
+        corrupted = bits.copy()
+        corrupted[-1] ^= 1
+        for _ in range(2):
+            with pytest.raises(DecodeError):
+                codec.decode(corrupted)
+        assert corrupted.tobytes() not in codec._decoded
+
+    def test_non_binary_vector_is_not_a_memo_hit(self, codec, serial):
+        bits = codec.encode(Packet(serial, CommandType.ACK, 4))
+        codec.decode(bits)
+        for stray in (2, -1):
+            bits[-1] = stray
+            with pytest.raises(DecodeError, match="only 0s and 1s"):
+                codec.decode(bits)
+
+    def test_memos_stay_under_their_cap(self, serial):
+        codec = PacketCodec()
+        for i in range(_MEMO_CAP + 300):
+            packet = Packet(
+                serial, CommandType.SET_THERAPY, i % 256, payload=i.to_bytes(2, "big")
+            )
+            assert codec.decode(codec.encode(packet)) == packet
+            assert len(codec._encoded) <= _MEMO_CAP
+            assert len(codec._decoded) <= _MEMO_CAP
+        # The newest entries survive; the oldest were dropped.
+        assert packet in codec._encoded
+        assert len(codec._encoded) == _MEMO_CAP
+
+    def test_imd_responses_are_not_memoised(self, codec, serial):
+        """Telemetry and ACKs carry device data that seldom repeats."""
+        for opcode in (CommandType.TELEMETRY, CommandType.ACK):
+            packet = Packet(serial, opcode, 5, payload=b"record")
+            first, second = codec.encode(packet), codec.encode(packet)
+            assert np.array_equal(first, second)
+            assert not np.shares_memory(first, second)
+            assert codec.decode(first) == packet
+        assert not codec._encoded
+
+    def test_unhashable_packet_still_encodes(self, codec, serial):
+        packet = Packet(serial, CommandType.SET_THERAPY, 1, payload=bytearray(b"ab"))
+        bits = codec.encode(packet)
+        assert codec.decode(bits) == Packet(
+            serial, CommandType.SET_THERAPY, 1, payload=b"ab"
+        )
+        assert not codec._encoded
 
 
 class TestTableDrivenCRC:
