@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,11 +86,7 @@ class ExperimentLinkModel(LinkModel):
         self._placements: dict[str, Placement] = {}
         # Mean link losses and fading kinds are pure functions of the
         # (static) placements; caching them keeps the per-reception cost
-        # flat over a sweep.  ``_mean_losses`` is keyed by the placements
-        # themselves, so testbeds on one budget may share it (see
-        # ``_TestbedTemplate``); ``_loss_cache`` is this model's view of
-        # it by device name, dropped whenever a device moves.
-        self._mean_losses: dict[tuple[Placement, Placement], float] = {}
+        # flat over a sweep.
         self._loss_cache: dict[tuple[str, str], float] = {}
         self._fading_kind_cache: dict[tuple[str, str], tuple[FadingModel, bool]] = {}
         self._fading_pools: dict[tuple[int, bool], list[float]] = {}
@@ -158,14 +154,13 @@ class ExperimentLinkModel(LinkModel):
         cached = self._loss_cache.get((source, destination))
         if cached is not None:
             return cached
-        pair = (self.placement(source), self.placement(destination))
-        loss = self._mean_losses.get(pair)
-        if loss is None:
-            loss = self._mean_losses[pair] = self._link_loss_db(*pair)
+        loss = self._link_loss_db(source, destination)
         self._loss_cache[(source, destination)] = loss
         return loss
 
-    def _link_loss_db(self, src: Placement, dst: Placement) -> float:
+    def _link_loss_db(self, source: str, destination: str) -> float:
+        src = self.placement(source)
+        dst = self.placement(destination)
         if src.in_phantom and dst.in_phantom:
             return _IN_PHANTOM_LOSS_DB
         loss = self._air_loss_db(src, dst)
@@ -224,22 +219,17 @@ class _TestbedTemplate:
 
     None of them draws random numbers or keeps per-trial state, so every
     testbed on one geometry shares them: the link budget, one codec
-    (with its encode/decode memos), the detector's identifying sequence
-    and detection window, and the mean-loss memo, which is keyed by
-    placements rather than device names because callers may re-place a
-    device after construction.  A testbed builds only its simulator, air,
-    radios and seeded generators.  The memos take no lock: testbeds are
-    built and run on one thread per process (parallel sweeps use worker
-    processes).
+    (with its encode memo), the detector's identifying sequence and
+    detection window.  A testbed builds only its simulator, air, radios,
+    link model and seeded generators.  The codec's memo takes no lock:
+    testbeds are built and run on one thread per process (parallel
+    sweeps use worker processes).
     """
 
     budget: LinkBudget
     codec: PacketCodec
     sequence: IdentifyingSequence
     detection_window_bits: int
-    mean_losses: dict[tuple[Placement, Placement], float] = field(
-        default_factory=dict
-    )
 
 
 @functools.lru_cache(maxsize=16)
@@ -305,7 +295,6 @@ class AttackTestbed:
         self.codec = template.codec
 
         self.links = ExperimentLinkModel(self.budget)
-        self.links._mean_losses = template.mean_losses
         self.air = Air(self.simulator, self.links, rng=self.rng)
 
         self.imd = IMDevice(

@@ -30,17 +30,9 @@ __all__ = ["Packet", "PacketCodec", "DecodeError", "SERIAL_LENGTH"]
 SERIAL_LENGTH = 10  # bytes; "its 10-byte serial number" (S7(a))
 _SYNC_BYTE = 0xD5
 _MAX_PAYLOAD = 255
-#: Entry cap of each per-codec memo.  An attack sweep resends a few
-#: hundred distinct commands; decoded IMD telemetry carries random
-#: payloads, which only push the oldest entries out.
+#: Entry cap of a codec's encode memo.  An attack sweep resends under a
+#: hundred distinct commands per repetition.
 _MEMO_CAP = 1024
-
-
-def _remember(memo: dict, key, value) -> None:
-    """Insert into a bounded memo, dropping its oldest entry when full."""
-    if len(memo) >= _MEMO_CAP:
-        del memo[next(iter(memo))]
-    memo[key] = value
 
 
 class DecodeError(ValueError):
@@ -88,9 +80,8 @@ class PacketCodec:
     adversaries; the shield derives its per-device ``S_id`` from it.
 
     Attack trials send the same few commands over and over, so the codec
-    memoises both directions: encoded command frames per :class:`Packet`
-    (kept as ``uint8``) and decoded packets per clean bit vector.  Both
-    memos hold at most ``_MEMO_CAP`` entries.
+    memoises encoded command frames per :class:`Packet` (kept as
+    ``uint8``, at most ``_MEMO_CAP`` of them, oldest dropped first).
     """
 
     preamble_bits: np.ndarray = field(
@@ -98,9 +89,6 @@ class PacketCodec:
     )
     sync_byte: int = _SYNC_BYTE
     _encoded: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _decoded: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -120,7 +108,9 @@ class PacketCodec:
             return self._encode(packet)
         if frame is None:
             bits = self._encode(packet)
-            _remember(self._encoded, packet, bits.astype(np.uint8))
+            if len(self._encoded) >= _MEMO_CAP:
+                del self._encoded[next(iter(self._encoded))]
+            self._encoded[packet] = bits.astype(np.uint8)
             return bits
         return frame.astype(np.int64)
 
@@ -135,18 +125,9 @@ class PacketCodec:
 
         This is the receiver the IMD runs: any checksum failure (or
         malformed field) and the packet is silently discarded -- exactly
-        the property jamming exploits.  Only vectors that parse are
-        memoised, so a corrupted one is checked afresh every time.
+        the property jamming exploits.
         """
         bits = np.asarray(bits, dtype=np.int64)
-        key = bits.tobytes()
-        packet = self._decoded.get(key)
-        if packet is None:
-            packet = self._parse(bits)
-            _remember(self._decoded, key, packet)
-        return packet
-
-    def _parse(self, bits: np.ndarray) -> Packet:
         n_pre = len(self.preamble_bits)
         min_bits = n_pre + 8 * (1 + SERIAL_LENGTH + 3 + 2)
         if len(bits) < min_bits:

@@ -1,12 +1,10 @@
 """Heap-based discrete-event scheduler.
 
-Deliberately minimal: events are ``(time, sequence, callback)`` triples in
-a binary heap; cancellation marks the event dead rather than re-heaping.
-The heap holds ``(time, sequence, event)`` tuples, so ordering compares
-in C rather than through :class:`Event`'s generated ``__lt__``.
-Ties break by scheduling order, so same-instant events run
-deterministically -- important because several experiments schedule a
-jam-start and a packet-end at the same instant.
+Deliberately minimal: a binary heap of ``(time, sequence, event)``
+tuples, ordered by plain tuple comparison; cancellation marks the event
+dead rather than re-heaping.  Ties break by scheduling order, so
+same-instant events run deterministically -- important because several
+experiments schedule a jam-start and a packet-end at the same instant.
 """
 
 from __future__ import annotations
@@ -19,9 +17,9 @@ from typing import Callable
 __all__ = ["Event", "Simulator"]
 
 
-@dataclass(order=True, slots=True)
+@dataclass(slots=True)
 class Event:
-    """A scheduled callback; compare by (time, sequence)."""
+    """A scheduled callback; the scheduler orders it by (time, sequence)."""
 
     time: float
     sequence: int

@@ -170,7 +170,7 @@ class TestCodec:
 
 
 class TestCodecMemos:
-    """``encode`` and ``decode`` memoise, without sharing arrays."""
+    """``encode`` memoises commands, without sharing arrays."""
 
     def test_repeat_encodes_are_equal_distinct_and_writable(self, codec, serial):
         packet = Packet(serial, CommandType.INTERROGATE, 3, payload=b"\x00\x01")
@@ -184,22 +184,18 @@ class TestCodecMemos:
         second[len(DEFAULT_PREAMBLE_BITS)] ^= 1
         assert np.array_equal(codec.encode(packet), codec._encode(packet))
 
-    def test_memoised_clean_vector_decodes_to_an_equal_packet(
-        self, codec, serial
-    ):
+    def test_memoised_frame_decodes_to_an_equal_packet(self, codec, serial):
         packet = Packet(serial, CommandType.SET_THERAPY, 9, payload=b"abcdef")
+        codec.encode(packet)
         bits = codec.encode(packet)
+        assert packet in codec._encoded
         assert codec.decode(bits) == packet
-        assert bits.tobytes() in codec._decoded
-        assert codec.decode(bits.copy()) == packet
         corrupted = bits.copy()
         corrupted[-1] ^= 1
-        for _ in range(2):
-            with pytest.raises(DecodeError):
-                codec.decode(corrupted)
-        assert corrupted.tobytes() not in codec._decoded
+        with pytest.raises(DecodeError):
+            codec.decode(corrupted)
 
-    def test_non_binary_vector_is_not_a_memo_hit(self, codec, serial):
+    def test_non_binary_vector_is_rejected(self, codec, serial):
         bits = codec.encode(Packet(serial, CommandType.ACK, 4))
         codec.decode(bits)
         for stray in (2, -1):
@@ -207,7 +203,7 @@ class TestCodecMemos:
             with pytest.raises(DecodeError, match="only 0s and 1s"):
                 codec.decode(bits)
 
-    def test_memos_stay_under_their_cap(self, serial):
+    def test_memo_stays_under_its_cap(self, serial):
         codec = PacketCodec()
         for i in range(_MEMO_CAP + 300):
             packet = Packet(
@@ -215,7 +211,6 @@ class TestCodecMemos:
             )
             assert codec.decode(codec.encode(packet)) == packet
             assert len(codec._encoded) <= _MEMO_CAP
-            assert len(codec._decoded) <= _MEMO_CAP
         # The newest entries survive; the oldest were dropped.
         assert packet in codec._encoded
         assert len(codec._encoded) == _MEMO_CAP

@@ -1,9 +1,8 @@
 """The shared testbed template leaves every unit a pure function of its spec.
 
-``AttackTestbed`` takes its link budget, codec, identifying sequence,
-detection window and mean-loss memo from a template memoised per
-geometry, and builds only its simulator, air, radios and seeded
-generators.  These tests pin that the sharing changes no result: an
+``AttackTestbed`` takes its link budget, codec, identifying sequence
+and detection window from a template memoised per geometry, and builds
+only its simulator, air, radios, link model and seeded generators.  These tests pin that the sharing changes no result: an
 attack chunk and a fleet shard give the same numbers whether they run
 first in a fresh interpreter, after unrelated units, or after another
 testbed has re-placed one of its devices.
@@ -105,9 +104,9 @@ class TestTemplatePurity:
         assert probe_results() == fresh_results
 
     def test_a_device_moved_in_another_testbed(self, fresh_results):
-        """The mean-loss memo is keyed by placement, not device name, so
-        re-placing a device elsewhere cannot leak into this unit, even
-        when the moved testbed is the first to fill the memo."""
+        """Re-placing a device in one testbed cannot leak into another
+        through the shared template, even when the moved testbed is the
+        first one built on it."""
         testbed_module._template.cache_clear()
         bed = AttackTestbed(location_index=4, seed=2)
         geometry = bed.budget.geometry
