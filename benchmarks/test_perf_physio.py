@@ -54,6 +54,18 @@ _JAMMED_SAMPLES, _ = _INFERENCE.reconstruct_record(
     np.random.default_rng(0).integers(0, 2, size=_FRAMES.shape)
 )
 
+#: One shield-wearing fleet patient's inference block, as
+#: ``PhysioLab.run_records`` stacks it: the jammed record (near
+#: coin-flip BER), the clear reference and three coin-flip chance
+#: records, 8 packets each.
+_PATIENT_FRAMES = _FRAMES[:8]
+_PATIENT_RNG = np.random.default_rng(17)
+_PATIENT_BLOCK = np.stack([
+    _PATIENT_FRAMES ^ (_PATIENT_RNG.random(_PATIENT_FRAMES.shape) < 0.45),
+    _PATIENT_FRAMES,
+    *_PATIENT_RNG.integers(0, 2, size=(3,) + _PATIENT_FRAMES.shape),
+])
+
 
 def test_perf_ecg_batch_generation(benchmark):
     batch = benchmark(_GENERATOR.sample_batch, 16, 5)
@@ -90,6 +102,12 @@ def test_perf_inference_record(benchmark):
     """Bits-to-vitals on one 16-packet record at 10% BER."""
     results = benchmark(_INFERENCE.infer_batch, _CORRUPTED)
     assert len(results) == 1
+
+
+def test_perf_infer_block(benchmark):
+    """Bits-to-vitals on one fleet patient's 5-record block."""
+    results = benchmark(_INFERENCE.infer_batch, _PATIENT_BLOCK)
+    assert len(results) == 5
 
 
 def test_perf_physio_record_batch(benchmark):

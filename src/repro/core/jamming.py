@@ -177,7 +177,7 @@ class ShapedJammer:
     ) -> "ShapedJammer":
         """Jammer shaped to a two-tone FSK profile (the Fig. 5 'shaped'
         curve)."""
-        profile = FrequencyProfile.two_tone_fsk(
+        profile = _two_tone_profile(
             deviation_hz, bit_rate, n_bins, sample_rate
         )
         return cls(profile, sample_rate, rng)
@@ -193,6 +193,25 @@ class ShapedJammer:
         """Oblivious constant-profile jammer (the Fig. 5 baseline)."""
         profile = FrequencyProfile.flat(n_bins, bandwidth_hz)
         return cls(profile, sample_rate, rng)
+
+
+# Bounded: a campaign shapes its jammers to one or two FSK settings.
+@lru_cache(maxsize=8)
+def _two_tone_profile(
+    deviation_hz: float, bit_rate: float, n_bins: int, bandwidth_hz: float
+) -> FrequencyProfile:
+    """The two-tone FSK profile of one argument tuple, shared.
+
+    A fleet campaign builds one jammer per patient from the same FSK
+    settings.  The profile is a pure function of its arguments, so
+    those jammers share one, with its arrays made read-only.
+    """
+    profile = FrequencyProfile.two_tone_fsk(
+        deviation_hz, bit_rate, n_bins, bandwidth_hz
+    )
+    profile.frequencies_hz.setflags(write=False)
+    profile.relative_power.setflags(write=False)
+    return profile
 
 
 def _jam_tone_colour(factor: np.ndarray, draws: np.ndarray) -> np.ndarray:

@@ -288,33 +288,29 @@ class PhysioLab:
             config=self.inference_config,
         )
         shape = (n_records, self.packets_per_record, bits.shape[1])
-        inferred = inference.infer_batch(
-            attacked.eavesdropper_bits.reshape(shape)
-        )
-        inferred_clear = (
-            inferred
-            if clear is attacked
-            else inference.infer_batch(clear.eavesdropper_bits.reshape(shape))
-        )
-
         # Chance baseline: the same pipeline fed coin flips, so any
         # estimator bias (autocorrelation floor, classifier priors)
-        # cancels out of the versus-chance comparison.
+        # cancels out of the versus-chance comparison.  One draw fills
+        # every repeat, in the stream order of per-repeat draws.
         chance_rng = np.random.default_rng(self._chance_root.spawn(1)[0])
-        chance_err = np.zeros(n_records)
-        # One pre-drawn block for every repeat: the generator fills a
-        # (repeats, ...) draw element for element in the same stream
-        # order as repeat-sized calls in a loop, so this is bit-identical
-        # to the per-repeat draws it replaces -- minus the per-repeat RNG
-        # dispatch overhead.
         coins = chance_rng.integers(
             0, 2, size=(self.chance_repeats,) + shape, dtype=np.int64
         )
-        for coin in coins:
-            for i, guess in enumerate(inference.infer_batch(coin)):
-                chance_err[i] += abs(
-                    guess.heart_rate_bpm - ecg.heart_rate_bpm[i]
-                )
+        # Every condition's records go through one inference pass:
+        # attacked, clear (shield present only), then the coin blocks.
+        conditions = [attacked] if clear is attacked else [attacked, clear]
+        blocks = [c.eavesdropper_bits.reshape(shape) for c in conditions]
+        blocks.append(coins.reshape((-1,) + shape[1:]))
+        inferred_all = inference.infer_batch(np.concatenate(blocks))
+        n_inferred = len(conditions) * n_records
+        inferred = inferred_all[:n_records]
+        inferred_clear = inferred_all[n_inferred - n_records: n_inferred]
+        chance_hr = np.array(
+            [r.heart_rate_bpm for r in inferred_all[n_inferred:]]
+        ).reshape(self.chance_repeats, n_records)
+        chance_err = np.zeros(n_records)
+        for repeat_hr in chance_hr:
+            chance_err += np.abs(repeat_hr - ecg.heart_rate_bpm)
         chance_err /= self.chance_repeats
 
         f1 = np.array([

@@ -22,7 +22,6 @@ numbers.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,12 +82,13 @@ def patient_shield_config(profile):
     """
     from repro.core.config import ShieldConfig
 
-    base = ShieldConfig()
-    return dataclasses.replace(
-        base,
-        p_thresh_dbm=base.p_thresh_dbm + profile.p_thresh_offset_db,
+    # One construction from the class defaults (a dataclass keeps each
+    # plain field default as a class attribute).
+    return ShieldConfig(
+        p_thresh_dbm=ShieldConfig.p_thresh_dbm + profile.p_thresh_offset_db,
         antenna_cancellation_db=(
-            base.antenna_cancellation_db + profile.cancellation_offset_db
+            ShieldConfig.antenna_cancellation_db
+            + profile.cancellation_offset_db
         ),
         passive_jam_margin_db=profile.jam_margin_db,
     )

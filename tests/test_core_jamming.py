@@ -175,6 +175,22 @@ class TestToneCorrelationBatch:
         assert second._correlation_factors(fsk, 16) is factor
         assert not factor.flags.writeable
 
+    def test_two_tone_profile_shared_and_read_only(self):
+        from repro.experiments.waveform_lab import PassiveLab
+
+        first = PassiveLab(seed=1).jammer.profile
+        second = PassiveLab(seed=2).jammer.profile
+        assert second is first
+        for values in (first.frequencies_hz, first.relative_power):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 1.0
+        fresh = FrequencyProfile.two_tone_fsk(50e3, 100e3, 256, 600e3)
+        np.testing.assert_array_equal(
+            first.relative_power, fresh.relative_power
+        )
+        other = ShapedJammer.matched_to_fsk(40e3, 100e3, 600e3).profile
+        assert other is not first
+
     def test_factors_keyed_on_length_and_profile(self):
         from repro.phy.fsk import FSKConfig
 

@@ -8,14 +8,20 @@ move any existing kind's content hash (pinned below against the
 pre-fleet values).
 """
 
+import dataclasses
 import json
+from types import SimpleNamespace
 
 import pytest
 
 import repro.campaigns.runner as runner_module
 from repro.campaigns import CampaignRunner, registry
 from repro.campaigns.spec import SCHEMA_VERSION, Scenario
-from repro.fleet.runner import FleetChunkSpec, run_fleet_chunk
+from repro.fleet.runner import (
+    FleetChunkSpec,
+    patient_shield_config,
+    run_fleet_chunk,
+)
 from repro.fleet.cohort import CohortSpec
 
 
@@ -338,3 +344,43 @@ class TestReduction:
             assert sum(u.coords["n_patients"] for u in units) == (
                 scenario.n_patients
             )
+
+
+class TestPatientShieldConfig:
+    """One ``ShieldConfig`` construction per patient, equal to the
+    defaults-then-``replace`` config it replaced."""
+
+    @staticmethod
+    def _two_step(profile):
+        from repro.core.config import ShieldConfig
+
+        base = ShieldConfig()
+        return dataclasses.replace(
+            base,
+            p_thresh_dbm=base.p_thresh_dbm + profile.p_thresh_offset_db,
+            antenna_cancellation_db=(
+                base.antenna_cancellation_db + profile.cancellation_offset_db
+            ),
+            passive_jam_margin_db=profile.jam_margin_db,
+        )
+
+    @pytest.mark.parametrize(
+        "p_thresh, cancellation, margin",
+        [
+            (0.0, 0.0, 20.0),
+            (-12.5, -30.0, -5.0),
+            (40.0, 25.0, 60.0),
+            (-0.0, 1e-9, 0.0),
+        ],
+    )
+    def test_equals_two_step_config(self, p_thresh, cancellation, margin):
+        profile = SimpleNamespace(
+            p_thresh_offset_db=p_thresh,
+            cancellation_offset_db=cancellation,
+            jam_margin_db=margin,
+        )
+        assert patient_shield_config(profile) == self._two_step(profile)
+
+    def test_equals_two_step_config_on_cohort_profiles(self):
+        for profile in CohortSpec(n_patients=40, seed=3).profiles(0, 40):
+            assert patient_shield_config(profile) == self._two_step(profile)

@@ -1,5 +1,7 @@
 """Tests for the attacker-side inference pipeline."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,13 +9,19 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.physio.codec import WaveformCodec
-from repro.physio.ecg import ECGConfig, ECGGenerator
+from repro.physio.ecg import (
+    ECGConfig,
+    ECGGenerator,
+    RHYTHM_CLASSES,
+    rate_from_beat_times,
+)
 from repro.physio.inference import (
     AttackerInference,
     InferenceConfig,
     _beat_refractory_suppress,
     _hr_unbiased_autocorr,
     _median3,
+    _robust_rr_cv,
     beat_f1,
     classify_rhythm,
     detect_beats,
@@ -281,3 +289,272 @@ def test_beat_refractory_suppress_matches_all_pairs(
             kept.append(int(idx))
     assert out.dtype == np.int64
     assert out.tolist() == kept
+
+
+@pytest.mark.statistical
+@given(st.integers(0, 2**32 - 1), st.integers(1, 800), st.data())
+@settings(max_examples=80, deadline=None)
+def test_hr_unbiased_autocorr_prefix_matches_full(seed, n, data):
+    """Any prefix of lags -- served by "same" or "full" mode -- equals
+    the same prefix of the full-mode formula, bit for bit."""
+    lag_hi = data.draw(st.integers(0, n - 1))
+    x = np.random.default_rng(seed).standard_normal(n)
+    full = np.correlate(x, x, mode="full")[n - 1 :]
+    expected = (full / (n - np.arange(n)))[: lag_hi + 1]
+    np.testing.assert_array_equal(_hr_unbiased_autocorr(x, lag_hi), expected)
+
+
+# -- the block path against the per-record formulas it replaced ----------
+#
+# The oracles below are the per-record implementation the block path
+# replaced, kept verbatim: np.median / np.max / np.mean / np.std /
+# np.clip on one record at a time.  The block path must reproduce them
+# bit for bit, and every record of a block must infer exactly as it
+# does alone.
+
+
+def _oracle_robust_rr_cv(rr):
+    rr = rr[np.isfinite(rr)]
+    if len(rr) < 4:
+        return None
+    median = float(np.median(rr))
+    if median <= 0:
+        return None
+    kept = rr[(rr > 0.6 * median) & (rr < 1.6 * median)]
+    if len(kept) < 4:
+        return float("inf")
+    mean = float(np.mean(kept))
+    return float(np.std(kept)) / mean if mean > 0 else None
+
+
+def _oracle_beats(x, rate, config):
+    baseline = float(np.median(x))
+    excursion = float(np.max(x)) - baseline
+    if excursion <= 0:
+        return np.empty(0)
+    threshold = baseline + config.peak_threshold * excursion
+    interior = x[1:-1]
+    candidates = 1 + np.flatnonzero(
+        (interior > x[:-2]) & (interior >= x[2:]) & (interior > threshold)
+    )
+    if candidates.size == 0:
+        return np.empty(0)
+    order = np.argsort(x[candidates])[::-1]
+    kept = _beat_refractory_suppress(
+        candidates[order].astype(np.int64),
+        float(config.refractory_s * rate),
+    )
+    return np.sort(kept) / rate
+
+
+def _oracle_heart_rate(x, rate, config):
+    x = x - np.mean(x)
+    n = len(x)
+    lag_min = max(2, int(np.floor(rate * 60.0 / config.hr_max_bpm)))
+    lag_max = min(n - 2, int(np.ceil(rate * 60.0 / config.hr_min_bpm)))
+    if lag_max <= lag_min:
+        raise ValueError("record too short for the HR search range")
+    full = np.correlate(x, x, mode="full")[n - 1 :]
+    ac = (full / (n - np.arange(n)))[: lag_max + 2]
+    best = lag_min + int(np.argmax(ac[lag_min : lag_max + 1]))
+
+    def local_peak(center):
+        lo = max(lag_min, center - 2)
+        hi = min(lag_max, center + 2)
+        return lo + int(np.argmax(ac[lo : hi + 1]))
+
+    for divisor in (4, 3, 2):
+        candidate = int(round(best / divisor))
+        if candidate < lag_min:
+            continue
+        candidate = local_peak(candidate)
+        if ac[candidate] >= config.harmonic_ratio * ac[best]:
+            best = candidate
+            break
+    lag = float(best)
+    if 1 <= best <= n - 2:
+        left, mid, right = ac[best - 1], ac[best], ac[best + 1]
+        denom = left - 2.0 * mid + right
+        if denom < 0:
+            delta = 0.5 * (left - right) / denom
+            lag = best + float(np.clip(delta, -0.5, 0.5))
+    hr = 60.0 * rate / lag
+    return float(np.clip(hr, config.hr_min_bpm, config.hr_max_bpm))
+
+
+def _oracle_rhythm(hr, beats, config):
+    cv = _oracle_robust_rr_cv(np.diff(beats))
+    if cv is not None and cv > config.afib_rr_cv:
+        return "afib"
+    if hr < config.brady_below_bpm:
+        return "bradycardia"
+    if hr > config.tachy_above_bpm:
+        return "tachycardia"
+    return "normal"
+
+
+def _oracle_record(samples, mask, rate, config):
+    """(beats, heart rate, rhythm) of one record, the per-record way."""
+    filtered = _median3(samples)
+    beats = _oracle_beats(filtered, rate, config)
+    times = np.flatnonzero(mask) / rate
+    trusted = None
+    implied = rate_from_beat_times(times) if len(times) >= 3 else None
+    if (
+        implied is not None
+        and config.hr_min_bpm <= implied <= config.hr_max_bpm
+        and len(beats)
+    ):
+        gaps = np.abs(times[:, None] - beats[None, :]).min(axis=1)
+        if float(np.mean(gaps <= config.beat_match_tol_s)) >= 0.7:
+            trusted = times
+    if trusted is not None:
+        hr = float(
+            np.clip(
+                rate_from_beat_times(trusted),
+                config.hr_min_bpm,
+                config.hr_max_bpm,
+            )
+        )
+        beats = trusted
+    else:
+        hr = refine_heart_rate(
+            _oracle_heart_rate(filtered, rate, config), beats
+        )
+    return beats, hr, _oracle_rhythm(hr, beats, config)
+
+
+_RR_ELEMENTS = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, 0.5, 0.8, 0.8, 1.0, 1.3, -0.4, math.inf, -math.inf,
+         math.nan]
+    ),
+    st.floats(0.3, 1.5),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+def _same_value(a, b):
+    if a is None or b is None:
+        return a is b
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+@pytest.mark.statistical
+@given(st.lists(_RR_ELEMENTS, min_size=0, max_size=40))
+@settings(max_examples=400, deadline=None)
+def test_robust_rr_cv_matches_numpy_formula(values):
+    """The sorted-list median and unwrapped sums equal np.median /
+    np.mean / np.std, on both sides of numpy's 8-element pairwise sum,
+    with duplicates and non-finite intervals."""
+    rr = np.array(values, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _same_value(_robust_rr_cv(rr), _oracle_robust_rr_cv(rr))
+
+
+@pytest.mark.parametrize("n", [0, 3, 4, 5, 7, 8, 9, 15, 16, 17, 40])
+def test_robust_rr_cv_matches_numpy_formula_by_length(n):
+    rng = np.random.default_rng(n)
+    for spread in (0.02, 0.2, 0.6):
+        rr = 0.8 * np.exp(spread * rng.standard_normal(n))
+        assert _same_value(_robust_rr_cv(rr), _oracle_robust_rr_cv(rr))
+        rr[::3] = rr[:1]  # duplicates
+        assert _same_value(_robust_rr_cv(rr), _oracle_robust_rr_cv(rr))
+
+
+_ECG_ROWS = ECGGenerator(ECGConfig(duration_s=6.4)).sample_batch(
+    len(RHYTHM_CLASSES), seed=11, rhythms=RHYTHM_CLASSES
+)
+_RECORD_KINDS = ("ecg", "noisy_ecg", "coin", "tied", "flat", "ramp")
+_MASK_KINDS = ("true", "none", "all", "random")
+
+
+@st.composite
+def _record_blocks(draw):
+    """A block of equal-length records of mixed kinds and annotations:
+    clean and corrupted ECG of every rhythm, coin-flip reconstructions,
+    heavily tied levels, flat records (no excursion) and ramps (an
+    excursion but no candidate peak)."""
+    n = draw(st.sampled_from([384, 768, 41, 97, 385, 767]))
+    rows = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    codec = WaveformCodec()
+    lo, _ = codec.amplitude_range
+    samples = np.empty((rows, n))
+    masks = np.empty((rows, n), dtype=bool)
+    for i in range(rows):
+        kind = draw(st.sampled_from(_RECORD_KINDS))
+        source = int(rng.integers(len(RHYTHM_CLASSES)))
+        start = int(rng.integers(0, 768 - n + 1))
+        ecg = _ECG_ROWS.samples[source, start : start + n]
+        if kind == "ecg":
+            row = ecg
+        elif kind == "noisy_ecg":
+            row = ecg + (rng.random(n) < 0.1) * rng.standard_normal(n)
+        elif kind == "coin":
+            row = lo + rng.integers(0, 256, n) * codec.quantization_step
+        elif kind == "tied":
+            row = rng.integers(-2, 3, n) / 4.0
+        elif kind == "flat":
+            row = np.full(n, rng.standard_normal())
+        else:
+            row = np.linspace(-1.0, 1.0, n)
+        samples[i] = row
+        mask_kind = draw(st.sampled_from(_MASK_KINDS))
+        if mask_kind == "true":
+            masks[i] = _ECG_ROWS.beat_mask[source, start : start + n]
+        elif mask_kind == "random":
+            masks[i] = rng.random(n) < 0.05
+        else:
+            masks[i] = mask_kind == "all"
+    return samples, masks
+
+
+@pytest.mark.statistical
+@given(_record_blocks())
+@settings(max_examples=120, deadline=None)
+def test_block_inference_matches_one_row_and_per_record_formulas(block):
+    samples, masks = block
+    inference = AttackerInference()
+    config, rate = inference.config, inference.sample_rate_hz
+    stacked = inference._infer_block(samples, masks)
+    assert len(stacked) == len(samples)
+    for i, result in enumerate(stacked):
+        alone = inference._infer_block(samples[i : i + 1], masks[i : i + 1])[0]
+        for other in (result, alone):
+            np.testing.assert_array_equal(other.samples, samples[i])
+        assert result.heart_rate_bpm == alone.heart_rate_bpm
+        assert result.rhythm == alone.rhythm
+        np.testing.assert_array_equal(result.beat_times, alone.beat_times)
+
+        beats, hr, rhythm = _oracle_record(samples[i], masks[i], rate, config)
+        assert result.heart_rate_bpm == hr
+        assert result.rhythm == rhythm
+        np.testing.assert_array_equal(result.beat_times, beats)
+
+        filtered = _median3(samples[i])
+        np.testing.assert_array_equal(
+            detect_beats(samples[i], rate),
+            _oracle_beats(filtered, rate, config),
+        )
+        assert estimate_heart_rate(samples[i], rate) == _oracle_heart_rate(
+            filtered, rate, config
+        )
+
+
+def test_block_matches_one_row_on_jammed_bits(rng):
+    """A stacked block of eavesdropped records -- clean, partly and fully
+    jammed -- infers each record exactly as ``infer_record`` does."""
+    records = []
+    for seed, ber in ((31, 0.0), (32, 0.1), (33, 0.5)):
+        batch, _ = _clean_record(seed=seed)
+        bits = _record_bits(batch)
+        records.append(bits ^ (rng.random(bits.shape) < ber))
+    inference = AttackerInference()
+    stacked = inference.infer_batch(np.stack(records))
+    for bits, result in zip(records, stacked):
+        single = inference.infer_record(bits)
+        assert result.heart_rate_bpm == single.heart_rate_bpm
+        assert result.rhythm == single.rhythm
+        np.testing.assert_array_equal(result.beat_times, single.beat_times)
+        np.testing.assert_array_equal(result.samples, single.samples)

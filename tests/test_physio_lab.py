@@ -11,6 +11,7 @@ Two regression families matter here:
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from repro.experiments.waveform_lab import (
 from repro.phy.fsk import FSKModulator
 from repro.phy.signal import Waveform
 from repro.physio.codec import PhysioPayloadSource
+from repro.physio.inference import AttackerInference
 
 
 class TestPayloadSeedRegression:
@@ -246,3 +248,55 @@ class TestPhysioLab:
             PhysioLab(chance_repeats=0)
         with pytest.raises(ValueError):
             PhysioLab(seed=1).run_records(0)
+
+
+class TestRecordBlockPins:
+    """``run_records`` infers every condition of a batch in one block.
+
+    The digests pin ``moments()`` of two consecutive batches per lab as
+    computed when each condition (attacked, clear, every chance repeat)
+    was inferred by a separate ``infer_batch`` call: stacking them must
+    not move a bit.
+    """
+
+    PINS = {
+        (True, 1): "f0f64f242aa7b205",
+        (True, 3): "2a85906036d936d5",
+        (False, 1): "13201fdacc3a0043",
+        (False, 3): "4eb75b4db665754f",
+    }
+
+    @pytest.mark.parametrize("shield_present, chance_repeats", sorted(PINS))
+    def test_moments_unchanged(
+        self, monkeypatch, shield_present, chance_repeats
+    ):
+        calls = []
+        infer_batch = AttackerInference.infer_batch
+
+        def spy(self, record_bits):
+            calls.append(len(record_bits))
+            return infer_batch(self, record_bits)
+
+        monkeypatch.setattr(AttackerInference, "infer_batch", spy)
+        lab = PhysioLab(
+            seed=40 + 2 * shield_present + chance_repeats,
+            packets_per_record=8,
+            chance_repeats=chance_repeats,
+        )
+        batches = [
+            lab.run_records(
+                3, location_index=2, shield_present=shield_present,
+                rhythm="mixed",
+            ),
+            lab.run_records(
+                2, location_index=1, shield_present=shield_present,
+                rhythm="mixed",
+            ),
+        ]
+        digest = hashlib.sha256(
+            json.dumps([b.moments() for b in batches], sort_keys=True).encode()
+        ).hexdigest()[:16]
+        assert digest == self.PINS[shield_present, chance_repeats]
+        # One inference pass per batch, over every condition's records.
+        conditions = (2 if shield_present else 1) + chance_repeats
+        assert calls == [3 * conditions, 2 * conditions]
