@@ -23,7 +23,7 @@ from repro.core.jamming import ShapedJammer
 from repro.phy.fsk import FSKConfig, FSKModulator, NoncoherentFSKDemodulator
 from repro.phy.signal import db_to_linear, dbm_to_watts
 from repro.phy.spectrum import estimate_frequency_profile
-from repro.protocol.packets import Packet, PacketCodec
+from repro.protocol.packets import PacketCodec
 from repro.protocol.commands import CommandType
 
 __all__ = [
@@ -47,7 +47,8 @@ class PayloadSource(Protocol):
     a source that serves actual encoded payloads.  A source declares a
     fixed ``payload_size`` -- every packet in a batch must share one
     frame layout so trial blocks stack into rectangular bit matrices --
-    and hands out one payload per packet, in transmission order.
+    and hands out one payload row per packet, a block at a time, in
+    transmission order.
     """
 
     @property
@@ -55,8 +56,11 @@ class PayloadSource(Protocol):
         """Payload bytes per packet (fixed for the source's lifetime)."""
         ...
 
-    def next_payload(self, rng: np.random.Generator) -> bytes:
-        """The next packet's payload; ``rng`` is the lab's RNG stream."""
+    def next_payload_batch(
+        self, rng: np.random.Generator, count: int
+    ) -> np.ndarray:
+        """The next ``count`` packets' payloads as array rows; a packet
+        carries its row's raw bytes.  ``rng`` is the lab's RNG stream."""
         ...
 
 
@@ -227,12 +231,7 @@ class PassiveLab:
         bytes by default, encoded physiological windows when a content
         experiment plugged its own source in.
         """
-        self._sequence = (self._sequence + 1) % 256
-        payload = self.payload_source.next_payload(self.rng)
-        packet = Packet(
-            self._serial, CommandType.TELEMETRY, self._sequence, payload
-        )
-        return self.codec.encode(packet)
+        return self.telemetry_packet_bits_batch(1)[0]
 
     def telemetry_packet_bits_batch(self, n_packets: int) -> np.ndarray:
         """``(n_packets, n_bits)`` bit matrix of fresh telemetry packets.
@@ -243,25 +242,19 @@ class PassiveLab:
         """
         if n_packets <= 0:
             raise ValueError("need at least one packet in a batch")
-        batch_draw = getattr(self.payload_source, "next_payload_batch", None)
-        if batch_draw is None:
-            # Sources without a batch hook keep the per-packet path.
-            return np.stack(
-                [self.telemetry_packet_bits() for _ in range(n_packets)]
-            )
-        # Batch-level RNG pre-draw: only the payload draws touch the
-        # lab's RNG inside this loop, so drawing them all up front
-        # consumes the stream exactly as the per-packet path does.
-        payloads = batch_draw(self.rng, n_packets)
-        rows = []
-        for payload in payloads:
-            self._sequence = (self._sequence + 1) % 256
-            packet = Packet(
-                self._serial, CommandType.TELEMETRY, self._sequence,
-                bytes(payload),
-            )
-            rows.append(self.codec.encode(packet))
-        return np.stack(rows)
+        # One payload draw for the block: a source's block consumes the
+        # lab's RNG stream exactly as that many one-packet draws would.
+        payloads = np.ascontiguousarray(
+            self.payload_source.next_payload_batch(self.rng, n_packets)
+        )
+        sequences = (self._sequence + np.arange(1, n_packets + 1)) % 256
+        self._sequence = int(sequences[-1])
+        # A packet carries its row's raw bytes, ``bytes(row)``: the
+        # random source's int64 rows go out eight bytes per value.
+        return self.codec.encode_batch(
+            self._serial, CommandType.TELEMETRY, sequences,
+            payloads.view(np.uint8).reshape(n_packets, -1),
+        )
 
     def _random_phases(self, count: int) -> np.ndarray:
         """``count`` unit-magnitude random phases, one per packet."""

@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,6 +125,18 @@ def validate_cohort_fields(
         )
 
 
+def _choice_cdf(p: np.ndarray) -> list[float]:
+    """The CDF ``Generator.choice(n, p=p)`` searches: the cumulative
+    sum divided by its last entry, in the same float operations.
+
+    ``bisect_right(cdf, rng.random())`` then picks the index ``choice``
+    would, from the same single uniform draw.
+    """
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
 @dataclass(frozen=True)
 class PatientProfile:
     """One synthesized patient: everything their encounter varies on.
@@ -193,14 +206,14 @@ class CohortSpec:
         )
         # Precomputed once: patient_profile is the cohort-synthesis hot
         # path (one call per patient at 10^5-10^6 patients), and these
-        # arrays depend only on the frozen spec.
+        # CDFs depend only on the frozen spec.
         object.__setattr__(
-            self, "_location_p", self._location_probabilities()
+            self, "_location_cdf", _choice_cdf(self._location_probabilities())
         )
         object.__setattr__(
             self,
-            "_rhythm_p",
-            np.asarray(self.rhythm_prevalence, dtype=float),
+            "_rhythm_cdf",
+            _choice_cdf(np.asarray(self.rhythm_prevalence, dtype=float)),
         )
 
     # -- identity -------------------------------------------------------
@@ -275,11 +288,11 @@ class CohortSpec:
         # Draw order is part of the determinism contract: changing it
         # is a cohort-schema change and must bump the fleet kind's
         # schema version.
-        rhythm = RHYTHM_CLASSES[
-            int(rng.choice(len(RHYTHM_CLASSES), p=self._rhythm_p))
-        ]
+        # Each categorical draw is ``rng.choice(n, p=...)`` inlined: one
+        # ``random()`` located in the CDF ``choice`` would build.
+        rhythm = RHYTHM_CLASSES[bisect_right(self._rhythm_cdf, rng.random())]
         location = self.location_indices[
-            int(rng.choice(len(self.location_indices), p=self._location_p))
+            bisect_right(self._location_cdf, rng.random())
         ]
         worn = bool(rng.random() < self.shield_worn_fraction)
         jam_margin = max(

@@ -289,7 +289,10 @@ class AlarmPipeline:
 
     def process(self, event: LiveEvent) -> list[Alarm]:
         fired: list[Alarm] = []
-        for rule in self._rules_for(event.kind):
+        rules = self._rules_by_kind.get(event.kind)
+        if rules is None:
+            rules = self._rules_for(event.kind)
+        for rule in rules:
             alarm = rule.evaluate(event)
             if alarm is None:
                 continue

@@ -27,18 +27,22 @@ Throughput budget
 -----------------
 
 The acceptance bar (10k events/sec at speedup 100 on one core) only
-works because the expensive physiology runs once, at admission: one
-vectorized :meth:`~repro.physio.ecg.ECGGenerator.sample_batch` call
-synthesises every patient's baseline record, and per-tick vitals come
-from the cheap seeded :class:`~repro.physio.ecg.HeartRateWalk`.
-Attack bursts -- the only events that touch the full testbed
-simulation -- are rare by construction.  Per event, the heap holds
-only each tick chain's head (:meth:`LiveEngine._pop` pushes the
-successor), the event log renders the vitals line directly
-(:meth:`~repro.live.events.LiveEvent.canonical`), and the alarm
-pipeline offers an event only to rules of its kind.  The dispatch loop
-yields to the asyncio loop every :data:`_YIELD_EVERY` events so
-streaming subscribers are serviced even when the engine is saturated.
+works because the ward synthesises no waveform: at admission one
+:meth:`~repro.physio.ecg.ECGGenerator.sample_rates` call draws each
+patient's ECG beat train -- the only part of a record its true rate
+depends on -- and returns the rates, and the vitals come from the
+cheap seeded :class:`~repro.physio.ecg.HeartRateWalk`, drawn for the
+whole horizon in one bulk :meth:`~repro.physio.ecg.HeartRateWalk.steps`
+call when the tick chain is reserved.  Attack bursts -- the only
+events that touch the full testbed simulation -- are rare by
+construction.  Per event, the heap holds only each tick chain's head
+(:meth:`LiveEngine._pop` pushes the successor), the event log renders
+the vitals line directly
+(:meth:`~repro.live.events.LiveEvent.canonical`), the alarm pipeline
+offers an event only to rules of its kind, and the per-kind event
+counters are added once, when the run ends.  The dispatch loop yields
+to the asyncio loop every :data:`_YIELD_EVERY` events so streaming
+subscribers are serviced even when the engine is saturated.
 """
 
 from __future__ import annotations
@@ -84,7 +88,8 @@ LIVE_SCHEDULE_ROLE = 4
 #: instead), so without this, streaming subscribers would starve.
 _YIELD_EVERY = 256
 
-#: Per-kind event counter names, built once instead of per event.
+#: Per-kind event counter names, added once per run from
+#: ``events_by_kind``.
 _EVENT_COUNTERS = {kind: f"live.events.{kind}" for kind in EVENT_KINDS}
 
 
@@ -170,7 +175,16 @@ class PatientSession:
             cohort.stream_seed(profile.index, LIVE_VITALS_ROLE)
         )
         self.walk = HeartRateWalk(profile.rhythm, rng, base_bpm=base_bpm)
+        #: The streamed heart rates still to dispatch, in tick order
+        #: (filled by :meth:`schedule_vitals`).
+        self.vitals = iter(())
         self._testbed = None
+
+    def schedule_vitals(self, ticks: int) -> None:
+        """Draw the walk's next ``ticks`` rates in one bulk step, rounded
+        to the streamed precision; :attr:`vitals` serves them in order."""
+        rates = self.walk.steps(ticks)
+        self.vitals = iter([round(rate, 3) for rate in rates])
 
     @property
     def testbed(self):
@@ -268,14 +282,14 @@ class LiveEngine:
         cohort = self.cohort
         profiles = list(cohort.profiles())
 
-        # Admission physiology: one vectorized batch for the ward --
-        # the only place waveform synthesis runs.
+        # Admission physiology: each patient's baseline rate is the
+        # true rate of an ECG record drawn for them, and only its beat
+        # train is drawn -- no waveform is synthesised.
         admission_seed, burst_seed = cohort.stream_seed(
             0, LIVE_SCHEDULE_ROLE
         ).spawn(2)
         start = time.perf_counter()
-        generator = ECGGenerator()
-        batch = generator.sample_batch(
+        rates = ECGGenerator().sample_rates(
             config.n_patients,
             seed=admission_seed,
             rhythms=tuple(p.rhythm for p in profiles),
@@ -287,7 +301,7 @@ class LiveEngine:
         for profile in profiles:
             self.sessions[profile.index] = PatientSession(
                 profile, cohort, config,
-                base_bpm=float(batch.heart_rate_bpm[profile.index]),
+                base_bpm=float(rates[profile.index]),
             )
             self._push(0.0, "admit", profile.index)
 
@@ -296,7 +310,8 @@ class LiveEngine:
         # function of the index) and steps by the interval.  The
         # chain's head rides on the admission (see :meth:`_pop`); its
         # sequence numbers are reserved here by walking the same
-        # ``t += interval`` float chain the dispatch loop will.
+        # ``t += interval`` float chain the dispatch loop will, and the
+        # count draws the patient's whole vitals walk in one go.
         interval = config.telemetry_interval_s
         duration = config.duration_s
         for profile in profiles:
@@ -310,6 +325,7 @@ class LiveEngine:
                 self._first_tick[profile.index] = (
                     phase, self._seq, "vitals", profile.index
                 )
+            self.sessions[profile.index].schedule_vitals(ticks)
             self._seq += ticks
 
         # Attack bursts: times and targets from the engine-level
@@ -357,17 +373,19 @@ class LiveEngine:
         return entry
 
     def _emit(self, event: LiveEvent) -> None:
+        # ``live.events.<kind>`` counters are added from
+        # ``events_by_kind`` once, when :meth:`run` ends.
         self.events_total += 1
-        self.events_by_kind[event.kind] = (
-            self.events_by_kind.get(event.kind, 0) + 1
-        )
-        counter_inc(_EVENT_COUNTERS[event.kind])
+        kind = event.kind
+        self.events_by_kind[kind] = self.events_by_kind.get(kind, 0) + 1
         if self.event_log is not None:
             self.event_log.event(event)
         for fn in self._event_listeners:
             fn(event)
-        for alarm in self.pipeline.process(event):
-            self._emit_alarm(alarm)
+        fired = self.pipeline.process(event)
+        if fired:
+            for alarm in fired:
+                self._emit_alarm(alarm)
 
     def _emit_alarm(self, alarm: Alarm) -> None:
         counter_inc("live.alarms_fired")
@@ -389,7 +407,7 @@ class LiveEngine:
             }))
         elif kind == "vitals":
             self._emit(LiveEvent(time_s, patient, "vitals", {
-                "hr_bpm": round(session.walk.step(), 3),
+                "hr_bpm": next(session.vitals),
                 "rhythm": session.profile.rhythm,
             }))
         elif kind == "attack":
@@ -429,6 +447,7 @@ class LiveEngine:
         self._wall_start = time.monotonic()
         self.running = True
         dispatched = 0
+        counted = dict(self.events_by_kind)
         _log.info(
             "live engine: %d patients, %.0fs horizon, %d scheduled events",
             self.config.n_patients, self.config.duration_s, self._seq,
@@ -448,6 +467,10 @@ class LiveEngine:
             self._wall_elapsed = time.monotonic() - self._wall_start
             timing_observe("live.run", self._wall_elapsed)
             counter_inc("live.runs")
+            for event_kind, total in self.events_by_kind.items():
+                emitted = total - counted.get(event_kind, 0)
+                if emitted:
+                    counter_inc(_EVENT_COUNTERS[event_kind], emitted)
         _log.info(
             "live engine done: %d events, %d alarms (%d suppressed), "
             "%.2fs wall",

@@ -34,6 +34,7 @@ import json
 from collections import deque
 
 from repro.live.engine import LiveEngine
+from repro.live.events import LiveEvent
 from repro.obs.export import (
     HEALTH_BODY,
     HEALTH_CONTENT_TYPE,
@@ -113,7 +114,7 @@ class BroadcastHub:
         self.frames_flushed = 0
         self.frames_sent = 0
         self.events_seen = 0
-        self._latest_vitals: dict[int, dict] = {}
+        self._latest_vitals: dict[int, LiveEvent] = {}
         self._pending_events: list[dict] = []
         self._pending_alarms: list[dict] = []
         self._sim_time_s = 0.0
@@ -130,10 +131,9 @@ class BroadcastHub:
         if event.kind == "vitals":
             # Latest-wins: only the newest vitals of each patient ride
             # the next frame, which is what bounds frame size at any
-            # event rate.
-            self._latest_vitals[event.patient] = {
-                "t": event.time_s, **event.data
-            }
+            # event rate.  The event is kept as is; its frame entry is
+            # built at render time, once per patient per frame.
+            self._latest_vitals[event.patient] = event
         else:
             self._pending_events.append(event.to_payload())
 
@@ -175,8 +175,8 @@ class BroadcastHub:
         payload = {
             "t": self._sim_time_s,
             "vitals": {
-                str(k): v
-                for k, v in sorted(self._latest_vitals.items())
+                str(k): {"t": event.time_s, **event.data}
+                for k, event in sorted(self._latest_vitals.items())
             },
             "events": self._pending_events,
             "alarms": self._pending_alarms,

@@ -153,7 +153,7 @@ class PhysioPayloadSource:
 
     Implements the ``PayloadSource`` protocol of
     :class:`~repro.experiments.waveform_lab.PassiveLab`: a fixed
-    ``payload_size`` plus a ``next_payload`` hook.  Unlike the default
+    ``payload_size`` plus a ``next_payload_batch`` hook.  Unlike the default
     random source it consumes no lab randomness -- the content *is* the
     experiment input -- and it refuses to wrap around: a lab asking for
     more packets than the encoded stream holds is a planning bug, not a
@@ -180,10 +180,21 @@ class PhysioPayloadSource:
 
     def next_payload(self, rng: np.random.Generator) -> bytes:
         """The next telemetry payload (``rng`` unused: content, not noise)."""
-        if self._served >= self._payloads.shape[0]:
-            raise ValueError(
-                f"payload stream exhausted after {self._served} packets"
-            )
-        payload = self._payloads[self._served].tobytes()
-        self._served += 1
-        return payload
+        return self.next_payload_batch(rng, 1)[0].tobytes()
+
+    def next_payload_batch(
+        self, rng: np.random.Generator, count: int
+    ) -> np.ndarray:
+        """The next ``count`` payloads as ``(count, size)`` ``uint8`` rows,
+        row ``i`` equal to the ``i``-th :meth:`next_payload`.
+
+        A block that would run past the stream serves nothing and raises
+        the error :meth:`next_payload` raises once the stream is spent.
+        """
+        total = self._payloads.shape[0]
+        end = self._served + count
+        if end > total:
+            raise ValueError(f"payload stream exhausted after {total} packets")
+        block = self._payloads[self._served:end]
+        self._served = end
+        return block

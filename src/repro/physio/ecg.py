@@ -24,6 +24,9 @@ Python loop).  Every record draws from its own spawned
 ``SeedSequence`` child stream, so ``sample_batch(n, seed)[i]`` is
 bit-identical to ``sample_record(child_i)`` -- the parity the test
 suite pins -- and work units that shard a batch stay deterministic.
+A record's true heart rate depends only on its beat train, the first
+draws of its stream, so :meth:`ECGGenerator.sample_rates` returns a
+batch's rates without drawing or synthesising the waveforms.
 """
 
 from __future__ import annotations
@@ -269,26 +272,14 @@ class ECGGenerator:
         config rhythm everywhere).  Per-record randomness comes from
         spawned child streams, so shards and whole batches agree.
         """
-        if n_records < 1:
-            raise ValueError("need at least one record in a batch")
-        if rhythms is None:
-            rhythms = (self.config.rhythm,) * n_records
-        rhythms = tuple(rhythms)
-        if len(rhythms) != n_records:
-            raise ValueError(
-                f"got {len(rhythms)} rhythms for {n_records} records"
-            )
-        unknown = set(rhythms) - set(RHYTHM_CLASSES)
-        if unknown:
-            raise ValueError(f"unknown rhythm class(es): {sorted(unknown)}")
-
-        streams = spawn_seed_sequences(seed, n_records)
+        rhythms = self._batch_rhythms(n_records, rhythms)
         beats: list[np.ndarray] = []
         phases = np.empty(n_records)
         noise = np.empty((n_records, self.config.n_samples))
-        for i, stream in enumerate(streams):
-            rng = np.random.default_rng(stream)
-            beats.append(self._draw_beats(rng, rhythms[i]))
+        for i, (rng, record_beats) in enumerate(
+            self._stream_beats(seed, rhythms)
+        ):
+            beats.append(record_beats)
             phases[i] = rng.uniform(0.0, 2.0 * np.pi)
             noise[i] = rng.standard_normal(self.config.n_samples)
         samples, mask = self._synthesise(beats, rhythms, phases, noise)
@@ -302,6 +293,61 @@ class ECGGenerator:
             rhythms=rhythms,
             sample_rate_hz=self.config.sample_rate_hz,
         )
+
+    def sample_rates(
+        self,
+        n_records: int,
+        seed: int | np.random.SeedSequence = 0,
+        rhythms: tuple[str, ...] | list[str] | None = None,
+    ) -> np.ndarray:
+        """``sample_batch(n_records, seed, rhythms).heart_rate_bpm``,
+        without synthesising a waveform.
+
+        A record's true rate depends only on its beat train, the first
+        draws of its own stream, so the wander phase and the noise --
+        nearly all of a record's draws -- are never made.
+        """
+        rhythms = self._batch_rhythms(n_records, rhythms)
+        return np.array([
+            self._true_rate(beats, rhythm)
+            for (_, beats), rhythm in zip(
+                self._stream_beats(seed, rhythms), rhythms
+            )
+        ])
+
+    def _batch_rhythms(
+        self, n_records: int, rhythms: tuple[str, ...] | list[str] | None
+    ) -> tuple[str, ...]:
+        """The per-record rhythm classes of a batch, validated."""
+        if n_records < 1:
+            raise ValueError("need at least one record in a batch")
+        if rhythms is None:
+            return (self.config.rhythm,) * n_records
+        rhythms = tuple(rhythms)
+        if len(rhythms) != n_records:
+            raise ValueError(
+                f"got {len(rhythms)} rhythms for {n_records} records"
+            )
+        unknown = set(rhythms) - set(RHYTHM_CLASSES)
+        if unknown:
+            raise ValueError(f"unknown rhythm class(es): {sorted(unknown)}")
+        return rhythms
+
+    def _stream_beats(
+        self, seed: int | np.random.SeedSequence, rhythms: tuple[str, ...]
+    ):
+        """Each record's generator and beat train, in record order.
+
+        Record ``i`` draws from the ``i``-th spawned child stream, beats
+        first; the generator is yielded mid-stream for the caller's
+        further draws.  :meth:`sample_batch` and :meth:`sample_rates`
+        both take their beats from here, so their rates cannot drift.
+        """
+        for stream, rhythm in zip(
+            spawn_seed_sequences(seed, len(rhythms)), rhythms
+        ):
+            rng = np.random.default_rng(stream)
+            yield rng, self._draw_beats(rng, rhythm)
 
     # ------------------------------------------------------------------
     # Synthesis (vectorized across every beat of every record)
@@ -376,9 +422,9 @@ class HeartRateWalk:
     time) around the rhythm's base rate, with per-step variability
     scaled from the same class parameters the waveform generator uses
     (sinus HRV jitter; AF's lognormal irregularity maps to a much
-    larger step).  One seeded generator in, one scalar draw per step
-    out -- replaying the stream is bit-identical, and a step costs a
-    few microseconds.
+    larger step).  One seeded generator in, one standard-normal draw
+    per step out -- replaying the stream is bit-identical however the
+    steps are chunked, and a step costs a few microseconds.
     """
 
     #: Beat-to-beat jitter (fractional std of RR) scaled up to the
@@ -420,12 +466,20 @@ class HeartRateWalk:
         )
         self.mean_reversion = float(mean_reversion)
         self._rng = rng
+        #: Draws :meth:`steps` made ahead, next one last.
+        self._pending_draws: list[float] = []
         self.rate_bpm = self.base_bpm
 
     def step(self) -> float:
-        """Advance one telemetry interval; returns the new rate (BPM)."""
+        """Advance one telemetry interval; returns the new rate (BPM).
+
+        The step's standard-normal draw is the next one :meth:`steps`
+        drew ahead, or a fresh scalar draw when none is pending.
+        """
+        pending = self._pending_draws
+        z = pending.pop() if pending else self._rng.standard_normal()
         pull = self.mean_reversion * (self.base_bpm - self.rate_bpm)
-        noise = self.step_std_bpm * self._rng.standard_normal()
+        noise = self.step_std_bpm * z
         rate = self.rate_bpm + pull + noise
         if rate < self._MIN_BPM:
             rate = self._MIN_BPM
@@ -433,3 +487,14 @@ class HeartRateWalk:
             rate = self._MAX_BPM
         self.rate_bpm = float(rate)
         return self.rate_bpm
+
+    def steps(self, n: int) -> list[float]:
+        """Advance ``n`` telemetry intervals; returns each new rate.
+
+        The ``n`` draws are one ``standard_normal(n)`` call, which a
+        Generator fills with exactly the values of ``n`` scalar draws,
+        so the rates equal ``n`` :meth:`step` calls in any chunking --
+        without ``n`` round trips into the generator.
+        """
+        self._pending_draws = self._rng.standard_normal(n).tolist()[::-1]
+        return [self.step() for _ in range(n)]

@@ -17,6 +17,8 @@ reference the table is property-tested against.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 __all__ = [
@@ -24,6 +26,7 @@ __all__ = [
     "crc16_check",
     "crc16_bits",
     "crc16_bits_batch",
+    "crc16_bytes_batch",
     "bytes_to_bits",
     "bits_to_bytes",
 ]
@@ -91,9 +94,8 @@ def crc16_bits_batch(bits: np.ndarray) -> np.ndarray:
     """CRCs of many bit vectors at once.
 
     ``bits`` is ``(n_packets, n_bits)`` with ``n_bits`` a multiple of 8;
-    the result is a ``uint16`` array of per-row checksums.  The table
-    lookup is vectorized across rows, so the cost is one numpy pass per
-    byte column rather than a Python loop per packet -- the checksum
+    the result is a ``uint16`` array of per-row checksums, packed to
+    bytes and taken by :func:`crc16_bytes_batch` -- the checksum
     companion to the batched modulate/demodulate APIs, for downstream
     code that scores whole trial blocks at once.
     """
@@ -106,12 +108,46 @@ def crc16_bits_batch(bits: np.ndarray) -> np.ndarray:
         )
     if bits.size and not np.all((bits == 0) | (bits == 1)):
         raise ValueError("bit vectors must contain only 0s and 1s")
-    packed = np.packbits(bits.astype(np.uint8), axis=1)
-    crc = np.full(bits.shape[0], _INIT, dtype=np.uint16)
-    for column in packed.T:
-        index = (crc >> 8) ^ column
-        crc = (crc << 8) ^ _TABLE_NP[index]
-    return crc
+    return crc16_bytes_batch(np.packbits(bits.astype(np.uint8), axis=1))
+
+
+def crc16_bytes_batch(data: np.ndarray) -> np.ndarray:
+    """CRC-16/CCITT-FALSE of every row of a ``(n, n_bytes)`` ``uint8``
+    matrix, as a ``uint16`` array.
+
+    The CRC is affine in the message bytes, so a row's checksum is the
+    checksum of ``n_bytes`` zero bytes XOR each byte's contribution at
+    its position (:func:`_position_tables`): one table gather and one
+    XOR reduction for the whole matrix, whatever its row count.
+    """
+    data = np.asarray(data, dtype=np.uint8)
+    if data.ndim != 2:
+        raise ValueError("crc16_bytes_batch expects a (n_rows, n_bytes) array")
+    n_bytes = data.shape[1]
+    if n_bytes == 0:
+        return np.full(data.shape[0], _INIT, dtype=np.uint16)
+    tables, zeros_crc = _position_tables(n_bytes)
+    contributions = tables[np.arange(n_bytes), data]
+    return np.bitwise_xor.reduce(contributions, axis=1) ^ zeros_crc
+
+
+@lru_cache(maxsize=16)
+def _position_tables(n_bytes: int) -> tuple[np.ndarray, np.uint16]:
+    """``(tables, zeros_crc)`` for ``n_bytes``-byte messages.
+
+    ``tables[p, b]`` is the zero-init CRC of byte ``b`` followed by
+    ``n_bytes - 1 - p`` zero bytes, and ``zeros_crc`` the CRC of
+    ``n_bytes`` zero bytes.  The last row is the byte table itself;
+    each earlier row feeds one more zero byte through the table step.
+    Read-only, shared by every call of one message length.
+    """
+    tables = np.empty((n_bytes, 256), dtype=np.uint16)
+    row = _TABLE_NP
+    for position in range(n_bytes - 1, -1, -1):
+        tables[position] = row
+        row = (row << 8) ^ _TABLE_NP[row >> 8]
+    tables.flags.writeable = False
+    return tables, np.uint16(crc16_ccitt(bytes(n_bytes)))
 
 
 def bytes_to_bits(data: bytes) -> np.ndarray:

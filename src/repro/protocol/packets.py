@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.phy.preamble import DEFAULT_PREAMBLE_BITS, IdentifyingSequence
 from repro.protocol.commands import CommandType
-from repro.protocol.crc import bits_to_bytes, bytes_to_bits, crc16_ccitt
+from repro.protocol.crc import bytes_to_bits, crc16_bytes_batch, crc16_ccitt
 
 __all__ = ["Packet", "PacketCodec", "DecodeError", "SERIAL_LENGTH"]
 
@@ -119,6 +119,52 @@ class PacketCodec:
         crc = packet.crc()
         frame = bytes([self.sync_byte]) + body + crc.to_bytes(2, "big")
         return np.concatenate([self.preamble_bits, bytes_to_bits(frame)])
+
+    def encode_batch(
+        self,
+        serial: bytes,
+        opcode: CommandType,
+        sequences: np.ndarray,
+        payloads: np.ndarray,
+    ) -> np.ndarray:
+        """``(n, n_bits)`` bits of ``n`` packets that differ only in
+        sequence number and payload, row ``i`` equal to
+        ``encode(Packet(serial, opcode, sequences[i], payloads[i]))``.
+
+        The frames are one ``uint8`` matrix -- constant header columns,
+        the sequence column, the payload rows -- checksummed in one
+        vectorised pass and unpacked once.
+        """
+        opcode = CommandType(opcode)
+        sequences = np.asarray(sequences)
+        payloads = np.asarray(payloads)
+        n, size = payloads.shape
+        if len(serial) != SERIAL_LENGTH:
+            raise ValueError(
+                f"device serial must be {SERIAL_LENGTH} bytes, got {len(serial)}"
+            )
+        if sequences.shape != (n,) or not np.all(
+            (sequences >= 0) & (sequences <= 255)
+        ):
+            raise ValueError("need one one-byte sequence number per payload")
+        if size > _MAX_PAYLOAD:
+            raise ValueError("payload too long for the one-byte length field")
+        header = bytes([self.sync_byte]) + serial
+        body_end = len(header) + 3 + size
+        frames = np.empty((n, body_end + 2), dtype=np.uint8)
+        frames[:, : len(header)] = np.frombuffer(header, dtype=np.uint8)
+        frames[:, len(header)] = int(opcode)
+        frames[:, len(header) + 1] = sequences
+        frames[:, len(header) + 2] = size
+        frames[:, len(header) + 3 : body_end] = payloads
+        crc = crc16_bytes_batch(frames[:, 1:body_end])
+        frames[:, body_end] = crc >> 8
+        frames[:, body_end + 1] = crc & 0xFF
+        bits = np.empty((n, len(self.preamble_bits) + 8 * frames.shape[1]),
+                        dtype=np.int64)
+        bits[:, : len(self.preamble_bits)] = self.preamble_bits
+        bits[:, len(self.preamble_bits) :] = np.unpackbits(frames, axis=1)
+        return bits
 
     def decode(self, bits: np.ndarray) -> Packet:
         """Parse a bit vector; raises :class:`DecodeError` on any corruption.

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from repro.fleet.cohort import (
     FLEET_SPAWN_NAMESPACE,
     CohortSpec,
+    PatientProfile,
     cohort_from_scenario,
 )
 from repro.physio.ecg import RHYTHM_CLASSES
@@ -139,6 +140,92 @@ class TestProfileSampling:
         a = np.random.default_rng(spec.encounter_seed(0)).random(8)
         b = np.random.default_rng(spec.encounter_seed(1)).random(8)
         assert not np.allclose(a, b)
+
+
+def _choice_oracle(spec: CohortSpec, index: int) -> PatientProfile:
+    """Patient ``index`` synthesised with ``rng.choice(n, p=...)`` for
+    the rhythm and location draws, then the remaining fields in order."""
+    rng = np.random.default_rng(spec.stream_seed(index, 0))
+    n_locations = len(spec.location_indices)
+    if spec.location_weights is None:
+        location_p = np.full(n_locations, 1.0 / n_locations)
+    else:
+        weights = np.asarray(spec.location_weights, dtype=float)
+        location_p = weights / weights.sum()
+    rhythm = RHYTHM_CLASSES[int(rng.choice(
+        len(RHYTHM_CLASSES), p=np.asarray(spec.rhythm_prevalence, dtype=float)
+    ))]
+    location = spec.location_indices[int(rng.choice(n_locations, p=location_p))]
+    worn = bool(rng.random() < spec.shield_worn_fraction)
+    jam_margin = max(
+        3.0, spec.jam_margin_mean_db + spec.jam_margin_std_db * rng.standard_normal()
+    )
+    return PatientProfile(
+        index=index,
+        rhythm=rhythm,
+        location_index=location,
+        shield_worn=worn,
+        jam_margin_db=float(jam_margin),
+        p_thresh_offset_db=float(spec.p_thresh_std_db * rng.standard_normal()),
+        cancellation_offset_db=float(
+            spec.cancellation_std_db * rng.standard_normal()
+        ),
+    )
+
+
+def _normalised(weights):
+    total = sum(weights)
+    return tuple(w / total for w in weights)
+
+
+@pytest.mark.statistical
+class TestChoiceOracle:
+    """The inlined categorical draws pick exactly what ``rng.choice``
+    picks, from the same stream."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**63 - 1),
+        n_locations=st.integers(min_value=1, max_value=20),
+        weighted=st.booleans(),
+        weights=st.lists(
+            st.one_of(st.just(0.0), st.floats(0.001, 50.0)),
+            min_size=20, max_size=20,
+        ),
+        prevalence=st.one_of(
+            st.just((0.70, 0.10, 0.10, 0.10)),
+            st.lists(
+                st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
+                min_size=4, max_size=4,
+            ).filter(lambda p: sum(p) > 0).map(_normalised),
+        ),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_profiles_equal_the_choice_oracle(
+        self, seed, n_locations, weighted, weights, prevalence
+    ):
+        location_weights = tuple(weights[:n_locations]) if weighted else None
+        if location_weights is not None and sum(location_weights) <= 0:
+            location_weights = None
+        spec = CohortSpec(
+            n_patients=25,
+            seed=seed,
+            rhythm_prevalence=prevalence,
+            location_indices=tuple(range(1, n_locations + 1)),
+            location_weights=location_weights,
+        )
+        assert list(spec.profiles()) == [
+            _choice_oracle(spec, i) for i in range(spec.n_patients)
+        ]
+
+    @pytest.mark.parametrize(
+        "weights", [None, tuple(float(i % 5) for i in range(14))],
+        ids=["uniform", "weighted"],
+    )
+    def test_many_patients_of_a_14_location_cohort(self, weights):
+        spec = CohortSpec(n_patients=1500, seed=7, location_weights=weights)
+        assert list(spec.profiles()) == [
+            _choice_oracle(spec, i) for i in range(spec.n_patients)
+        ]
 
 
 @pytest.mark.statistical

@@ -9,6 +9,7 @@ walk's seeded determinism, and the clock implementations themselves.
 """
 
 import asyncio
+import hashlib
 import logging
 import time
 from unittest import mock
@@ -31,7 +32,9 @@ from repro.live.engine import (
     LiveConfig,
     LiveEngine,
 )
-from repro.live.events import EventLog, LiveEvent, canonical_line
+from repro.live.events import EVENT_KINDS, EventLog, LiveEvent, canonical_line
+from repro.live.serve import BroadcastHub
+from repro.obs.metrics import take_global
 from repro.physio.ecg import RHYTHM_CLASSES, RHYTHM_RATES_BPM, HeartRateWalk
 
 
@@ -154,6 +157,36 @@ class TestGoldenLog:
             "shield-state": 2, "battery-dos": 2,
         }
 
+    def test_pinned_ward_hub_frames(self):
+        # The same ward streamed through a hub flushed every 37 events
+        # and once at the end: every frame's bytes are pinned, so how
+        # the hub builds a frame may change, but not what it sends.
+        engine = LiveEngine(_PINNED, clock=DrainClock(), event_log=EventLog())
+        hub = BroadcastHub(max_queue=10_000)
+        hub.attach(engine)
+        subscriber = hub.subscribe()
+        seen = []
+
+        def flush_every_37(event):
+            seen.append(event)
+            if len(seen) % 37 == 0:
+                hub.flush()
+
+        engine.add_event_listener(flush_every_37)
+        asyncio.run(engine.run())
+        hub.flush()
+        frames = list(subscriber.frames)
+        assert subscriber.dropped == 0 and len(frames) == 25
+        assert engine.event_log.digest() == (
+            "e8e518730eebda9b4a3292e82b00c9fd3987eadc2fed4c053034e763b7cb263b"
+        )
+        frame_digests = "\n".join(
+            hashlib.sha256(frame).hexdigest() for frame in frames
+        )
+        assert hashlib.sha256(frame_digests.encode()).hexdigest() == (
+            "bb786720e36bff8946a66c88d9da2a7394c303cd19e37a4215e1887fa16f6c46"
+        )
+
 
 class TestLazyDispatch:
     @pytest.mark.parametrize(
@@ -202,6 +235,56 @@ class TestLazyDispatch:
             f"{expected} scheduled events" in record.getMessage()
             for record in caplog.records
         )
+
+
+class _Boom(RuntimeError):
+    pass
+
+
+class TestEventCounters:
+    """``live.events.<kind>`` counters, added once per run, stay exact."""
+
+    def _counters(self):
+        counters = take_global().get("counters", {})
+        return {
+            kind: counters[f"live.events.{kind}"]
+            for kind in EVENT_KINDS
+            if f"live.events.{kind}" in counters
+        }
+
+    def test_full_drain(self):
+        take_global()
+        engine, _ = _run(_PINNED)
+        assert engine.finished
+        assert self._counters() == engine.events_by_kind
+        assert set(engine.events_by_kind) == set(EVENT_KINDS)
+
+    def test_stop(self):
+        engine = LiveEngine(_PINNED, clock=DrainClock())
+        engine.add_event_listener(
+            lambda e: engine.stop() if e.time_s > 9.0 else None
+        )
+        take_global()
+        asyncio.run(engine.run())
+        assert not engine.finished
+        assert self._counters() == engine.events_by_kind
+        assert 0 < engine.events_total < 920
+
+    def test_raising_listener(self):
+        engine = LiveEngine(_PINNED, clock=DrainClock())
+
+        def listener(event):
+            if event.kind == "attack":
+                raise _Boom("listener failed")
+
+        engine.add_event_listener(listener)
+        take_global()
+        with pytest.raises(_Boom):
+            asyncio.run(engine.run())
+        assert not engine.finished and not engine.running
+        # The attack event that raised was emitted, and counted.
+        assert engine.events_by_kind["attack"] == 1
+        assert self._counters() == engine.events_by_kind
 
 
 class TestScheduleShape:
@@ -340,6 +423,59 @@ class TestHeartRateWalk:
         for _ in range(100):
             walk.step()
         assert abs(walk.rate_bpm - walk.base_bpm) < 30.0
+
+    @staticmethod
+    def _scalar_reference(rhythm, seed, base_bpm, n):
+        """``n`` steps of the walk's AR(1) formula, one scalar
+        ``standard_normal()`` draw each, clamped to [20, 300]."""
+        walk = HeartRateWalk(rhythm, np.random.default_rng(0), base_bpm)
+        rng = np.random.default_rng(seed)
+        rate, rates = walk.base_bpm, []
+        for _ in range(n):
+            pull = walk.mean_reversion * (walk.base_bpm - rate)
+            noise = walk.step_std_bpm * rng.standard_normal()
+            rate = min(max(rate + pull + noise, 20.0), 300.0)
+            rates.append(float(rate))
+        return rates
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rhythm=st.sampled_from(RHYTHM_CLASSES),
+        seed=st.integers(0, 2**32 - 1),
+        base_bpm=st.one_of(
+            st.none(), st.floats(21.0, 299.0), st.sampled_from([25.0, 295.0])
+        ),
+        chunks=st.lists(st.integers(0, 40), max_size=8),
+    )
+    @example(rhythm="afib", seed=1, base_bpm=290.0, chunks=[200])
+    @example(rhythm="afib", seed=3, base_bpm=25.0, chunks=[1, 0, 150, 49])
+    def test_steps_in_any_chunking_equal_single_steps(
+        self, rhythm, seed, base_bpm, chunks
+    ):
+        n = sum(chunks)
+        reference = self._scalar_reference(rhythm, seed, base_bpm, n)
+        chunked = HeartRateWalk(rhythm, np.random.default_rng(seed), base_bpm)
+        rates = [r for c in chunks for r in chunked.steps(c)]
+        stepped = HeartRateWalk(rhythm, np.random.default_rng(seed), base_bpm)
+        assert rates == reference
+        assert [stepped.step() for _ in range(n)] == reference
+        assert chunked.rate_bpm == stepped.rate_bpm
+        assert all(type(r) is float for r in rates)
+
+    @pytest.mark.parametrize("rhythm", RHYTHM_CLASSES)
+    def test_steps_hit_both_clamps_like_single_steps(self, rhythm):
+        # AF from the edges of the band clamps often; sinus rhythms
+        # clamp only when started against a bound.
+        for base_bpm, bound in ((298.0, 300.0), (21.0, 20.0)):
+            walk = HeartRateWalk(rhythm, np.random.default_rng(7), base_bpm)
+            walk.rate_bpm = bound
+            rates = walk.steps(300)
+            reference = HeartRateWalk(
+                rhythm, np.random.default_rng(7), base_bpm
+            )
+            reference.rate_bpm = bound
+            assert rates == [reference.step() for _ in range(300)]
+            assert bound in rates
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match="rhythm"):

@@ -135,6 +135,31 @@ class TestPayloadSource:
         with pytest.raises(ValueError, match="exhausted"):
             source.next_payload(rng)
 
+    def test_batch_serves_rows_in_order_like_next_payload(self, rng):
+        payloads = np.arange(40, dtype=np.uint8).reshape(10, 4)
+        batched = PhysioPayloadSource(payloads)
+        single = PhysioPayloadSource(payloads)
+        state_before = rng.bit_generator.state
+        rows = [*batched.next_payload_batch(rng, 3)]
+        rows.append(batched.next_payload(rng))
+        rows += [*batched.next_payload_batch(rng, 1)]
+        rows += [*batched.next_payload_batch(rng, 5)]
+        assert [bytes(row) for row in rows] == [
+            single.next_payload(rng) for _ in range(10)
+        ]
+        assert batched.remaining == single.remaining == 0
+        assert rng.bit_generator.state == state_before
+
+    def test_batch_refuses_to_run_past_the_stream(self, rng):
+        source = PhysioPayloadSource(np.zeros((3, 4), dtype=np.uint8))
+        source.next_payload_batch(rng, 2)
+        with pytest.raises(ValueError, match="exhausted after 3 packets"):
+            source.next_payload_batch(rng, 2)
+        assert source.remaining == 1
+        source.next_payload_batch(rng, 1)
+        with pytest.raises(ValueError, match="exhausted after 3 packets"):
+            source.next_payload(rng)
+
     def test_rejects_empty_stream(self):
         with pytest.raises(ValueError):
             PhysioPayloadSource(np.zeros((0, 4), dtype=np.uint8))

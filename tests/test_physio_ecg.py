@@ -92,6 +92,57 @@ class TestBatchScalarParity:
         assert not np.array_equal(a.samples, b.samples)
 
 
+class TestSampleRates:
+    """``sample_rates`` is ``sample_batch(...).heart_rate_bpm`` without
+    the waveforms."""
+
+    @given(
+        n=st.integers(min_value=1, max_value=24),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        rhythms=st.one_of(
+            st.none(),
+            st.lists(st.sampled_from(RHYTHM_CLASSES), min_size=24, max_size=24),
+        ),
+        duration_s=st.sampled_from([0.5, 2.0, 6.4]),
+        heart_rate_bpm=st.sampled_from([None, 25.0, 290.0]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_rates_equal_the_batch_rates(
+        self, n, seed, rhythms, duration_s, heart_rate_bpm
+    ):
+        generator = ECGGenerator(
+            ECGConfig(duration_s=duration_s, heart_rate_bpm=heart_rate_bpm)
+        )
+        rhythms = None if rhythms is None else tuple(rhythms[:n])
+        rates = generator.sample_rates(n, seed=seed, rhythms=rhythms)
+        batch = generator.sample_batch(n, seed=seed, rhythms=rhythms)
+        assert rates.dtype == batch.heart_rate_bpm.dtype
+        assert np.array_equal(rates, batch.heart_rate_bpm)
+
+    def test_seed_sequence_root_matches_too(self):
+        rhythms = tuple(RHYTHM_CLASSES[i % 4] for i in range(50))
+        rates = ECGGenerator().sample_rates(
+            50, seed=np.random.SeedSequence(8), rhythms=rhythms
+        )
+        batch = ECGGenerator().sample_batch(
+            50, seed=np.random.SeedSequence(8), rhythms=rhythms
+        )
+        assert np.array_equal(rates, batch.heart_rate_bpm)
+
+    @pytest.mark.parametrize(
+        "n, rhythms, match",
+        [
+            (0, None, "at least one record"),
+            (2, ("normal",), "2 records"),
+            (1, ("flutter",), "unknown rhythm"),
+        ],
+    )
+    def test_rejects_what_sample_batch_rejects(self, n, rhythms, match):
+        for draw in (ECGGenerator().sample_rates, ECGGenerator().sample_batch):
+            with pytest.raises(ValueError, match=match):
+                draw(n, seed=0, rhythms=rhythms)
+
+
 class TestRhythmProperties:
     def _rr_stats(self, rhythm, n=20, seed=5):
         config = ECGConfig(duration_s=10.0)

@@ -28,6 +28,8 @@ from repro.phy.fsk import FSKModulator
 from repro.phy.signal import Waveform
 from repro.physio.codec import PhysioPayloadSource
 from repro.physio.inference import AttackerInference
+from repro.protocol.commands import CommandType
+from repro.protocol.packets import Packet
 
 
 class TestPayloadSeedRegression:
@@ -82,6 +84,76 @@ class TestPayloadSourceProtocol:
         bits = lab.telemetry_packet_bits_batch(2)
         # 16 preamble + 8 * (sync + serial(10) + opcode/seq/len(3) + 54 + crc(2))
         assert bits.shape == (2, 16 + 8 * (1 + 10 + 3 + 54 + 2))
+
+
+_PHYSIO_PAYLOADS = np.random.default_rng(5).integers(
+    0, 256, size=(400, 54), dtype=np.uint8
+)
+
+
+def _framed(lab, payloads):
+    """The per-packet framing reference: each payload row's bytes
+    framed through ``PacketCodec.encode`` with the lab's next sequence
+    number."""
+    rows = []
+    for payload in payloads:
+        lab._sequence = (lab._sequence + 1) % 256
+        rows.append(lab.codec.encode(Packet(
+            lab._serial, CommandType.TELEMETRY, lab._sequence, bytes(payload)
+        )))
+    return np.stack(rows)
+
+
+class TestBatchFraming:
+    """``telemetry_packet_bits_batch`` frames a block in one pass, bit
+    for bit the stacked per-packet ``PacketCodec.encode`` frames."""
+
+    @staticmethod
+    def _lab(source_kind):
+        source = (
+            RandomPayloadSource() if source_kind == "random"
+            else PhysioPayloadSource(_PHYSIO_PAYLOADS)
+        )
+        lab = PassiveLab(seed=11, payload_source=source)
+        lab._sequence = 250  # the second block wraps past 255
+        return lab
+
+    @pytest.mark.parametrize("source_kind", ["random", "physio"])
+    def test_blocks_equal_per_packet_frames(self, source_kind):
+        lab, reference = self._lab(source_kind), self._lab(source_kind)
+        served = 0
+        for n_packets in (1, 3, 300, 1):
+            if source_kind == "random":
+                # One ``integers`` draw per block; each int64 row goes
+                # out as its raw bytes, as ``bytes(row)`` gives them.
+                payloads = reference.rng.integers(0, 256, size=(n_packets, 24))
+            else:
+                payloads = _PHYSIO_PAYLOADS[served : served + n_packets]
+            served += n_packets
+            np.testing.assert_array_equal(
+                lab.telemetry_packet_bits_batch(n_packets),
+                _framed(reference, payloads),
+            )
+            assert lab._sequence == reference._sequence
+        assert (
+            lab.rng.bit_generator.state == reference.rng.bit_generator.state
+        )
+
+    def test_one_packet_blocks_equal_one_block(self):
+        lab, reference = self._lab("physio"), self._lab("physio")
+        bits = lab.telemetry_packet_bits_batch(260)
+        expected = np.stack(
+            [reference.telemetry_packet_bits() for _ in range(260)]
+        )
+        np.testing.assert_array_equal(bits, expected)
+        assert lab._sequence == reference._sequence == (250 + 260) % 256
+
+    def test_exhausted_physio_block_frames_nothing(self):
+        source = PhysioPayloadSource(np.zeros((2, 54), dtype=np.uint8))
+        lab = PassiveLab(seed=1, payload_source=source)
+        with pytest.raises(ValueError, match="exhausted"):
+            lab.telemetry_packet_bits_batch(3)
+        assert lab._sequence == 0 and source.remaining == 2
 
 
 class TestRunBatchBitsOverride:

@@ -234,6 +234,55 @@ class TestCodecMemos:
         assert not codec._encoded
 
 
+class TestEncodeBatch:
+    """``encode_batch`` rows are the per-packet ``encode`` frames."""
+
+    @pytest.mark.parametrize("size", [0, 1, 54, 255])
+    @pytest.mark.parametrize(
+        "opcode", [CommandType.TELEMETRY, CommandType.SET_THERAPY]
+    )
+    def test_rows_equal_stacked_encodes(self, codec, serial, rng, size, opcode):
+        n = 40
+        payloads = rng.integers(0, 256, size=(n, size), dtype=np.uint8)
+        sequences = (250 + np.arange(n)) % 256  # wraps past 255
+        bits = codec.encode_batch(serial, opcode, sequences, payloads)
+        expected = np.stack([
+            codec.encode(Packet(serial, opcode, int(seq), row.tobytes()))
+            for seq, row in zip(sequences, payloads)
+        ])
+        assert bits.dtype == expected.dtype == np.int64
+        assert bits.flags.writeable
+        np.testing.assert_array_equal(bits, expected)
+        assert codec.decode(bits[-1]) == Packet(
+            serial, opcode, int(sequences[-1]), payloads[-1].tobytes()
+        )
+
+    def test_one_packet_block(self, codec, serial):
+        bits = codec.encode_batch(
+            serial, CommandType.TELEMETRY, np.array([7]),
+            np.frombuffer(b"abc", dtype=np.uint8)[None, :],
+        )
+        expected = codec.encode(
+            Packet(serial, CommandType.TELEMETRY, 7, b"abc")
+        )
+        np.testing.assert_array_equal(bits, expected[None, :])
+
+    def test_rejects_what_packet_rejects(self, codec, serial):
+        payloads = np.zeros((2, 4), dtype=np.uint8)
+        telemetry = CommandType.TELEMETRY
+        with pytest.raises(ValueError, match="serial"):
+            codec.encode_batch(serial[:9], telemetry, np.array([1, 2]), payloads)
+        with pytest.raises(ValueError, match="sequence"):
+            codec.encode_batch(serial, telemetry, np.array([1, 256]), payloads)
+        with pytest.raises(ValueError, match="sequence"):
+            codec.encode_batch(serial, telemetry, np.array([1]), payloads)
+        with pytest.raises(ValueError, match="payload too long"):
+            codec.encode_batch(
+                serial, telemetry, np.array([1]),
+                np.zeros((1, 256), dtype=np.uint8),
+            )
+
+
 class TestTableDrivenCRC:
     """The table path must agree with the bitwise reference everywhere."""
 
@@ -255,6 +304,21 @@ class TestTableDrivenCRC:
         assert batch.dtype == np.uint16
         for row, crc in zip(bits, batch):
             assert int(crc) == crc16_bits(row)
+
+    def test_byte_rows_match_scalar(self):
+        from repro.protocol.crc import crc16_bytes_batch
+
+        rng = np.random.default_rng(29)
+        for n_rows, width in [(12, 0), (12, 1), (0, 17), (1, 17), (12, 17),
+                              (12, 300), (3, 300)]:
+            rows = rng.integers(0, 256, size=(n_rows, width), dtype=np.uint8)
+            batch = crc16_bytes_batch(rows)
+            assert batch.dtype == np.uint16 and batch.shape == (n_rows,)
+            assert [int(c) for c in batch] == [
+                crc16_ccitt(row.tobytes()) for row in rows
+            ]
+        with pytest.raises(ValueError):
+            crc16_bytes_batch(np.zeros(8, dtype=np.uint8))
 
     def test_batch_rejects_ragged_length(self):
         from repro.protocol.crc import crc16_bits_batch
