@@ -4,8 +4,9 @@ The MICS band's primary users are meteorological systems.  This example
 alternates radiosonde-style GMSK frames with IMD-addressed attack packets
 and shows that the shield jams all of the latter and none of the former,
 freeing the medium ~270 us after each offending signal stops.  It also
-demonstrates the S7(c) wideband monitor: a channel-hopping adversary gets
-jammed on every channel it tries.
+runs the event-level shield against a channel-hopping adversary: the
+shield listens on every MICS channel, so it jams the adversary on every
+channel it tries.
 
 Run:  python examples/coexistence.py
 """
@@ -62,7 +63,7 @@ def main() -> None:
     print(f"turn-around after signal end: {turnarounds.mean():.0f} +/- "
           f"{turnarounds.std():.0f} us (paper: 270 +/- 23 us)")
 
-    print("\nchannel-hopping adversary vs. the wideband monitor:")
+    print("\nchannel-hopping adversary vs. the shield:")
     for channel in (2, 6, 9):
         hopper = CommandInjector(
             bed.simulator,

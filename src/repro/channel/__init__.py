@@ -6,8 +6,7 @@ follows a dual-slope log-distance model with per-location wall losses for
 non-line-of-sight placements; the signal additionally crosses the body
 phantom (S9: 1 cm bacon + 4 cm ground beef) on any path into or out of
 the IMD.  :mod:`repro.channel.link_budget` evaluates the paper's SINR
-equations (6)-(9); :mod:`repro.channel.medium` mixes waveforms for the
-sample-level experiments.
+equations (6)-(9).
 """
 
 from repro.channel.fading import FadingModel, rician_gain, rayleigh_gain
@@ -17,7 +16,7 @@ from repro.channel.geometry import (
     TestbedGeometry,
     default_testbed,
 )
-from repro.channel.link_budget import LinkBudget, adversary_sinr_db, shield_sinr_db
+from repro.channel.link_budget import LinkBudget
 from repro.channel.models import (
     BodyLoss,
     DualSlopePathLoss,
@@ -33,11 +32,9 @@ __all__ = [
     "LinkBudget",
     "Position",
     "TestbedGeometry",
-    "adversary_sinr_db",
     "default_testbed",
     "free_space_path_loss_db",
     "rayleigh_gain",
     "rician_gain",
-    "shield_sinr_db",
     "thermal_noise_dbm",
 ]

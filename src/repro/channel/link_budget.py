@@ -33,46 +33,11 @@ from repro.channel.noise import (
 
 __all__ = [
     "LinkBudget",
-    "adversary_sinr_db",
-    "shield_sinr_db",
     "FCC_MICS_EIRP_DBM",
 ]
 
 # FCC EIRP limit for MICS devices outside the body: 25 microwatts.
 FCC_MICS_EIRP_DBM = -16.0
-
-
-def adversary_sinr_db(
-    imd_power_dbm: float,
-    body_loss_db: float,
-    jamming_power_dbm: float,
-    noise_dbm: float,
-) -> float:
-    """Eq. (7): the eavesdropper's SINR, independent of its location.
-
-    All powers are referenced at transmit (the air losses of the IMD
-    signal and the jamming signal cancel because the shield sits next to
-    the IMD).  ``noise_dbm`` is expressed relative to the same reference,
-    i.e. noise is usually negligible against the jamming term.
-    """
-    signal = imd_power_dbm - body_loss_db
-    # Jamming dominates noise; combine them in the linear domain.
-    interference = _power_sum_dbm(jamming_power_dbm, noise_dbm)
-    return signal - interference
-
-
-def shield_sinr_db(
-    imd_power_dbm: float,
-    body_loss_db: float,
-    jamming_power_dbm: float,
-    cancellation_db: float,
-    noise_dbm: float,
-) -> float:
-    """Eq. (8): the shield's SINR after cancelling ``G`` dB of jamming."""
-    signal = imd_power_dbm - body_loss_db
-    residual_jam = jamming_power_dbm - cancellation_db
-    interference = _power_sum_dbm(residual_jam, noise_dbm)
-    return signal - interference
 
 
 def _power_sum_dbm(a_dbm: float, b_dbm: float) -> float:

@@ -28,7 +28,6 @@ from repro.core.config import ShieldConfig
 from repro.core.detector import ActiveDetector, DetectionDecision
 from repro.core.full_duplex import FrontEndChannels, JammerCumReceiver
 from repro.core.jamming import ShapedJammer
-from repro.core.monitor import WidebandMonitor
 from repro.core.policy import AlarmPolicy, JamWindowPolicy
 from repro.core.relay import ProgrammerLink, ShieldRelay
 from repro.core.shield import ShieldRadio
@@ -46,7 +45,6 @@ __all__ = [
     "ShieldConfig",
     "ShieldRadio",
     "ShieldRelay",
-    "WidebandMonitor",
     "antidote_signal",
     "estimate_channel",
 ]

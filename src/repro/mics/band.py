@@ -57,10 +57,6 @@ class MICSBand:
     def n_channels(self) -> int:
         return int((self.high_hz - self.low_hz) / self.channel_bandwidth_hz)
 
-    @property
-    def total_bandwidth_hz(self) -> float:
-        return self.high_hz - self.low_hz
-
     def channels(self) -> list[MICSChannel]:
         """All channels, indexed 0..n-1 from the bottom of the band."""
         return [self.channel(i) for i in range(self.n_channels)]

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.phy.signal import Waveform
 
-__all__ = ["complex_bandpass", "dual_tone_filter", "lowpass"]
+__all__ = ["complex_bandpass", "dual_tone_filter"]
 
 
 def _complex_taps(
@@ -69,18 +69,3 @@ def dual_tone_filter(
     branch_a = complex_bandpass(waveform, tone_a_hz, half_width_hz, n_taps)
     branch_b = complex_bandpass(waveform, tone_b_hz, half_width_hz, n_taps)
     return Waveform(branch_a.samples + branch_b.samples, waveform.sample_rate)
-
-
-def lowpass(
-    waveform: Waveform, cutoff_hz: float, n_taps: int = 129
-) -> Waveform:
-    """Low-pass a waveform (used for channelising the wideband monitor)."""
-    from scipy import signal as sp_signal
-
-    if cutoff_hz <= 0 or cutoff_hz >= waveform.sample_rate / 2:
-        raise ValueError("cutoff_hz must be inside (0, sample_rate / 2)")
-    taps = sp_signal.firwin(n_taps, cutoff_hz, fs=waveform.sample_rate)
-    filtered = sp_signal.fftconvolve(waveform.samples, taps, mode="full")
-    delay = (n_taps - 1) // 2
-    filtered = filtered[delay : delay + len(waveform.samples)]
-    return Waveform(filtered, waveform.sample_rate)

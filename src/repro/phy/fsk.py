@@ -7,19 +7,12 @@ We model that as continuous-phase binary FSK: a '0' bit is a tone at
 carried across bit boundaries (continuous-phase keying keeps the spectrum
 compact, as the measured profile in Fig. 4 shows).
 
-Two demodulators are provided:
-
-* :class:`NoncoherentFSKDemodulator` -- the *optimal* noncoherent detector
-  the paper equips the eavesdropper with ([38] in the paper): per-bit
-  correlation against both tones followed by an envelope comparison.  It
-  needs no phase reference, so it is the strongest practical attack on an
-  FSK signal whose carrier phase the adversary cannot track through
-  jamming.
-* :class:`CoherentFSKDemodulator` -- a genie-aided coherent detector used
-  in tests to bound the noncoherent detector's loss.
-
-Both demodulators accept an optional per-bit soft output used by the
-jamming-detection logic.
+:class:`NoncoherentFSKDemodulator` is the *optimal* noncoherent detector
+the paper equips the eavesdropper with ([38] in the paper): per-bit
+correlation against both tones followed by an envelope comparison.  It
+needs no phase reference, so it is the strongest practical attack on an
+FSK signal whose carrier phase the adversary cannot track through
+jamming.
 """
 
 from __future__ import annotations
@@ -35,7 +28,6 @@ __all__ = [
     "FSKConfig",
     "FSKModulator",
     "NoncoherentFSKDemodulator",
-    "CoherentFSKDemodulator",
 ]
 
 
@@ -109,20 +101,6 @@ def _tone_matrix(config: FSKConfig) -> np.ndarray:
     matrix = np.conj(np.stack([template0, template1], axis=1))
     matrix.setflags(write=False)
     return matrix
-
-
-def _fsk_coherent_bits(
-    chunks: np.ndarray, correlators: np.ndarray, h: int
-) -> np.ndarray:
-    """Hard bits ``(n_bits,)`` int64 from ``(n_bits, spb)`` bit chunks
-    against the ``(spb, 2)`` correlator matrix, modulation index ``h``."""
-    n_bits = chunks.shape[0]
-    correlations = chunks @ correlators
-    # Phase at the start of bit i is i*pi*h (mod 2*pi): the conjugated
-    # reference contributes exp(-1j * pi * h * i) to each correlation.
-    rotation = np.exp(-1j * np.pi * h * np.arange(n_bits))
-    metrics = np.real(correlations * rotation[:, None])
-    return (metrics[:, 1] > metrics[:, 0]).astype(np.int64)
 
 
 class FSKModulator:
@@ -257,72 +235,3 @@ class NoncoherentFSKDemodulator:
         reference_bits = np.asarray(reference_bits, dtype=np.int64)
         decoded = self.demodulate(waveform, n_bits=len(reference_bits))
         return float(np.mean(decoded != reference_bits))
-
-
-class CoherentFSKDemodulator:
-    """Genie-aided coherent FSK detector (phase reference known).
-
-    Correlates against both tones with the true carrier phase and compares
-    the real parts.  Only used as an upper-bound reference in tests; real
-    receivers in the simulation are noncoherent.
-    """
-
-    def __init__(self, config: FSKConfig | None = None):
-        self.config = config or FSKConfig()
-
-    def demodulate(self, waveform: Waveform, n_bits: int | None = None) -> np.ndarray:
-        n_bits = self._resolve_bit_count(waveform, n_bits)
-        # Per-bit phase accumulation: the modulator adds
-        # ``2*pi*(+/-deviation)*T_bit = +/-pi*h`` per bit (h = modulation
-        # index).  For integer h the two signs coincide modulo 2*pi, so the
-        # accumulated phase is closed-form in the bit index and the whole
-        # packet demodulates as one reshape + matmul.  Non-integer h keeps
-        # the decision-feedback loop.
-        h = self.config.modulation_index
-        if abs(h - round(h)) < 1e-9:
-            return self._demodulate_vectorized(waveform, n_bits, int(round(h)))
-        return self._demodulate_loop(waveform, n_bits)
-
-    def _resolve_bit_count(self, waveform: Waveform, n_bits: int | None) -> int:
-        available = len(waveform) // self.config.samples_per_bit
-        if n_bits is None:
-            n_bits = available
-        if n_bits > available:
-            raise ValueError(
-                f"waveform holds only {available} bits, {n_bits} requested"
-            )
-        return n_bits
-
-    def _demodulate_vectorized(
-        self, waveform: Waveform, n_bits: int, h: int
-    ) -> np.ndarray:
-        spb = self.config.samples_per_bit
-        chunks = waveform.samples[: n_bits * spb].reshape(n_bits, spb)
-        return _fsk_coherent_bits(chunks, _tone_matrix(self.config), h)
-
-    def _demodulate_loop(
-        self, waveform: Waveform, n_bits: int | None = None
-    ) -> np.ndarray:
-        """Decision-feedback reference implementation (kept as the ground
-        truth the vectorized path is pinned against)."""
-        cfg = self.config
-        spb = cfg.samples_per_bit
-        n_bits = self._resolve_bit_count(waveform, n_bits)
-        # Rebuild the continuous-phase templates for each hypothesis bit by
-        # tracking the phase the modulator would have accumulated.  For a
-        # per-bit genie detector we approximate with phase-aligned tones.
-        t = np.arange(spb) / cfg.sample_rate
-        f0, f1 = cfg.tone_frequencies()
-        bits = np.empty(n_bits, dtype=np.int64)
-        phase = 0.0
-        for i in range(n_bits):
-            chunk = waveform.samples[i * spb : (i + 1) * spb]
-            ref0 = np.exp(1j * (2 * np.pi * f0 * t + phase))
-            ref1 = np.exp(1j * (2 * np.pi * f1 * t + phase))
-            m0 = np.real(chunk @ np.conj(ref0))
-            m1 = np.real(chunk @ np.conj(ref1))
-            bit = int(m1 > m0)
-            bits[i] = bit
-            freq = f1 if bit else f0
-            phase += 2 * np.pi * freq * spb / cfg.sample_rate
-        return bits

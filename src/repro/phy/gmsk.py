@@ -3,9 +3,7 @@
 The coexistence experiment (S11, Table 2) transmits cross-traffic "modeled
 after the transmissions of meteorological devices, in particular a Vaisala
 digital radiosonde RS92-AGP that uses GMSK modulation".  This module
-provides that waveform: Gaussian-filtered minimum-shift keying, plus a
-simple differential-phase demodulator so the cross-traffic receiver side
-is also exercisable in tests.
+provides that waveform: Gaussian-filtered minimum-shift keying.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ import numpy as np
 
 from repro.phy.signal import Waveform
 
-__all__ = ["GMSKConfig", "GMSKModulator", "GMSKDemodulator"]
+__all__ = ["GMSKConfig", "GMSKModulator"]
 
 
 @dataclass(frozen=True)
@@ -86,44 +84,3 @@ class GMSKModulator:
         freq = 0.5 * cfg.bit_rate / 2.0 * shaped
         phase = 2.0 * np.pi * np.cumsum(freq) / cfg.sample_rate
         return Waveform(amplitude * np.exp(1j * phase), cfg.sample_rate)
-
-
-class GMSKDemodulator:
-    """Differential-phase GMSK detector.
-
-    Computes the per-sample phase increment, integrates it over each bit,
-    and decides on the sign.  Not an optimal Viterbi receiver, but good
-    enough for the coexistence experiments where cross-traffic only needs
-    to be *classifiable*, not decoded at capacity.
-    """
-
-    def __init__(self, config: GMSKConfig | None = None):
-        self.config = config or GMSKConfig()
-
-    def demodulate(self, waveform: Waveform, n_bits: int | None = None) -> np.ndarray:
-        cfg = self.config
-        if waveform.sample_rate != cfg.sample_rate:
-            raise ValueError("waveform sample rate does not match demodulator config")
-        spb = cfg.samples_per_bit
-        available = len(waveform) // spb
-        if n_bits is None:
-            n_bits = available
-        if n_bits > available:
-            raise ValueError(
-                f"waveform holds only {available} bits, {n_bits} requested"
-            )
-        samples = waveform.samples[: n_bits * spb]
-        # Phase increments; prepend zero so lengths line up.
-        increments = np.angle(samples[1:] * np.conj(samples[:-1]))
-        increments = np.concatenate([[0.0], increments])
-        per_bit = increments.reshape(n_bits, spb).sum(axis=1)
-        # The Gaussian pulse spreads each bit across neighbours; delay by
-        # half the pulse span to centre the decision window.
-        return (per_bit > 0).astype(np.int64)
-
-    def bit_error_rate(
-        self, waveform: Waveform, reference_bits: np.ndarray | list[int]
-    ) -> float:
-        reference_bits = np.asarray(reference_bits, dtype=np.int64)
-        decoded = self.demodulate(waveform, n_bits=len(reference_bits))
-        return float(np.mean(decoded != reference_bits))

@@ -1,13 +1,12 @@
-"""OFDM modem for the paper's wideband extension.
+"""OFDM modulator for the paper's wideband extension.
 
 S5 notes that the narrowband antidote derivation "can be extended to work
 with wideband channels which exhibit multipath effects. Specifically, such
 channels use OFDM, which divides the bandwidth into orthogonal subcarriers
 and treats each of the subcarriers as if it was an independent narrowband
-channel."  This module provides a cyclic-prefix OFDM modem plus per-
-subcarrier channel application, so the wideband antidote
-(:func:`repro.core.antidote.wideband_antidote`) can be demonstrated and
-tested end to end.
+channel."  This module provides the cyclic-prefix OFDM modulator the
+wideband antidote (:func:`repro.core.antidote.wideband_antidote`) is
+demonstrated with.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import numpy as np
 
 from repro.phy.signal import Waveform
 
-__all__ = ["OFDMConfig", "OFDMModulator", "OFDMDemodulator", "apply_subcarrier_channel"]
+__all__ = ["OFDMConfig", "OFDMModulator"]
 
 
 @dataclass(frozen=True)
@@ -41,10 +40,6 @@ class OFDMConfig:
             raise ValueError("cyclic prefix must be in [0, n_subcarriers)")
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
-
-    @property
-    def symbol_length(self) -> int:
-        return self.n_subcarriers + self.cyclic_prefix
 
 
 class OFDMModulator:
@@ -77,38 +72,3 @@ class OFDMModulator:
         constellation = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2)
         idx = rng.integers(0, 4, size=(n_symbols, n_subcarriers))
         return constellation[idx]
-
-
-class OFDMDemodulator:
-    """Strip cyclic prefixes and FFT back to subcarrier symbols."""
-
-    def __init__(self, config: OFDMConfig | None = None):
-        self.config = config or OFDMConfig()
-
-    def demodulate(self, waveform: Waveform) -> np.ndarray:
-        cfg = self.config
-        if waveform.sample_rate != cfg.sample_rate:
-            raise ValueError("waveform sample rate does not match OFDM config")
-        sym_len = cfg.symbol_length
-        n_syms = len(waveform) // sym_len
-        if n_syms == 0:
-            raise ValueError("waveform shorter than one OFDM symbol")
-        grid = waveform.samples[: n_syms * sym_len].reshape(n_syms, sym_len)
-        grid = grid[:, cfg.cyclic_prefix :]
-        return np.fft.fft(grid, axis=1) / np.sqrt(cfg.n_subcarriers)
-
-
-def apply_subcarrier_channel(
-    waveform: Waveform, taps: np.ndarray, config: OFDMConfig
-) -> Waveform:
-    """Pass an OFDM waveform through a multipath channel.
-
-    ``taps`` is the discrete impulse response (length <= cyclic prefix so
-    orthogonality is preserved).  The per-subcarrier view of this channel
-    is its FFT, which is what the wideband antidote inverts.
-    """
-    taps = np.asarray(taps, dtype=np.complex128)
-    if len(taps) > config.cyclic_prefix + 1:
-        raise ValueError("channel longer than the cyclic prefix breaks OFDM")
-    out = np.convolve(waveform.samples, taps)[: len(waveform.samples)]
-    return Waveform(out, waveform.sample_rate)

@@ -3,9 +3,8 @@
 The shield identifies packets destined for its IMD by comparing the first
 ``m`` decoded bits against the device's identifying sequence ``S_id``
 (preamble + header + 10-byte serial number) and jamming when the Hamming
-distance is below ``b_thresh`` (S7).  This module provides both the
-bit-domain matcher and a waveform-domain correlator used for frame
-synchronisation.
+distance is below ``b_thresh`` (S7).  This module provides that
+bit-domain matcher and the preamble every modelled packet starts with.
 """
 
 from __future__ import annotations
@@ -14,14 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.phy.fsk import FSKConfig, FSKModulator
-from repro.phy.signal import Waveform
-
 __all__ = [
     "hamming_distance",
     "IdentifyingSequence",
-    "sliding_sequence_match",
-    "correlate_preamble",
 ]
 
 # The preamble every modelled packet starts with: alternating bits give the
@@ -73,54 +67,3 @@ class IdentifyingSequence:
         if len(candidate) < len(self.bits):
             return False
         return hamming_distance(candidate[: len(self.bits)], self.bits) <= b_thresh
-
-
-def sliding_sequence_match(
-    bits: np.ndarray | list[int], sequence: IdentifyingSequence, b_thresh: int
-) -> int | None:
-    """First offset at which ``sequence`` matches within ``b_thresh`` flips.
-
-    Emulates the shield's streaming check: "for each newly decoded bit,
-    the shield checks the last m decoded bits against the identifying
-    sequence" (S7).  Returns the offset of the match start, or ``None``.
-    """
-    bits = np.asarray(bits, dtype=np.int64)
-    m = len(sequence)
-    if len(bits) < m:
-        return None
-    # Vectorised sliding Hamming distance via a stride trick-free approach:
-    # correlate the +/-1 mapped sequences.
-    mapped_bits = 2 * bits - 1
-    mapped_seq = 2 * sequence.bits - 1
-    # agreement[k] = number of matching positions at offset k
-    agreement = np.correlate(mapped_bits, mapped_seq, mode="valid")
-    distances = (m - agreement) / 2
-    hits = np.nonzero(distances <= b_thresh)[0]
-    if hits.size == 0:
-        return None
-    return int(hits[0])
-
-
-def correlate_preamble(
-    waveform: Waveform,
-    preamble_bits: np.ndarray | list[int] | None = None,
-    config: FSKConfig | None = None,
-) -> tuple[int, float]:
-    """Locate the FSK preamble in a waveform by matched-filter correlation.
-
-    Returns ``(sample_offset, normalised_peak)`` where the peak is the
-    correlation magnitude divided by the template and window energies
-    (1.0 for a perfect, noise-free match).
-    """
-    config = config or FSKConfig()
-    if preamble_bits is None:
-        preamble_bits = DEFAULT_PREAMBLE_BITS
-    template = FSKModulator(config).modulate(preamble_bits).samples
-    if len(waveform) < len(template):
-        raise ValueError("waveform shorter than the preamble template")
-    corr = np.abs(np.correlate(waveform.samples, template, mode="valid"))
-    offset = int(np.argmax(corr))
-    window = waveform.samples[offset : offset + len(template)]
-    denom = np.linalg.norm(template) * np.linalg.norm(window)
-    peak = float(corr[offset] / denom) if denom > 0 else 0.0
-    return offset, peak

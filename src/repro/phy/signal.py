@@ -26,8 +26,6 @@ __all__ = [
     "db_to_linear",
     "linear_to_db",
     "dbm_to_watts",
-    "watts_to_dbm",
-    "combine",
 ]
 
 
@@ -53,13 +51,6 @@ def dbm_to_watts(power_dbm: float) -> float:
     return 10.0 ** ((power_dbm - 30.0) / 10.0)
 
 
-def watts_to_dbm(power_watts: float) -> float:
-    """Convert a power in watts to dBm."""
-    if power_watts <= 0.0:
-        raise ValueError(f"cannot express non-positive power {power_watts!r} in dBm")
-    return 10.0 * math.log10(power_watts) + 30.0
-
-
 @dataclass
 class Waveform:
     """A complex-baseband signal: samples plus the rate they were taken at.
@@ -69,8 +60,7 @@ class Waveform:
     samples:
         Complex (or real, promoted on construction) sample array.
     sample_rate:
-        Samples per second.  All waveforms mixed on one channel must share
-        a sample rate; :func:`combine` enforces this.
+        Samples per second.
     """
 
     samples: np.ndarray
@@ -116,34 +106,12 @@ class Waveform:
         """Return a copy multiplied by a (possibly complex) gain."""
         return Waveform(self.samples * gain, self.sample_rate)
 
-    def delayed(self, n_samples: int) -> "Waveform":
-        """Return a copy preceded by ``n_samples`` zeros."""
-        if n_samples < 0:
-            raise ValueError("delay must be non-negative")
-        pad = np.zeros(n_samples, dtype=np.complex128)
-        return Waveform(np.concatenate([pad, self.samples]), self.sample_rate)
-
     def padded_to(self, n_samples: int) -> "Waveform":
         """Return a copy zero-padded at the end to ``n_samples`` total."""
         if n_samples < len(self.samples):
             raise ValueError("cannot pad to fewer samples than present")
         pad = np.zeros(n_samples - len(self.samples), dtype=np.complex128)
         return Waveform(np.concatenate([self.samples, pad]), self.sample_rate)
-
-    def sliced(self, start: int, stop: int) -> "Waveform":
-        """Return the sample slice ``[start:stop)`` as a new waveform."""
-        return Waveform(self.samples[start:stop], self.sample_rate)
-
-    def frequency_shifted(self, offset_hz: float) -> "Waveform":
-        """Return a copy mixed by ``exp(j 2 pi offset t)``.
-
-        Used to emulate carrier-frequency offset between radios and to move
-        signals between adjacent MICS channels in the wideband monitor.
-        """
-        t = np.arange(len(self.samples)) / self.sample_rate
-        return Waveform(
-            self.samples * np.exp(2j * np.pi * offset_hz * t), self.sample_rate
-        )
 
     def with_noise(self, noise_power: float, rng: np.random.Generator) -> "Waveform":
         """Return a copy with complex AWGN of the given linear power added."""
@@ -161,24 +129,3 @@ class Waveform:
     def snr_db(self, noise_power: float) -> float:
         """Signal-to-noise ratio of this waveform against a noise power."""
         return linear_to_db(self.power() / noise_power)
-
-
-def combine(*waveforms: Waveform) -> Waveform:
-    """Mix waveforms sample-by-sample, as the wireless medium does.
-
-    The air adds concurrently transmitted signals linearly (S6 of the
-    paper: "the wireless channel creates linear combinations of
-    concurrently transmitted signals").  Shorter waveforms are zero-padded
-    to the longest; all inputs must share a sample rate.
-    """
-    if not waveforms:
-        raise ValueError("combine() requires at least one waveform")
-    rate = waveforms[0].sample_rate
-    for w in waveforms[1:]:
-        if w.sample_rate != rate:
-            raise ValueError("cannot combine waveforms with different sample rates")
-    n = max(len(w) for w in waveforms)
-    total = np.zeros(n, dtype=np.complex128)
-    for w in waveforms:
-        total[: len(w)] += w.samples
-    return Waveform(total, rate)

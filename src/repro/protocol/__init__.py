@@ -18,7 +18,7 @@ stand-in, and :mod:`repro.protocol.packets` the wire format both speak.
 """
 
 from repro.protocol.commands import CommandType
-from repro.protocol.crc import crc16_ccitt, crc16_check
+from repro.protocol.crc import crc16_ccitt
 from repro.protocol.imd import IMDevice, IMDParameters, VIRTUOSO, CONCERTO
 from repro.protocol.packets import Packet, PacketCodec, DecodeError
 from repro.protocol.programmer import Programmer
@@ -37,5 +37,4 @@ __all__ = [
     "SessionState",
     "VIRTUOSO",
     "crc16_ccitt",
-    "crc16_check",
 ]

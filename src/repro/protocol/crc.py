@@ -23,8 +23,6 @@ import numpy as np
 
 __all__ = [
     "crc16_ccitt",
-    "crc16_check",
-    "crc16_bits",
     "crc16_bits_batch",
     "crc16_bytes_batch",
     "bytes_to_bits",
@@ -74,20 +72,6 @@ def crc16_ccitt(data: bytes) -> int:
     for byte in data:
         crc = ((crc << 8) & 0xFF00) ^ table[(crc >> 8) ^ byte]
     return crc
-
-
-def crc16_check(data: bytes, checksum: int) -> bool:
-    """Whether ``checksum`` matches the CRC of ``data``."""
-    return crc16_ccitt(data) == (checksum & 0xFFFF)
-
-
-def crc16_bits(bits: np.ndarray) -> int:
-    """CRC-16/CCITT over a bit vector (MSB-first bytes).
-
-    The vector length must be a multiple of 8; the protocol layer pads
-    fields to byte boundaries by construction.
-    """
-    return crc16_ccitt(bits_to_bytes(bits))
 
 
 def crc16_bits_batch(bits: np.ndarray) -> np.ndarray:

@@ -149,7 +149,7 @@ class RelayedSessionWorkflow:
 
         The channel plan only tracks cooperative claims; the listening
         step must also carrier-sense, or the session would walk straight
-        back onto a jammed channel.  The shield's wideband monitor
+        back onto a jammed channel.  The air's per-channel occupancy
         provides the sensing.
         """
         air = self.shield.air

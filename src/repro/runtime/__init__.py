@@ -23,7 +23,6 @@ from repro.runtime.executor import SweepExecutor, resolve_workers
 from repro.runtime.seeding import (
     chunk_sizes,
     round_seed_sequence,
-    spawn_rngs,
     spawn_seed_sequences,
 )
 
@@ -32,6 +31,5 @@ __all__ = [
     "resolve_workers",
     "chunk_sizes",
     "round_seed_sequence",
-    "spawn_rngs",
     "spawn_seed_sequences",
 ]

@@ -15,7 +15,6 @@ __all__ = [
     "ROUND_SPAWN_NAMESPACE",
     "chunk_sizes",
     "round_seed_sequence",
-    "spawn_rngs",
     "spawn_seed_sequences",
     "unit_seed_sequence",
 ]
@@ -70,11 +69,6 @@ def spawn_seed_sequences(
     if not isinstance(root, np.random.SeedSequence):
         root = np.random.SeedSequence(root)
     return root.spawn(n)
-
-
-def spawn_rngs(root: int | np.random.SeedSequence, n: int) -> list[np.random.Generator]:
-    """``n`` independent generators, one per trial/work unit."""
-    return [np.random.default_rng(ss) for ss in spawn_seed_sequences(root, n)]
 
 
 def chunk_sizes(n_trials: int, chunk_size: int | None) -> list[int]:

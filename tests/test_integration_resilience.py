@@ -1,6 +1,6 @@
-"""Resilience integration tests: DoS channel switching, two patients, CFO.
+"""Resilience integration tests: DoS channel switching, two patients.
 
-Three stories the substrate layers promise individually, checked end to
+Two stories the substrate layers promise individually, checked end to
 end:
 
 * S2's persistent-interference rule: a denial-of-service jammer parked on
@@ -8,19 +8,14 @@ end:
   session completes;
 * per-device identifying sequences (S7(a)): two patients with their own
   shields can stand next to each other -- each shield jams only commands
-  addressed to *its* implant;
-* S6(a)'s carrier-frequency-offset compensation keeps the optimal
-  detector working when the IMD's crystal drifts.
+  addressed to *its* implant.
 """
 
 import numpy as np
-import pytest
 
 from repro.core.relay import ProgrammerLink, ShieldRelay
 from repro.crypto.pairing import OutOfBandPairing
 from repro.experiments.testbed import AttackTestbed, Placement
-from repro.phy.cfo import apply_cfo, compensate_cfo, estimate_cfo_from_tone
-from repro.phy.fsk import FSKModulator, NoncoherentFSKDemodulator
 from repro.protocol.commands import CommandType
 from repro.protocol.workflow import RelayedSessionWorkflow
 from repro.sim.radio import RadioDevice
@@ -133,34 +128,3 @@ class TestTwoPatients:
         assert (
             len(bed.air.transmissions_by("shield", kind="jam")) == jams_a_before
         )
-
-
-class TestCFOCompensation:
-    def test_drifting_imd_still_decodable_after_compensation(self, rng):
-        """S6(a): 'the shield also compensates for any carrier frequency
-        offset between its RF chain and that of the IMD'."""
-        bits = rng.integers(0, 2, size=400)
-        clean = FSKModulator().modulate(bits)
-        # The envelope detector is naturally robust to small offsets (a
-        # few kHz barely dents the 100 kHz tone spacing)...
-        mild = apply_cfo(clean, 8.0e3).with_noise(1e-3, rng)
-        demod = NoncoherentFSKDemodulator()
-        mild_ber = float(np.mean(demod.demodulate(mild, n_bits=len(bits)) != bits))
-        assert mild_ber < 0.01
-
-        # ...but a drift that pushes one tone onto the opposite template
-        # (>= the 50 kHz deviation) breaks it outright.
-        drifted = apply_cfo(clean, 55.0e3).with_noise(1e-3, rng)
-        raw_ber = float(np.mean(demod.demodulate(drifted, n_bits=len(bits)) != bits))
-        estimate = estimate_cfo_from_tone(drifted, clean)
-        fixed = compensate_cfo(drifted, estimate)
-        fixed_ber = float(np.mean(demod.demodulate(fixed, n_bits=len(bits)) != bits))
-        assert raw_ber > 0.03  # the drift genuinely hurts
-        assert fixed_ber < 0.005
-
-    def test_estimate_accuracy_at_mics_drift(self, rng):
-        ref = FSKModulator().modulate(rng.integers(0, 2, size=600))
-        for cfo in (-8e3, -1e3, 3e3, 8e3):
-            drifted = apply_cfo(ref, cfo).with_noise(1e-2, rng)
-            estimate = estimate_cfo_from_tone(drifted, ref)
-            assert estimate == pytest.approx(cfo, abs=150.0)

@@ -12,9 +12,6 @@ class TestBand:
         """S2: the 402-405 MHz band divides into 300 kHz channels."""
         assert MICSBand().n_channels == 10
 
-    def test_total_bandwidth(self):
-        assert MICSBand().total_bandwidth_hz == pytest.approx(3e6)
-
     def test_channel_centres_inside_band(self):
         band = MICSBand()
         for ch in band.channels():

@@ -5,14 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.phy.ber import (
-    ber_to_packet_error_rate,
-    coherent_fsk_ber,
-    flip_bits,
-    noncoherent_fsk_ber,
-    sample_bit_errors,
-    sinr_linear,
-)
+from repro.phy.ber import flip_bits, noncoherent_fsk_ber, sample_bit_errors
 
 
 class TestNoncoherentBER:
@@ -29,47 +22,6 @@ class TestNoncoherentBER:
 
     def test_negligible_at_high_snr(self):
         assert noncoherent_fsk_ber(25.0) < 1e-60
-
-
-class TestCoherentBER:
-    def test_coherent_beats_noncoherent(self):
-        for snr in [0.0, 5.0, 10.0, 15.0]:
-            assert coherent_fsk_ber(snr) < noncoherent_fsk_ber(snr)
-
-    def test_half_at_no_signal(self):
-        assert coherent_fsk_ber(-80.0) == pytest.approx(0.5, abs=1e-3)
-
-
-class TestPacketErrorRate:
-    def test_zero_ber_means_zero_per(self):
-        assert ber_to_packet_error_rate(0.0, 1000) == 0.0
-
-    def test_one_bit_packet(self):
-        assert ber_to_packet_error_rate(0.1, 1) == pytest.approx(0.1)
-
-    def test_matches_complement_product(self):
-        assert ber_to_packet_error_rate(1e-3, 200) == pytest.approx(
-            1 - (1 - 1e-3) ** 200
-        )
-
-    def test_rejects_invalid_ber(self):
-        with pytest.raises(ValueError):
-            ber_to_packet_error_rate(1.5, 10)
-
-    def test_rejects_negative_bits(self):
-        with pytest.raises(ValueError):
-            ber_to_packet_error_rate(0.1, -1)
-
-    def test_zero_bits_never_errors(self):
-        assert ber_to_packet_error_rate(0.5, 0) == 0.0
-
-
-class TestSinr:
-    def test_basic(self):
-        assert sinr_linear(10.0, 4.0, 1.0) == pytest.approx(2.0)
-
-    def test_infinite_when_clean(self):
-        assert sinr_linear(1.0, 0.0, 0.0) == math.inf
 
 
 class TestSampling:

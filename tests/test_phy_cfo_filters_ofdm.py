@@ -1,54 +1,11 @@
-"""Tests for CFO estimation, band-pass filters, and the OFDM extension."""
+"""Tests for the band-pass filters and the OFDM extension."""
 
 import numpy as np
 import pytest
 
-from repro.phy.cfo import apply_cfo, compensate_cfo, estimate_cfo_from_tone
-from repro.phy.filters import complex_bandpass, dual_tone_filter, lowpass
-from repro.phy.fsk import FSKModulator, NoncoherentFSKDemodulator
-from repro.phy.ofdm import (
-    OFDMConfig,
-    OFDMDemodulator,
-    OFDMModulator,
-    apply_subcarrier_channel,
-)
+from repro.phy.filters import complex_bandpass, dual_tone_filter
+from repro.phy.ofdm import OFDMConfig, OFDMModulator
 from repro.phy.signal import Waveform
-
-
-class TestCFO:
-    def test_estimate_recovers_offset(self, rng):
-        ref = FSKModulator().modulate(rng.integers(0, 2, size=200))
-        shifted = apply_cfo(ref, 1500.0)
-        estimate = estimate_cfo_from_tone(shifted, ref)
-        assert estimate == pytest.approx(1500.0, abs=20.0)
-
-    def test_estimate_with_noise(self, rng):
-        ref = FSKModulator().modulate(rng.integers(0, 2, size=500))
-        shifted = apply_cfo(ref, -800.0).with_noise(0.01, rng)
-        estimate = estimate_cfo_from_tone(shifted, ref)
-        assert estimate == pytest.approx(-800.0, abs=60.0)
-
-    def test_compensation_restores_decoding(self, rng):
-        """The shield 'compensates for any carrier frequency offset' (S6a)."""
-        bits = rng.integers(0, 2, size=300)
-        clean = FSKModulator().modulate(bits)
-        # An uncompensated 8 kHz offset degrades the envelope detector.
-        shifted = apply_cfo(clean, 8e3)
-        estimate = estimate_cfo_from_tone(shifted, clean)
-        fixed = compensate_cfo(shifted, estimate)
-        ber = NoncoherentFSKDemodulator().bit_error_rate(fixed, bits)
-        assert ber == 0.0
-
-    def test_rejects_rate_mismatch(self):
-        a = Waveform(np.ones(10), 1e6)
-        b = Waveform(np.ones(10), 2e6)
-        with pytest.raises(ValueError):
-            estimate_cfo_from_tone(a, b)
-
-    def test_rejects_too_short(self):
-        a = Waveform(np.ones(1), 1e6)
-        with pytest.raises(ValueError):
-            estimate_cfo_from_tone(a, a)
 
 
 def _tone(freq_hz: float, n: int = 4096, fs: float = 600e3) -> Waveform:
@@ -74,45 +31,23 @@ class TestFilters:
         out = dual_tone_filter(_tone(0.0), -50e3, 50e3, 20e3)
         assert out.power() < 0.05
 
-    def test_lowpass(self):
-        assert lowpass(_tone(10e3), 50e3).power() == pytest.approx(1.0, rel=0.1)
-        assert lowpass(_tone(200e3), 50e3).power() < 0.01
-
     def test_bandpass_validation(self):
         with pytest.raises(ValueError):
             complex_bandpass(_tone(0), 0, 400e3)
 
-    def test_lowpass_validation(self):
-        with pytest.raises(ValueError):
-            lowpass(_tone(0), -1.0)
-
 
 class TestOFDM:
     def test_round_trip(self, rng):
+        """Each symbol is its cyclic prefix plus the scaled IFFT of its
+        subcarrier row: strip the prefix, FFT, and the grid comes back."""
         cfg = OFDMConfig()
         grid = OFDMModulator.random_qpsk(4, cfg.n_subcarriers, rng)
         w = OFDMModulator(cfg).modulate(grid)
-        out = OFDMDemodulator(cfg).demodulate(w)
+        symbols = w.samples.reshape(4, cfg.n_subcarriers + cfg.cyclic_prefix)
+        cp = cfg.cyclic_prefix
+        assert np.array_equal(symbols[:, :cp], symbols[:, -cp:])
+        out = np.fft.fft(symbols[:, cp:], axis=1) / np.sqrt(cfg.n_subcarriers)
         assert np.allclose(out, grid, atol=1e-9)
-
-    def test_round_trip_through_multipath(self, rng):
-        """The cyclic prefix absorbs multipath: per-subcarrier channel is
-        flat, so equalisation is a one-tap divide (S5's wideband model)."""
-        cfg = OFDMConfig()
-        grid = OFDMModulator.random_qpsk(6, cfg.n_subcarriers, rng)
-        w = OFDMModulator(cfg).modulate(grid)
-        taps = np.array([1.0, 0.4 - 0.2j, 0.1j])
-        rx = apply_subcarrier_channel(w, taps, cfg)
-        out = OFDMDemodulator(cfg).demodulate(rx)
-        channel_freq = np.fft.fft(taps, cfg.n_subcarriers)
-        equalised = out / channel_freq
-        assert np.allclose(equalised, grid, atol=1e-6)
-
-    def test_rejects_long_channel(self):
-        cfg = OFDMConfig(n_subcarriers=32, cyclic_prefix=4)
-        w = OFDMModulator(cfg).modulate(np.ones((1, 32)))
-        with pytest.raises(ValueError):
-            apply_subcarrier_channel(w, np.ones(9), cfg)
 
     def test_rejects_wrong_subcarrier_count(self):
         with pytest.raises(ValueError):
@@ -123,8 +58,3 @@ class TestOFDM:
             OFDMConfig(n_subcarriers=1)
         with pytest.raises(ValueError):
             OFDMConfig(cyclic_prefix=64, n_subcarriers=64)
-
-    def test_demodulate_rejects_short(self):
-        cfg = OFDMConfig()
-        with pytest.raises(ValueError):
-            OFDMDemodulator(cfg).demodulate(Waveform(np.ones(8), cfg.sample_rate))

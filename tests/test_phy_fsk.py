@@ -2,17 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.phy.ber import noncoherent_fsk_ber
-from repro.phy.fsk import (
-    CoherentFSKDemodulator,
-    FSKConfig,
-    FSKModulator,
-    NoncoherentFSKDemodulator,
-    _fsk_coherent_bits,
-)
+from repro.phy.fsk import FSKConfig, FSKModulator, NoncoherentFSKDemodulator
 from repro.phy.signal import Waveform
 
 
@@ -126,6 +118,16 @@ class TestNoncoherentDemodulator:
         ber = NoncoherentFSKDemodulator().bit_error_rate(jammed, bits)
         assert 0.4 < ber < 0.6
 
+    def test_tolerates_small_frequency_offset(self, rng):
+        """A few kHz of carrier offset barely dents the 100 kHz tone
+        spacing, so the envelope detector needs no offset correction."""
+        bits = rng.integers(0, 2, size=400)
+        w = FSKModulator().modulate(bits)
+        t = np.arange(len(w)) / w.sample_rate
+        drifted = Waveform(w.samples * np.exp(2j * np.pi * 8e3 * t), w.sample_rate)
+        noisy = drifted.with_noise(1e-3, rng)
+        assert NoncoherentFSKDemodulator().bit_error_rate(noisy, bits) < 0.01
+
     def test_envelopes_shape(self, rng):
         bits = rng.integers(0, 2, size=32)
         w = FSKModulator().modulate(bits)
@@ -141,24 +143,6 @@ class TestNoncoherentDemodulator:
         w = Waveform(np.ones(60), sample_rate=1e6)
         with pytest.raises(ValueError):
             NoncoherentFSKDemodulator().demodulate(w)
-
-
-class TestCoherentDemodulator:
-    def test_clean_round_trip(self, rng):
-        bits = rng.integers(0, 2, size=64)
-        w = FSKModulator().modulate(bits)
-        decoded = CoherentFSKDemodulator().demodulate(w)
-        assert np.array_equal(decoded, bits)
-
-    def test_beats_noncoherent_at_low_snr(self, rng):
-        """Coherent detection is a strictly better genie bound."""
-        bits = rng.integers(0, 2, size=20_000)
-        w = FSKModulator().modulate(bits)
-        spb = FSKConfig().samples_per_bit
-        noisy = w.with_noise(spb / 10 ** 0.55, rng)  # ~5.5 dB per bit
-        coh = np.mean(CoherentFSKDemodulator().demodulate(noisy) != bits)
-        noncoh = np.mean(NoncoherentFSKDemodulator().demodulate(noisy) != bits)
-        assert coh <= noncoh + 0.01
 
 
 class TestBatchedModulation:
@@ -213,45 +197,6 @@ class TestBatchedDemodulation:
             NoncoherentFSKDemodulator().envelopes_batch(np.zeros(12))
 
 
-class TestCoherentVectorization:
-    """The closed-form phase path must pin against the decision-feedback
-    loop."""
-
-    @pytest.mark.parametrize(
-        "cfg",
-        [
-            FSKConfig(),  # h = 1, the Medtronic default
-            FSKConfig(bit_rate=50e3, deviation_hz=25e3, sample_rate=400e3),  # h=1
-            FSKConfig(bit_rate=50e3, deviation_hz=50e3, sample_rate=300e3),  # h=2
-        ],
-    )
-    def test_matches_loop_reference(self, cfg):
-        rng = np.random.default_rng(7)
-        bits = rng.integers(0, 2, size=96)
-        wave = FSKModulator(cfg).modulate(bits)
-        noisy = Waveform(
-            wave.samples
-            + 0.25
-            * (
-                rng.standard_normal(len(wave))
-                + 1j * rng.standard_normal(len(wave))
-            ),
-            cfg.sample_rate,
-        )
-        demod = CoherentFSKDemodulator(cfg)
-        assert np.array_equal(
-            demod.demodulate(noisy), demod._demodulate_loop(noisy)
-        )
-
-    def test_noninteger_index_uses_loop(self):
-        cfg = FSKConfig(bit_rate=100e3, deviation_hz=25e3, sample_rate=600e3)  # h=0.5
-        rng = np.random.default_rng(8)
-        bits = rng.integers(0, 2, size=32)
-        wave = FSKModulator(cfg).modulate(bits)
-        out = CoherentFSKDemodulator(cfg).demodulate(wave)
-        assert np.array_equal(out, bits)
-
-
 class TestTemplateCache:
     def test_templates_shared_across_instances(self):
         a = NoncoherentFSKDemodulator()
@@ -263,24 +208,3 @@ class TestTemplateCache:
         demod = NoncoherentFSKDemodulator()
         with pytest.raises(ValueError):
             demod._template0[0] = 0.0
-
-
-@pytest.mark.statistical
-@given(st.integers(0, 2**32 - 1), st.integers(1, 64), st.integers(2, 12))
-@settings(max_examples=40, deadline=None)
-def test_fsk_coherent_bits_matches_inline_formula(seed, n_bits, sps):
-    rng = np.random.default_rng(seed)
-    chunks = rng.standard_normal((n_bits, sps)) + 1j * rng.standard_normal(
-        (n_bits, sps)
-    )
-    correlators = rng.standard_normal((sps, 2)) + 1j * rng.standard_normal(
-        (sps, 2)
-    )
-    h = 0.5
-    out = _fsk_coherent_bits(chunks, correlators, h)
-    correlations = chunks @ correlators
-    rotation = np.exp(-1j * np.pi * h * np.arange(n_bits))
-    metrics = np.real(correlations * rotation[:, None])
-    inline = (metrics[:, 1] > metrics[:, 0]).astype(np.int64)
-    assert out.dtype == np.int64
-    np.testing.assert_array_equal(out, inline)

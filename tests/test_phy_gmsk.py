@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.phy.gmsk import GMSKConfig, GMSKDemodulator, GMSKModulator
-from repro.phy.signal import Waveform
+from repro.phy.gmsk import GMSKConfig, GMSKModulator
 from repro.phy.spectrum import band_power_fraction
 
 
@@ -55,34 +54,3 @@ class TestModulator:
             w, -60e3, -40e3
         )
         assert near_fsk_tones < 0.2
-
-
-class TestDemodulator:
-    def test_clean_round_trip(self, rng):
-        bits = rng.integers(0, 2, size=300)
-        w = GMSKModulator().modulate(bits)
-        decoded = GMSKDemodulator().demodulate(w)
-        # The differential detector has no equaliser; allow rare ISI slips
-        # at pulse-overlap boundaries.
-        assert np.mean(decoded != bits) < 0.01
-
-    def test_survives_phase_rotation(self, rng):
-        bits = rng.integers(0, 2, size=200)
-        w = GMSKModulator().modulate(bits).scaled(np.exp(0.7j))
-        decoded = GMSKDemodulator().demodulate(w)
-        assert np.mean(decoded != bits) < 0.01
-
-    def test_ber_under_noise_reasonable(self, rng):
-        bits = rng.integers(0, 2, size=2000)
-        w = GMSKModulator().modulate(bits).with_noise(0.05, rng)
-        assert GMSKDemodulator().bit_error_rate(w, bits) < 0.05
-
-    def test_rejects_rate_mismatch(self):
-        w = Waveform(np.ones(120), sample_rate=1e6)
-        with pytest.raises(ValueError):
-            GMSKDemodulator().demodulate(w)
-
-    def test_rejects_overask(self):
-        w = GMSKModulator().modulate([0, 1])
-        with pytest.raises(ValueError):
-            GMSKDemodulator().demodulate(w, n_bits=5)

@@ -1,16 +1,9 @@
-"""Tests for S_id matching and preamble correlation (S7 machinery)."""
+"""Tests for S_id matching (S7 machinery)."""
 
 import numpy as np
 import pytest
 
-from repro.phy.fsk import FSKModulator
-from repro.phy.preamble import (
-    DEFAULT_PREAMBLE_BITS,
-    IdentifyingSequence,
-    correlate_preamble,
-    hamming_distance,
-    sliding_sequence_match,
-)
+from repro.phy.preamble import IdentifyingSequence, hamming_distance
 
 
 class TestHammingDistance:
@@ -55,51 +48,3 @@ class TestIdentifyingSequence:
     def test_short_candidate_never_matches(self):
         seq = IdentifyingSequence(np.ones(16, dtype=int))
         assert not seq.matches(np.ones(8, dtype=int), b_thresh=16)
-
-
-class TestSlidingMatch:
-    def test_finds_offset(self, rng):
-        sid_bits = rng.integers(0, 2, size=40)
-        seq = IdentifyingSequence(sid_bits)
-        stream = np.concatenate(
-            [rng.integers(0, 2, size=17), sid_bits, rng.integers(0, 2, size=9)]
-        )
-        # A random 17-bit prefix could accidentally match; require the
-        # found offset to be at most the planted one.
-        offset = sliding_sequence_match(stream, seq, b_thresh=0)
-        assert offset == 17
-
-    def test_none_when_absent(self, rng):
-        seq = IdentifyingSequence(np.ones(32, dtype=int))
-        stream = np.zeros(100, dtype=int)
-        assert sliding_sequence_match(stream, seq, b_thresh=3) is None
-
-    def test_none_when_stream_short(self):
-        seq = IdentifyingSequence(np.ones(32, dtype=int))
-        assert sliding_sequence_match(np.ones(10, dtype=int), seq, 0) is None
-
-    def test_tolerance(self, rng):
-        sid_bits = rng.integers(0, 2, size=40)
-        seq = IdentifyingSequence(sid_bits)
-        noisy = sid_bits.copy()
-        noisy[5] ^= 1
-        assert sliding_sequence_match(noisy, seq, b_thresh=1) == 0
-        assert sliding_sequence_match(noisy, seq, b_thresh=0) is None
-
-
-class TestPreambleCorrelation:
-    def test_locates_preamble(self, rng):
-        mod = FSKModulator()
-        payload = mod.modulate(rng.integers(0, 2, size=64))
-        preamble = mod.modulate(DEFAULT_PREAMBLE_BITS)
-        stream = preamble.delayed(123)
-        stream = stream.padded_to(len(stream) + len(payload))
-        offset, peak = correlate_preamble(stream)
-        assert offset == 123
-        assert peak > 0.9
-
-    def test_rejects_short_waveform(self):
-        from repro.phy.signal import Waveform
-
-        with pytest.raises(ValueError):
-            correlate_preamble(Waveform(np.ones(4), 600e3))

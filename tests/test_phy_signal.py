@@ -5,14 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.phy.signal import (
-    Waveform,
-    combine,
-    db_to_linear,
-    dbm_to_watts,
-    linear_to_db,
-    watts_to_dbm,
-)
+from repro.phy.signal import Waveform, db_to_linear, dbm_to_watts, linear_to_db
 
 
 class TestUnitConversions:
@@ -30,15 +23,13 @@ class TestUnitConversions:
         with pytest.raises(ValueError):
             linear_to_db(-1.0)
 
-    def test_dbm_watts_round_trip(self):
-        assert watts_to_dbm(dbm_to_watts(-16.0)) == pytest.approx(-16.0)
+    def test_dbm_to_watts_closed_form(self):
+        assert dbm_to_watts(30.0) == pytest.approx(1.0)
+        assert dbm_to_watts(0.0) == pytest.approx(1e-3)
+        assert dbm_to_watts(-16.0) == pytest.approx(10.0 ** (-46.0 / 10.0))
 
     def test_fcc_mics_limit_is_25_microwatts(self):
         assert dbm_to_watts(-16.0) == pytest.approx(25e-6, rel=0.01)
-
-    def test_watts_to_dbm_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            watts_to_dbm(0.0)
 
 
 class TestWaveform:
@@ -77,15 +68,6 @@ class TestWaveform:
         assert out.power() == pytest.approx(4.0)
         assert np.allclose(out.samples, 2j * np.ones(8))
 
-    def test_delayed_prepends_zeros(self):
-        w = Waveform(np.ones(4), 1e6).delayed(3)
-        assert len(w) == 7
-        assert np.all(w.samples[:3] == 0)
-
-    def test_delayed_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Waveform(np.ones(4), 1e6).delayed(-1)
-
     def test_padded_to(self):
         w = Waveform(np.ones(4), 1e6).padded_to(10)
         assert len(w) == 10
@@ -94,14 +76,6 @@ class TestWaveform:
     def test_padded_to_rejects_shrink(self):
         with pytest.raises(ValueError):
             Waveform(np.ones(4), 1e6).padded_to(2)
-
-    def test_frequency_shift_moves_tone(self):
-        fs = 1e6
-        n = 1000
-        t = np.arange(n) / fs
-        w = Waveform(np.exp(2j * np.pi * 50e3 * t), fs).frequency_shifted(-50e3)
-        # After shifting down by 50 kHz the signal should be DC.
-        assert np.allclose(w.samples, w.samples[0], atol=1e-9)
 
     def test_with_noise_raises_power(self, rng):
         w = Waveform(np.ones(20_000), 1e6)
@@ -119,25 +93,3 @@ class TestWaveform:
     def test_snr_db(self):
         w = Waveform(np.ones(16), 1e6)
         assert w.snr_db(0.01) == pytest.approx(20.0)
-
-
-class TestCombine:
-    def test_linear_mixing(self):
-        a = Waveform(np.ones(4), 1e6)
-        b = Waveform(2 * np.ones(4), 1e6)
-        assert np.allclose(combine(a, b).samples, 3 * np.ones(4))
-
-    def test_shorter_padded(self):
-        a = Waveform(np.ones(2), 1e6)
-        b = Waveform(np.ones(5), 1e6)
-        mixed = combine(a, b)
-        assert len(mixed) == 5
-        assert np.allclose(mixed.samples, [2, 2, 1, 1, 1])
-
-    def test_rejects_rate_mismatch(self):
-        with pytest.raises(ValueError):
-            combine(Waveform(np.ones(2), 1e6), Waveform(np.ones(2), 2e6))
-
-    def test_rejects_empty_call(self):
-        with pytest.raises(ValueError):
-            combine()

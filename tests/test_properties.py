@@ -12,7 +12,7 @@ from repro.core.policy import JamWindowPolicy
 from repro.crypto.aead import AEAD
 from repro.crypto.kdf import hkdf_sha256
 from repro.crypto.stream import xor_stream
-from repro.phy.ber import ber_to_packet_error_rate, noncoherent_fsk_ber
+from repro.phy.ber import noncoherent_fsk_ber
 from repro.phy.fsk import FSKModulator, NoncoherentFSKDemodulator
 from repro.phy.preamble import IdentifyingSequence, hamming_distance
 from repro.phy.signal import Waveform, db_to_linear, linear_to_db
@@ -79,15 +79,6 @@ class TestBERProperties:
     def test_ber_in_valid_range(self, sinr_db):
         ber = noncoherent_fsk_ber(sinr_db)
         assert 0.0 <= ber <= 0.5
-
-    @given(
-        st.floats(min_value=0.0, max_value=1.0),
-        st.integers(min_value=0, max_value=10_000),
-    )
-    def test_per_in_valid_range_and_monotone_in_bits(self, ber, n_bits):
-        per = ber_to_packet_error_rate(ber, n_bits)
-        assert 0.0 <= per <= 1.0
-        assert per <= ber_to_packet_error_rate(ber, n_bits + 1) + 1e-12
 
 
 class TestCRCProperties:

@@ -1,8 +1,7 @@
 """Property tests (hypothesis): batched fast paths vs scalar references.
 
-PR 1 vectorized the hot paths -- table-driven CRC, closed-form coherent
-demodulation, whole-block waveform trials -- each keeping a scalar (or
-loop) reference implementation.  These properties pin the fast paths to
+The hot paths are vectorized -- table-driven CRC, whole-block waveform
+trials -- each keeping a scalar (or loop) reference implementation.  These properties pin the fast paths to
 their references across random inputs, so a future optimisation that
 silently changes a number fails here rather than in a figure.
 """
@@ -13,13 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.waveform_lab import PassiveLab
-from repro.phy.fsk import CoherentFSKDemodulator, FSKConfig, FSKModulator
-from repro.phy.signal import Waveform
 from repro.protocol.crc import (
     _crc16_ccitt_bitwise,
     bits_to_bytes,
-    crc16_bits,
     crc16_bits_batch,
+    crc16_ccitt,
 )
 
 pytestmark = pytest.mark.statistical
@@ -43,7 +40,7 @@ class TestCrcBatchParity:
         batch = crc16_bits_batch(bits)
         assert batch.dtype == np.uint16
         for row, crc in zip(bits, batch):
-            assert int(crc) == crc16_bits(row)
+            assert int(crc) == crc16_ccitt(bits_to_bytes(row))
 
     @given(bit_matrices)
     @settings(max_examples=40, deadline=None)
@@ -52,48 +49,6 @@ class TestCrcBatchParity:
         batch = crc16_bits_batch(bits)
         for row, crc in zip(bits, batch):
             assert int(crc) == _crc16_ccitt_bitwise(bits_to_bytes(row))
-
-
-class TestCoherentDemodParity:
-    @given(
-        st.integers(0, 2**32 - 1),
-        st.lists(st.integers(0, 1), min_size=4, max_size=96),
-        st.sampled_from([1, 2, 3]),
-        st.floats(min_value=0.0, max_value=0.5),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_vectorized_matches_pinned_loop(self, seed, bits, h, noise_amp):
-        """Integer modulation index: the closed-form phase rotation must
-        reproduce the decision-feedback loop bit for bit, clean or noisy."""
-        bits = np.asarray(bits, dtype=np.int64)
-        config = FSKConfig(
-            bit_rate=100e3, deviation_hz=h * 50e3, sample_rate=600e3
-        )
-        waveform = FSKModulator(config).modulate(bits)
-        rng = np.random.default_rng(seed)
-        noisy = Waveform(
-            waveform.samples
-            + noise_amp
-            * (
-                rng.standard_normal(len(waveform))
-                + 1j * rng.standard_normal(len(waveform))
-            ),
-            config.sample_rate,
-        )
-        demod = CoherentFSKDemodulator(config)
-        vectorized = demod._demodulate_vectorized(noisy, len(bits), h)
-        loop = demod._demodulate_loop(noisy, len(bits))
-        assert np.array_equal(vectorized, loop)
-
-    @given(st.lists(st.integers(0, 1), min_size=4, max_size=64))
-    @settings(max_examples=25, deadline=None)
-    def test_public_demodulate_dispatches_to_vectorized(self, bits):
-        bits = np.asarray(bits, dtype=np.int64)
-        config = FSKConfig()
-        waveform = FSKModulator(config).modulate(bits)
-        assert np.array_equal(
-            CoherentFSKDemodulator(config).demodulate(waveform), bits
-        )
 
 
 class TestPassiveLabBatchParity:

@@ -9,9 +9,8 @@ from repro.channel.link_budget import LinkBudget
 from repro.channel.models import DualSlopePathLoss
 from repro.crypto.secure_channel import SecureChannel
 from repro.mics.channel_plan import ChannelPlan
-from repro.phy.gmsk import GMSKDemodulator, GMSKModulator
-from repro.phy.ofdm import OFDMConfig, OFDMDemodulator, OFDMModulator
-from repro.phy.signal import Waveform
+from repro.phy.gmsk import GMSKModulator
+from repro.phy.ofdm import OFDMConfig, OFDMModulator
 
 bits_arrays = st.lists(st.integers(0, 1), min_size=8, max_size=128).map(
     lambda xs: np.asarray(xs, dtype=np.int64)
@@ -19,13 +18,6 @@ bits_arrays = st.lists(st.integers(0, 1), min_size=8, max_size=128).map(
 
 
 class TestGMSKProperties:
-    @settings(max_examples=20, deadline=None)
-    @given(bits_arrays)
-    def test_round_trip_low_error(self, bits):
-        w = GMSKModulator().modulate(bits)
-        decoded = GMSKDemodulator().demodulate(w)
-        assert np.mean(decoded != bits) < 0.05
-
     @settings(max_examples=20, deadline=None)
     @given(bits_arrays)
     def test_constant_envelope(self, bits):
@@ -40,8 +32,9 @@ class TestOFDMProperties:
         cfg = OFDMConfig()
         rng = np.random.default_rng(seed)
         grid = OFDMModulator.random_qpsk(n_symbols, cfg.n_subcarriers, rng)
-        out = OFDMDemodulator(cfg).demodulate(OFDMModulator(cfg).modulate(grid))
-        assert np.allclose(out, grid, atol=1e-9)
+        symbols = OFDMModulator(cfg).modulate(grid).samples.reshape(n_symbols, -1)
+        out = np.fft.fft(symbols[:, cfg.cyclic_prefix :], axis=1)
+        assert np.allclose(out / np.sqrt(cfg.n_subcarriers), grid, atol=1e-9)
 
 
 class TestPathlossProperties:

@@ -8,9 +8,8 @@ from repro.protocol.commands import CommandType
 from repro.protocol.crc import (
     bits_to_bytes,
     bytes_to_bits,
-    crc16_bits,
+    crc16_bits_batch,
     crc16_ccitt,
-    crc16_check,
 )
 from repro.protocol.packets import (
     _MEMO_CAP,
@@ -31,17 +30,18 @@ class TestCRC16:
 
     def test_check_round_trip(self):
         data = b"heartbeat telemetry"
-        assert crc16_check(data, crc16_ccitt(data))
+        # A message followed by its big-endian checksum leaves no remainder.
+        assert crc16_ccitt(data + crc16_ccitt(data).to_bytes(2, "big")) == 0
 
     def test_single_bit_flip_detected(self):
         data = bytearray(b"therapy parameters")
         crc = crc16_ccitt(bytes(data))
         data[3] ^= 0x10
-        assert not crc16_check(bytes(data), crc)
+        assert crc16_ccitt(bytes(data)) != crc
 
     def test_bit_level_matches_byte_level(self):
         data = b"\x01\x02\xff\x80"
-        assert crc16_bits(bytes_to_bits(data)) == crc16_ccitt(data)
+        assert crc16_bits_batch(bytes_to_bits(data)[None])[0] == crc16_ccitt(data)
 
 
 class TestBitPacking:
@@ -296,14 +296,12 @@ class TestTableDrivenCRC:
             assert crc16_ccitt(data) == _crc16_ccitt_bitwise(data)
 
     def test_batch_matches_scalar(self):
-        from repro.protocol.crc import crc16_bits_batch
-
         rng = np.random.default_rng(23)
         bits = rng.integers(0, 2, size=(20, 8 * 11))
         batch = crc16_bits_batch(bits)
         assert batch.dtype == np.uint16
         for row, crc in zip(bits, batch):
-            assert int(crc) == crc16_bits(row)
+            assert int(crc) == crc16_ccitt(bits_to_bytes(row))
 
     def test_byte_rows_match_scalar(self):
         from repro.protocol.crc import crc16_bytes_batch
@@ -321,19 +319,13 @@ class TestTableDrivenCRC:
             crc16_bytes_batch(np.zeros(8, dtype=np.uint8))
 
     def test_batch_rejects_ragged_length(self):
-        from repro.protocol.crc import crc16_bits_batch
-
         with pytest.raises(ValueError):
             crc16_bits_batch(np.zeros((2, 7), dtype=int))
 
     def test_batch_rejects_non_binary(self):
-        from repro.protocol.crc import crc16_bits_batch
-
         with pytest.raises(ValueError):
             crc16_bits_batch(np.full((2, 8), 3))
 
     def test_batch_rejects_1d(self):
-        from repro.protocol.crc import crc16_bits_batch
-
         with pytest.raises(ValueError):
             crc16_bits_batch(np.zeros(8, dtype=int))

@@ -7,7 +7,6 @@ from repro.runtime import (
     SweepExecutor,
     chunk_sizes,
     resolve_workers,
-    spawn_rngs,
     spawn_seed_sequences,
 )
 from repro.runtime.seeding import unit_seed_sequence
@@ -172,7 +171,7 @@ class TestSeeding:
         assert not np.array_equal(a, b)
 
     def test_spawn_rngs_independent(self):
-        rngs = spawn_rngs(0, 3)
+        rngs = [np.random.default_rng(s) for s in spawn_seed_sequences(0, 3)]
         draws = [r.random(8) for r in rngs]
         assert not np.array_equal(draws[0], draws[1])
         assert not np.array_equal(draws[1], draws[2])
