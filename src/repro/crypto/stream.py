@@ -13,8 +13,6 @@ import hashlib
 
 __all__ = ["keystream", "xor_stream"]
 
-_BLOCK = 32
-
 
 def keystream(key: bytes, nonce: bytes, length: int) -> bytes:
     """Deterministic keystream of ``length`` bytes for (key, nonce)."""

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from repro.adversary.highpower import HighPowerAttacker
 from repro.channel.fading import FadingModel
 from repro.channel.geometry import AdversaryLocation, TestbedGeometry
 from repro.channel.link_budget import FCC_MICS_EIRP_DBM, LinkBudget
-from repro.channel.models import BodyLoss
 from repro.core.config import ShieldConfig
 from repro.core.detector import ActiveDetector
 from repro.core.shield import ShieldRadio
@@ -41,7 +40,13 @@ from repro.sim.engine import Simulator
 from repro.sim.radio import IMDRadio, ObserverRadio
 from repro.sim.trace import TimelineTrace
 
-__all__ = ["Placement", "ExperimentLinkModel", "AttackTestbed", "AttackOutcome"]
+__all__ = [
+    "Placement",
+    "ExperimentLinkModel",
+    "AttackTestbed",
+    "AttackOutcome",
+    "worn_shield_config",
+]
 
 # Link loss between two devices sharing the phantom (IMD <-> observer).
 _IN_PHANTOM_LOSS_DB = 10.0
@@ -77,24 +82,29 @@ class ExperimentLinkModel(LinkModel):
         budget: LinkBudget,
         room_fading: FadingModel | None = None,
         body_fading: FadingModel | None = None,
+        link_memo: dict | None = None,
     ):
         self.budget = budget
-        self.geometry: TestbedGeometry = budget.geometry
-        self.body: BodyLoss = budget.body
         self.room_fading = room_fading or _ROOM_FADING
         self.body_fading = body_fading or _BODY_FADING
         self._placements: dict[str, Placement] = {}
-        # Mean link losses and fading kinds are pure functions of the
-        # (static) placements; caching them keeps the per-reception cost
-        # flat over a sweep.
-        self._loss_cache: dict[tuple[str, str], float] = {}
-        self._fading_kind_cache: dict[tuple[str, str], tuple[FadingModel, bool]] = {}
+        # A link's mean loss and fading kind are pure functions of its
+        # two placements (and the budget), so each is worked out once:
+        # ``link_memo`` keys them on the placements, and may be shared
+        # by every link model on one budget (the testbed template's);
+        # ``_links`` keys this model's current links on device names
+        # for the per-reception lookup, and is cleared by :meth:`place`.
+        self._link_memo: dict[
+            tuple[Placement, Placement], tuple[float, bool, bool]
+        ] = {} if link_memo is None else link_memo
+        self._links: dict[
+            tuple[str, str], tuple[float, FadingModel, bool]
+        ] = {}
         self._fading_pools: dict[tuple[int, bool], list[float]] = {}
 
     def place(self, placement: Placement) -> None:
         self._placements[placement.name] = placement
-        self._loss_cache.clear()
-        self._fading_kind_cache.clear()
+        self._links.clear()
 
     def placement(self, name: str) -> Placement:
         try:
@@ -107,7 +117,7 @@ class ExperimentLinkModel(LinkModel):
     def mean_rx_power_dbm(
         self, source: str, destination: str, tx_power_dbm: float
     ) -> float:
-        return tx_power_dbm - self.link_loss_db(source, destination)
+        return tx_power_dbm - self._link(source, destination)[0]
 
     #: Fading draws fetched per vectorized refill of one (model, LOS) pool.
     _FADING_POOL = 32
@@ -115,7 +125,7 @@ class ExperimentLinkModel(LinkModel):
     def fading_db(
         self, source: str, destination: str, rng: np.random.Generator
     ) -> float:
-        model, los = self._fading_for(source, destination)
+        _, model, los = self._link(source, destination)
         # Refill a small per-(model, LOS) pool with one vectorized draw;
         # popping from it replaces three scalar generator calls per
         # transmission on the sweep hot path.
@@ -126,21 +136,23 @@ class ExperimentLinkModel(LinkModel):
             self._fading_pools[key] = pool
         return pool.pop()
 
-    def _fading_for(self, source: str, destination: str) -> tuple[FadingModel, bool]:
-        """Which fading model and LOS flag a link uses (memoised)."""
-        cached = self._fading_kind_cache.get((source, destination))
-        if cached is not None:
-            return cached
-        src = self.placement(source)
-        dst = self.placement(destination)
-        if (src.in_phantom or src.on_body) and (dst.in_phantom or dst.on_body):
-            kind = (self.body_fading, True)
-        else:
-            located = src if src.location is not None else dst
-            los = located.location.line_of_sight if located.location else True
-            kind = (self.room_fading, los)
-        self._fading_kind_cache[(source, destination)] = kind
-        return kind
+    def _link(
+        self, source: str, destination: str
+    ) -> tuple[float, FadingModel, bool]:
+        """A link's mean loss, fading model and LOS flag (memoised)."""
+        link = self._links.get((source, destination))
+        if link is None:
+            pair = (self.placement(source), self.placement(destination))
+            fixed = self._link_memo.get(pair)
+            if fixed is None:
+                fixed = self._link_memo[pair] = _fixed_link(
+                    self.budget, *pair
+                )
+            loss, body, los = fixed
+            link = self._links[(source, destination)] = (
+                loss, self.body_fading if body else self.room_fading, los
+            )
+        return link
 
     def noise_power_dbm(self, destination: str) -> float:
         if self.placement(destination).in_phantom:
@@ -151,44 +163,52 @@ class ExperimentLinkModel(LinkModel):
 
     def link_loss_db(self, source: str, destination: str) -> float:
         """Mean total loss: air path plus any phantom crossings."""
-        cached = self._loss_cache.get((source, destination))
-        if cached is not None:
-            return cached
-        loss = self._link_loss_db(source, destination)
-        self._loss_cache[(source, destination)] = loss
-        return loss
+        return self._link(source, destination)[0]
 
-    def _link_loss_db(self, source: str, destination: str) -> float:
-        src = self.placement(source)
-        dst = self.placement(destination)
-        if src.in_phantom and dst.in_phantom:
-            return _IN_PHANTOM_LOSS_DB
-        loss = self._air_loss_db(src, dst)
-        if src.in_phantom:
-            loss += self.body.loss_db
-        if dst.in_phantom:
-            loss += self.body.loss_db
-        return loss
 
-    def _air_loss_db(self, src: Placement, dst: Placement) -> float:
-        pathloss = self.geometry.pathloss
-        if src.location is not None and dst.location is not None:
-            # Two devices out in the room (e.g. replay attacker hearing a
-            # programmer): distance between their floor-plan positions,
-            # obstructed by the worse of the two placements.
-            d = max(
-                src.location.position().distance_to(dst.location.position()),
-                pathloss.reference_m,
-            )
-            extra = max(
-                src.location.obstruction_loss_db, dst.location.obstruction_loss_db
-            )
-            return pathloss.loss_db(d, extra)
+def _fixed_link(
+    budget: LinkBudget, src: Placement, dst: Placement
+) -> tuple[float, bool, bool]:
+    """What two placements fix about their link: the mean loss, whether
+    both ends sit on or in the body (the body fading model, else the
+    room's), and the line-of-sight flag the fading draws use."""
+    if (src.in_phantom or src.on_body) and (dst.in_phantom or dst.on_body):
+        body, los = True, True
+    else:
         located = src if src.location is not None else dst
-        if located.location is not None:
-            return located.location.air_loss_db(pathloss)
-        # Phantom cluster <-> worn shield: the 12 cm necklace hop.
-        return self.geometry.shield_to_imd_loss_db()
+        body = False
+        los = located.location.line_of_sight if located.location else True
+    if src.in_phantom and dst.in_phantom:
+        return _IN_PHANTOM_LOSS_DB, body, los
+    loss = _air_loss_db(budget.geometry, src, dst)
+    if src.in_phantom:
+        loss += budget.body.loss_db
+    if dst.in_phantom:
+        loss += budget.body.loss_db
+    return loss, body, los
+
+
+def _air_loss_db(
+    geometry: TestbedGeometry, src: Placement, dst: Placement
+) -> float:
+    pathloss = geometry.pathloss
+    if src.location is not None and dst.location is not None:
+        # Two devices out in the room (e.g. replay attacker hearing a
+        # programmer): distance between their floor-plan positions,
+        # obstructed by the worse of the two placements.
+        d = max(
+            src.location.position().distance_to(dst.location.position()),
+            pathloss.reference_m,
+        )
+        extra = max(
+            src.location.obstruction_loss_db, dst.location.obstruction_loss_db
+        )
+        return pathloss.loss_db(d, extra)
+    located = src if src.location is not None else dst
+    if located.location is not None:
+        return located.location.air_loss_db(pathloss)
+    # Phantom cluster <-> worn shield: the 12 cm necklace hop.
+    return geometry.shield_to_imd_loss_db()
 
 
 @dataclass(frozen=True)
@@ -220,16 +240,50 @@ class _TestbedTemplate:
     None of them draws random numbers or keeps per-trial state, so every
     testbed on one geometry shares them: the link budget, one codec
     (with its encode memo), the detector's identifying sequence and
-    detection window.  A testbed builds only its simulator, air, radios,
-    link model and seeded generators.  The codec's memo takes no lock:
-    testbeds are built and run on one thread per process (parallel
-    sweeps use worker processes).
+    detection window, the IMD power received at the worn shield, and
+    the placement-keyed link memo of :class:`ExperimentLinkModel`.  A
+    testbed builds only its simulator, air, radios, link model and
+    seeded generators.  The memos take no lock: testbeds are built and
+    run on one thread per process (parallel sweeps use worker
+    processes).
     """
 
     budget: LinkBudget
     codec: PacketCodec
     sequence: IdentifyingSequence
     detection_window_bits: int
+    imd_rx_at_shield_dbm: float
+    link_memo: dict = field(default_factory=dict)
+
+    def new_shield_config(self, **fields) -> ShieldConfig:
+        """A :class:`ShieldConfig` with ``fields``, completed with the
+        passive jam power and detection window a testbed on this
+        geometry sets, in one construction."""
+        margin = fields.get(
+            "passive_jam_margin_db", ShieldConfig.passive_jam_margin_db
+        )
+        return ShieldConfig(
+            **fields,
+            passive_jam_tx_dbm=self.imd_rx_at_shield_dbm + margin,
+            detection_window_bits=self.detection_window_bits,
+        )
+
+    def shield_config(self, base: ShieldConfig | None) -> ShieldConfig:
+        """``base`` with the fields the testbed owns set: ``base`` itself
+        when it already carries them, else a copy."""
+        if base is None:
+            return self.new_shield_config()
+        jam = self.imd_rx_at_shield_dbm + base.passive_jam_margin_db
+        if (
+            base.passive_jam_tx_dbm == jam
+            and base.detection_window_bits == self.detection_window_bits
+        ):
+            return base
+        return dataclasses.replace(
+            base,
+            passive_jam_tx_dbm=jam,
+            detection_window_bits=self.detection_window_bits,
+        )
 
 
 @functools.lru_cache(maxsize=16)
@@ -242,7 +296,22 @@ def _template(geometry: TestbedGeometry | None) -> _TestbedTemplate:
         codec=codec,
         sequence=codec.identifying_sequence(_IMD_SERIAL),
         detection_window_bits=codec.header_bit_count(),
+        imd_rx_at_shield_dbm=budget.imd_rx_at_shield_dbm(),
     )
+
+
+def worn_shield_config(
+    geometry: TestbedGeometry | None = None, **fields
+) -> ShieldConfig:
+    """The :class:`ShieldConfig` with ``fields`` that an
+    :class:`AttackTestbed` on ``geometry`` runs as is.
+
+    The testbed sets the passive jam power (the config's margin over
+    the IMD power received at the shield) and the detection window
+    itself; a config built here already carries both, so the testbed
+    takes it without a copy.
+    """
+    return _template(geometry).new_shield_config(**fields)
 
 
 class AttackTestbed:
@@ -294,7 +363,9 @@ class AttackTestbed:
         )
         self.codec = template.codec
 
-        self.links = ExperimentLinkModel(self.budget)
+        self.links = ExperimentLinkModel(
+            self.budget, link_memo=template.link_memo
+        )
         self.air = Air(self.simulator, self.links, rng=self.rng)
 
         self.imd = IMDevice(
@@ -329,14 +400,7 @@ class AttackTestbed:
             # come from the testbed itself, because they are properties
             # of this geometry and frame layout -- only the config's
             # *margin* over the received IMD power is the device's own.
-            base = shield_config or ShieldConfig()
-            config = dataclasses.replace(
-                base,
-                passive_jam_tx_dbm=self.budget.passive_jam_tx_dbm(
-                    base.passive_jam_margin_db
-                ),
-                detection_window_bits=template.detection_window_bits,
-            )
+            config = template.shield_config(shield_config)
             detector = ActiveDetector(
                 template.sequence,
                 b_thresh=config.b_thresh,

@@ -74,17 +74,18 @@ def patient_shield_config(profile):
 
     Applies the cohort's calibration spread -- the patient's P_thresh
     offset and antenna-cancellation (full-duplex rejection) offset --
-    to the paper-calibrated defaults.  The testbed overrides the
-    link-budget and codec-derived fields itself.  Shared by the batch
-    shards below and the live engine's encounter sessions
-    (:mod:`repro.live.engine`), so one definition of "this patient's
-    device" serves both execution modes.
+    to the paper-calibrated defaults.  The link-budget and
+    codec-derived fields are the default testbed's, so the testbed
+    takes the config as is.  Shared by the batch shards below and the
+    live engine's encounter sessions (:mod:`repro.live.engine`), so one
+    definition of "this patient's device" serves both execution modes.
     """
     from repro.core.config import ShieldConfig
+    from repro.experiments.testbed import worn_shield_config
 
     # One construction from the class defaults (a dataclass keeps each
     # plain field default as a class attribute).
-    return ShieldConfig(
+    return worn_shield_config(
         p_thresh_dbm=ShieldConfig.p_thresh_dbm + profile.p_thresh_offset_db,
         antenna_cancellation_db=(
             ShieldConfig.antenna_cancellation_db

@@ -12,7 +12,7 @@ device interlock state, and evaluate conditions the device cannot
 (rate-over-window trends across encounters); it CANNOT feed anything
 back into the device simulation, suppress a device alarm, or alter an
 outcome.  Nothing here holds a reference to a testbed or a session --
-the pipeline consumes immutable :class:`~repro.live.events.LiveEvent`
+the pipeline consumes read-only :class:`~repro.live.events.LiveEvent`
 records, structurally enforcing notification-only.
 
 Three rule shapes cover the monitoring claims the batch sweeps cannot

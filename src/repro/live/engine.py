@@ -36,7 +36,8 @@ whole horizon in one bulk :meth:`~repro.physio.ecg.HeartRateWalk.steps`
 call when the tick chain is reserved.  Attack bursts -- the only
 events that touch the full testbed simulation -- are rare by
 construction.  Per event, the heap holds only each tick chain's head
-(:meth:`LiveEngine._pop` pushes the successor), the event log renders
+(:meth:`LiveEngine._pop` pushes the successor), the event is one
+slotted :class:`~repro.live.events.LiveEvent`, the event log renders
 the vitals line directly
 (:meth:`~repro.live.events.LiveEvent.canonical`), the alarm pipeline
 offers an event only to rules of its kind, and the per-kind event

@@ -43,13 +43,19 @@ def canonical_line(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LiveEvent:
     """One thing that happened to one patient at one simulated instant.
 
     ``time_s`` is *simulated* seconds since engine start -- never wall
     time, which would break replay.  ``data`` holds the kind-specific
     payload (heart rate, attack outcome flags, shield state).
+
+    Read-only by convention: nothing downstream of the engine assigns
+    to an event or its ``data``.  The record is slotted but not frozen,
+    because a frozen dataclass's ``__init__`` sets each field through
+    ``object.__setattr__``, which doubles the cost of the one
+    construction every dispatched event pays.
     """
 
     time_s: float

@@ -31,7 +31,9 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 from collections import deque
+from json.encoder import encode_basestring_ascii
 
 from repro.live.engine import LiveEngine
 from repro.live.events import LiveEvent
@@ -97,6 +99,36 @@ class Subscriber:
     def close(self) -> None:
         self.closed = True
         self._wakeup.set()
+
+
+def _dumps(value) -> str:
+    return json.dumps(value, separators=(",", ":"))
+
+
+def _vitals_entry(event: LiveEvent) -> str:
+    """``{"t": event.time_s, **event.data}`` as frame JSON.
+
+    The telemetry tick -- a finite float ``t`` and data exactly
+    ``{hr_bpm: finite float, rhythm: str}`` in that order -- is written
+    directly with the primitives ``json.dumps`` itself uses (``repr``
+    of an exact float, ASCII string escaping), as
+    :meth:`~repro.live.events.LiveEvent.canonical` writes its log line.
+    Any other shape goes through ``json.dumps``.
+    """
+    data = event.data
+    t = event.time_s
+    if len(data) == 2 and next(iter(data)) == "hr_bpm":
+        hr = data["hr_bpm"]
+        rhythm = data.get("rhythm")
+        if (
+            type(hr) is float and type(t) is float and type(rhythm) is str
+            and math.isfinite(hr) and math.isfinite(t)
+        ):
+            return (
+                f'{{"t":{t!r},"hr_bpm":{hr!r},'
+                f'"rhythm":{encode_basestring_ascii(rhythm)}}}'
+            )
+    return _dumps({"t": t, **data})
 
 
 class BroadcastHub:
@@ -172,19 +204,22 @@ class BroadcastHub:
             and not self._pending_alarms
         ):
             return None
-        payload = {
-            "t": self._sim_time_s,
-            "vitals": {
-                str(k): {"t": event.time_s, **event.data}
-                for k, event in sorted(self._latest_vitals.items())
-            },
-            "events": self._pending_events,
-            "alarms": self._pending_alarms,
-        }
+        # The body is ``json.dumps`` of ``{"t", "vitals", "events",
+        # "alarms"}`` with minimal separators; the vitals map, nearly
+        # all of a ward's frame, is joined from entries rendered one by
+        # one (see :func:`_vitals_entry`).
+        vitals = ",".join([
+            f"{encode_basestring_ascii(str(k))}:{_vitals_entry(event)}"
+            for k, event in sorted(self._latest_vitals.items())
+        ])
+        body = (
+            f'{{"t":{_dumps(self._sim_time_s)},"vitals":{{{vitals}}},'
+            f'"events":{_dumps(self._pending_events)},'
+            f'"alarms":{_dumps(self._pending_alarms)}}}'
+        )
         self._latest_vitals = {}
         self._pending_events = []
         self._pending_alarms = []
-        body = json.dumps(payload, separators=(",", ":"))
         return f"event: frame\ndata: {body}\n\n".encode()
 
     def flush(self) -> int:

@@ -347,21 +347,32 @@ class TestReduction:
 
 
 class TestPatientShieldConfig:
-    """One ``ShieldConfig`` construction per patient, equal to the
-    defaults-then-``replace`` config it replaced."""
+    """One ``ShieldConfig`` construction per patient, equal to the config
+    a worn shield ran with when it took three: the defaults, a
+    ``replace`` with the patient's calibration, and the testbed's
+    ``replace`` with its passive jam power and detection window."""
 
     @staticmethod
     def _two_step(profile):
         from repro.core.config import ShieldConfig
+        from repro.experiments.testbed import AttackTestbed
 
         base = ShieldConfig()
-        return dataclasses.replace(
+        calibrated = dataclasses.replace(
             base,
             p_thresh_dbm=base.p_thresh_dbm + profile.p_thresh_offset_db,
             antenna_cancellation_db=(
                 base.antenna_cancellation_db + profile.cancellation_offset_db
             ),
             passive_jam_margin_db=profile.jam_margin_db,
+        )
+        bed = AttackTestbed(location_index=1, shield_present=False)
+        return dataclasses.replace(
+            calibrated,
+            passive_jam_tx_dbm=bed.budget.passive_jam_tx_dbm(
+                profile.jam_margin_db
+            ),
+            detection_window_bits=bed.codec.header_bit_count(),
         )
 
     @pytest.mark.parametrize(
@@ -384,3 +395,11 @@ class TestPatientShieldConfig:
     def test_equals_two_step_config_on_cohort_profiles(self):
         for profile in CohortSpec(n_patients=40, seed=3).profiles(0, 40):
             assert patient_shield_config(profile) == self._two_step(profile)
+
+    def test_testbed_runs_the_config_as_is(self):
+        from repro.experiments.testbed import AttackTestbed
+
+        profile = next(iter(CohortSpec(n_patients=1, seed=3).profiles()))
+        config = patient_shield_config(profile)
+        bed = AttackTestbed(location_index=4, shield_config=config)
+        assert bed.shield.config is config

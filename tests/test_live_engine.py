@@ -541,6 +541,58 @@ class TestLiveEvent:
             '{"data":{"hr_bpm":70.0},"kind":"vitals","patient":3,"t":1.5}'
         )
 
+    def test_value_equality_and_repr(self):
+        event = LiveEvent(1.5, 3, "vitals", {"hr_bpm": 70.0})
+        assert event == LiveEvent(1.5, 3, "vitals", {"hr_bpm": 70.0})
+        assert event != LiveEvent(1.5, 4, "vitals", {"hr_bpm": 70.0})
+        assert event != LiveEvent(1.5, 3, "vitals", {"hr_bpm": 71.0})
+        assert repr(event) == (
+            "LiveEvent(time_s=1.5, patient=3, kind='vitals', "
+            "data={'hr_bpm': 70.0})"
+        )
+
+    def test_is_slotted(self):
+        # One construction per dispatched event: the record carries no
+        # per-instance ``__dict__``.
+        event = LiveEvent(0.0, 0, "session", {})
+        assert not hasattr(event, "__dict__")
+        assert LiveEvent.__slots__ == ("time_s", "patient", "kind", "data")
+
+    def test_drained_ward_leaves_every_event_as_dispatched(self):
+        # The record is read-only by convention, not frozen: every
+        # consumer -- the event log, the hub, the alarm rules and the
+        # listeners -- sees each event with the values it was emitted
+        # with, for the whole run.
+        log = EventLog()
+        engine = LiveEngine(_PINNED, clock=DrainClock(), event_log=log)
+        hub = BroadcastHub(max_queue=10_000)
+        emitted, snapshots = [], []
+
+        def snapshot(event):
+            emitted.append(event)
+            snapshots.append(
+                (event.time_s, event.patient, event.kind, dict(event.data))
+            )
+            if len(emitted) % 37 == 0:
+                hub.flush()
+
+        # The first listener: the hub and the alarm rules see each
+        # event after it is snapshotted.
+        engine.add_event_listener(snapshot)
+        hub.attach(engine)
+        hub.subscribe()
+        asyncio.run(engine.run())
+        hub.flush()
+        assert engine.finished and engine.pipeline.fired_total > 0
+        assert {kind for _, _, kind, _ in snapshots} == set(EVENT_KINDS)
+        assert [
+            (e.time_s, e.patient, e.kind, e.data) for e in emitted
+        ] == snapshots
+        # And the log, written before any listener, holds those values.
+        assert [e.canonical() for e in emitted] == [
+            line for line in log.lines if not line.startswith('{"alarm"')
+        ]
+
 
 #: Floats the fast vitals renderer must print exactly as ``json.dumps``:
 #: any finite value, plus the rounded readings the engine emits.

@@ -14,6 +14,8 @@ import asyncio
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.live.clock import AcceleratedClock
 from repro.live.engine import LiveConfig, LiveEngine
@@ -25,6 +27,7 @@ from repro.live.serve import (
     run_live,
 )
 from repro.obs.export import validate_exposition
+from repro.physio.ecg import RHYTHM_CLASSES
 
 _CFG = LiveConfig(n_patients=10, duration_s=6.0, attack_bursts=1, seed=4)
 
@@ -124,6 +127,85 @@ class TestBroadcastHub:
         hub.flush()
         assert sub.closed and len(sub.frames) == 0
         assert hub.subscribers == []
+
+
+def _json_frame(sim_time_s, vitals, events, alarms):
+    """The frame as one ``json.dumps`` of its payload: the form
+    ``render_frame`` writes directly."""
+    payload = {
+        "t": sim_time_s,
+        "vitals": {
+            str(k): {"t": event.time_s, **event.data}
+            for k, event in sorted(vitals.items())
+        },
+        "events": [event.to_payload() for event in events],
+        "alarms": [alarm.to_payload() for alarm in alarms],
+    }
+    body = json.dumps(payload, separators=(",", ":"))
+    return f"event: frame\ndata: {body}\n\n".encode()
+
+
+_number = st.one_of(
+    st.floats(),
+    st.floats(0.0, 300.0).map(lambda x: round(x, 3)),
+    st.integers(-(2**70), 2**70),
+    st.none(),
+)
+_rhythm = st.one_of(
+    st.sampled_from(RHYTHM_CLASSES), st.text(max_size=6), st.integers()
+)
+_vitals_data = st.one_of(
+    st.fixed_dictionaries({"hr_bpm": _number, "rhythm": _rhythm}),
+    # The same two keys in the other order, and other shapes.
+    st.fixed_dictionaries({"rhythm": _rhythm, "hr_bpm": _number}),
+    st.dictionaries(
+        st.sampled_from(["hr_bpm", "rhythm", "t", "spo2", "é"]),
+        st.one_of(_number, _rhythm),
+        max_size=3,
+    ),
+)
+
+
+class TestFrameRender:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ticks=st.lists(
+            st.tuples(_number, st.integers(-3, 40), _vitals_data),
+            max_size=12,
+        ),
+        sim_time_s=_number,
+        attacks=st.integers(0, 2),
+        alarms=st.integers(0, 2),
+    )
+    def test_frame_bytes_equal_one_json_dump(
+        self, ticks, sim_time_s, attacks, alarms
+    ):
+        hub = BroadcastHub()
+        sub = hub.subscribe()
+        latest, events, raised = {}, [], []
+        for t, patient, data in ticks:
+            event = LiveEvent(t, patient, "vitals", data)
+            hub.on_event(event)
+            latest[patient] = event
+        for i in range(attacks):
+            event = LiveEvent(
+                float(i), i, "attack", {"imd_accepted": bool(i), "n": None}
+            )
+            hub.on_event(event)
+            events.append(event)
+        for i in range(alarms):
+            alarm = Alarm(float(i), i, "battery-dos", "critical", "ü", {})
+            hub.on_alarm(alarm)
+            raised.append(alarm)
+        # The frame's top-level ``t`` is the last event's time.
+        hub._sim_time_s = sim_time_s
+        hub.flush()
+        if not (latest or events or raised):
+            assert not sub.frames
+            return
+        assert list(sub.frames) == [
+            _json_frame(sim_time_s, latest, events, raised)
+        ]
 
 
 async def _sse_client(server, max_bytes=1 << 20, hold_open=False):

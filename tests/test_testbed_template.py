@@ -1,13 +1,16 @@
 """The shared testbed template leaves every unit a pure function of its spec.
 
-``AttackTestbed`` takes its link budget, codec, identifying sequence
-and detection window from a template memoised per geometry, and builds
-only its simulator, air, radios, link model and seeded generators.  These tests pin that the sharing changes no result: an
+``AttackTestbed`` takes its link budget, codec, identifying sequence,
+detection window and placement-keyed link memo from a template
+memoised per geometry, and builds only its simulator, air, radios,
+link model and seeded generators.  These tests pin that the sharing
+changes no result: an
 attack chunk and a fleet shard give the same numbers whether they run
 first in a fresh interpreter, after unrelated units, or after another
 testbed has re-placed one of its devices.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -21,12 +24,14 @@ from repro.campaigns import registry
 from repro.campaigns.runner import plan_scenario_units
 from repro.channel.geometry import TestbedGeometry
 from repro.channel.link_budget import LinkBudget
+from repro.core.config import ShieldConfig
 from repro.experiments import testbed as testbed_module
 from repro.experiments.sweeps import AttackChunkSpec, run_attack_chunk
 from repro.experiments.testbed import (
     AttackTestbed,
     ExperimentLinkModel,
     Placement,
+    worn_shield_config,
 )
 from repro.fleet.runner import FleetChunkSpec, run_fleet_chunk
 from repro.protocol.packets import PacketCodec
@@ -139,6 +144,32 @@ class TestTemplateSharing:
         assert a.air is not b.air
         assert a.rng is not b.rng
 
+    def test_link_memo_is_keyed_on_placements(self):
+        """Testbeds share one link memo, keyed on the two placements
+        rather than device names: after a device moves, every link of
+        both testbeds reads what an unshared link model computes."""
+        a = AttackTestbed(location_index=2, seed=0)
+        b = AttackTestbed(location_index=2, seed=1)
+        assert a.links._link_memo is b.links._link_memo
+        names = ("imd", "observer", "shield", "adversary")
+        for src in names:
+            for dst in names:
+                if src != dst:
+                    b.links.link_loss_db(src, dst)
+                    b.links.fading_db(src, dst, np.random.default_rng(0))
+        geometry = a.budget.geometry
+        a.links.place(Placement("adversary", location=geometry.location(17)))
+        a.links.place(Placement("shield", location=geometry.location(3)))
+        for bed in (a, b):
+            fresh = ExperimentLinkModel(bed.budget)
+            for name in names:
+                fresh.place(bed.links.placement(name))
+            for src in names:
+                for dst in names:
+                    if src == dst:
+                        continue
+                    assert bed.links._link(src, dst) == fresh._link(src, dst)
+
     def test_custom_geometry_gets_its_own_template(self):
         default = AttackTestbed(location_index=2, seed=1)
         geometry = TestbedGeometry(shield_to_imd_m=0.3)
@@ -183,3 +214,29 @@ class TestTemplateSharing:
         assert payload["attack_patients"] == 50
         assert payload["shield_worn"] > 1
         assert len(calls) == 1
+
+
+class TestShieldConfig:
+    def test_a_worn_config_is_taken_as_is(self):
+        config = worn_shield_config(
+            p_thresh_dbm=-15.0, passive_jam_margin_db=12.0
+        )
+        bed = AttackTestbed(location_index=3, shield_config=config)
+        assert bed.shield.config is config
+        assert config == dataclasses.replace(
+            ShieldConfig(p_thresh_dbm=-15.0, passive_jam_margin_db=12.0),
+            passive_jam_tx_dbm=bed.budget.passive_jam_tx_dbm(12.0),
+            detection_window_bits=bed.codec.header_bit_count(),
+        )
+
+    def test_any_other_config_is_completed_in_a_copy(self):
+        base = ShieldConfig(passive_jam_margin_db=12.0)
+        bed = AttackTestbed(location_index=3, shield_config=base)
+        assert bed.shield.config is not base
+        assert base == ShieldConfig(passive_jam_margin_db=12.0)
+        assert bed.shield.config == worn_shield_config(
+            passive_jam_margin_db=12.0
+        )
+        assert AttackTestbed(location_index=3).shield.config == (
+            worn_shield_config()
+        )
