@@ -1,6 +1,6 @@
 """The ``python -m repro`` command-line interface.
 
-Twelve subcommands operate the campaign subsystem::
+Its subcommands operate the campaign subsystem::
 
     python -m repro list                         # what can be run
     python -m repro run attack-success-shielded  # run (resumes from cache)
@@ -14,17 +14,25 @@ Twelve subcommands operate the campaign subsystem::
     python -m repro export-metrics fleet-attack-prevalence  # Prometheus
     python -m repro history fleet-attack-prevalence # recorded runs
     python -m repro diff <run-a> <run-b>            # regression check
+    python -m repro live --serve 8080               # real-time ward monitor
+
+Each verb is one row of the ``_VERBS`` table at the bottom of this
+module: its name, help, positionals, the shared argument groups it
+takes (``_GROUPS``, where every shared flag is defined once), and its
+own flags.  Every verb that prints a result -- ``list``, ``run``,
+``status``, ``compare``, ``validate``, ``cache stats``, ``report``,
+``top``, ``history`` and ``diff`` -- takes ``--format
+{text,markdown,json}`` and returns ``(payload, report, footer)``, which
+:func:`_emit` prints: the payload as JSON, or the report's tables
+(:class:`repro.experiments.report.ExperimentReport`) then the footer
+lines, so figures drop straight into terminals, PR descriptions, or
+downstream tooling.
 
 ``run --distributed`` plans a campaign into the SQLite cache's work
 queue and waits while ``worker`` processes -- any number, on any
 machine sharing the cache root -- claim, evaluate, and persist units
 under expiring leases; the reduced numbers are bit-identical to a
 serial run (see docs/distributed.md).
-
-``run``, ``compare``, and ``validate`` emit text (default), markdown,
-or JSON via :class:`repro.experiments.report.ExperimentReport`, so
-figures drop straight into terminals, PR descriptions, or downstream
-tooling.
 
 ``validate`` judges scenarios against the registry's golden-figure
 expectation table (see docs/validation.md) and exits non-zero when a
@@ -37,12 +45,12 @@ work units are already on disk, and the next invocation completes from
 cache with bit-identical final numbers (same seeds) to an uninterrupted
 run.
 
-``run`` and ``compare`` accept ``--trace`` (or ``REPRO_TRACE=1``):
-the run writes a structured JSONL trace -- manifest plus one span per
-work unit -- to ``<cache>/runs/<run_id>/trace.jsonl``, which ``report``
-reduces to per-stage latency percentiles, cache hit rate, worker
-utilization, and the slowest units.  Tracing never changes results or
-cache contents (see docs/observability.md).
+``run``, ``compare`` and ``worker`` accept ``--trace`` (or
+``REPRO_TRACE=1``): the run writes a structured JSONL trace -- manifest
+plus one span per work unit -- to ``<cache>/runs/<run_id>/trace.jsonl``,
+which ``report`` reduces to per-stage latency percentiles, cache hit
+rate, worker utilization, and the slowest units.  Tracing never changes
+results or cache contents (see docs/observability.md).
 
 Live observability rides the same cache root: runners and workers
 publish throttled progress snapshots (default on; ``--no-progress`` or
@@ -59,7 +67,9 @@ import argparse
 import json
 import sqlite3
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from repro.campaigns import registry
 from repro.campaigns.cache import default_cache_dir
@@ -86,6 +96,17 @@ from repro.stats.validation import (
 __all__ = ["main"]
 
 _log = get_logger("cli")
+
+
+@contextmanager
+def _or_exit(context: str = "", errors=ValueError):
+    """Turn ``errors`` raised in the block into the CLI's
+    ``error: <context><message>`` exit (status 1)."""
+    try:
+        yield
+    except errors as exc:
+        raise SystemExit(f"error: {context}{exc}") from None
+
 
 def _resolve(name: str) -> Scenario:
     try:
@@ -117,10 +138,8 @@ def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
         changes["n_patients"] = args.patients
     if not changes:
         return scenario
-    try:
+    with _or_exit():
         return scenario.override(**changes)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}") from None
 
 
 def _cache_root(args: argparse.Namespace) -> Path:
@@ -132,17 +151,14 @@ def _cache_root(args: argparse.Namespace) -> Path:
 def _tracer(args: argparse.Namespace, name: str) -> Tracer | None:
     """A tracer under the cache root when tracing is on
     (``--trace``/``--no-trace`` > ``REPRO_TRACE`` > off)."""
-    try:
-        if not resolve_tracing(getattr(args, "trace", None)):
-            return None
-    except ValueError as exc:  # junk REPRO_TRACE
-        raise SystemExit(f"error: {exc}") from None
-    return Tracer(_cache_root(args), name)
+    with _or_exit():  # junk REPRO_TRACE
+        traced = resolve_tracing(getattr(args, "trace", None))
+    return Tracer(_cache_root(args), name) if traced else None
 
 
 def _runner(scenario: Scenario, args: argparse.Namespace) -> CampaignRunner:
     tracer = _tracer(args, scenario.name)
-    try:
+    with _or_exit():  # e.g. --workers -1, junk REPRO_PROGRESS
         return CampaignRunner(
             scenario,
             cache_dir=args.cache_dir,
@@ -152,8 +168,6 @@ def _runner(scenario: Scenario, args: argparse.Namespace) -> CampaignRunner:
             tracer=tracer,
             progress=getattr(args, "progress", None),
         )
-    except ValueError as exc:  # e.g. --workers -1, junk REPRO_PROGRESS
-        raise SystemExit(f"error: {exc}") from None
 
 
 def _result_report(result: CampaignResult) -> ExperimentReport:
@@ -167,13 +181,37 @@ def _result_report(result: CampaignResult) -> ExperimentReport:
     return report
 
 
-def _emit(report: ExperimentReport, payload: dict, fmt: str) -> None:
+def _emit(
+    fmt: str,
+    payload,
+    report: list,
+    footer=(),
+    code: int = 0,
+    *,
+    stream: bool = False,
+) -> int:
+    """Print one verb's result in ``--format`` and return its exit code.
+
+    ``json`` prints the payload alone (compact, one document per poll,
+    when ``stream``ing); text and markdown print each report block -- a
+    table, or a plain line that reads the same in both -- then the
+    footer lines.
+    """
     if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    elif fmt == "markdown":
-        print(report.render_markdown())
-    else:
-        print(report.render())
+        print(
+            json.dumps(payload, indent=None if stream else 2, sort_keys=True),
+            flush=stream,
+        )
+        return code
+    for block in report:
+        if isinstance(block, ExperimentReport):
+            block = (
+                block.render_markdown() if fmt == "markdown" else block.render()
+            )
+        print(block, flush=stream)
+    for line in footer:
+        console(line)
+    return code
 
 
 def _budget_scenario(scenario: Scenario, budget: str) -> Scenario:
@@ -234,36 +272,29 @@ def _validation_footer(validation: ScenarioValidation) -> str:
 # ----------------------------------------------------------------------
 
 
-def _cmd_list(args: argparse.Namespace) -> int:
+def _cmd_list(args: argparse.Namespace):
     scenarios = registry.all_scenarios()
-    if args.json:
-        print(json.dumps(
-            [
-                {
-                    "name": s.name,
-                    "kind": s.kind,
-                    "title": s.title,
-                    "grid": s.grid_size(),
-                    "n_trials": s.n_trials,
-                    "tags": list(s.tags),
-                    "hash": s.scenario_hash(),
-                }
-                for s in scenarios
-            ],
-            indent=2,
-        ))
-        return 0
     report = ExperimentReport(
         "registered scenarios", headers=("name", "kind", "grid", "summary")
     )
     for s in scenarios:
         report.add(s.name, s.kind, f"{s.grid_size()} pts", s.summary())
-    print(report.render())
-    print("\nrun one with:  python -m repro run <name>")
-    return 0
+    payload = [
+        {
+            "name": s.name,
+            "kind": s.kind,
+            "title": s.title,
+            "grid": s.grid_size(),
+            "n_trials": s.n_trials,
+            "tags": list(s.tags),
+            "hash": s.scenario_hash(),
+        }
+        for s in scenarios
+    ]
+    return payload, [report], ["\nrun one with:  python -m repro run <name>"]
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _cmd_run(args: argparse.Namespace):
     scenario = _apply_overrides(_resolve(args.scenario), args)
     if args.distributed:
         if args.no_cache:
@@ -291,32 +322,26 @@ def _cmd_run(args: argparse.Namespace) -> int:
             )
     runner = _runner(scenario, args)
     if args.distributed:
-        try:
-            result = runner.run_distributed(
-                wait_timeout_s=args.wait_timeout
-            )
-        except (ValueError, RuntimeError) as exc:
-            raise SystemExit(f"error: {exc}") from None
+        with _or_exit(errors=(ValueError, RuntimeError)):
+            result = runner.run_distributed(wait_timeout_s=args.wait_timeout)
     else:
         result = runner.run(force=args.force)
-    _emit(_result_report(result), result.to_payload(), args.format)
-    if args.format != "json":
-        where = "in memory" if args.no_cache else f"cache {runner.cache.root}"
-        console(
-            f"\nunits: {result.total_units} total, "
-            f"{result.cached_units} from cache, "
-            f"{result.computed_units} computed ({where})"
+    where = "in memory" if args.no_cache else f"cache {runner.cache.root}"
+    footer = [
+        f"\nunits: {result.total_units} total, "
+        f"{result.cached_units} from cache, "
+        f"{result.computed_units} computed ({where})"
+    ]
+    if runner.profile_path is not None:
+        footer.append(f"profile: {runner.profile_path}")
+    elif args.profile:
+        footer.append("profile: nothing to profile (every unit was cached)")
+    if runner.tracer is not None:
+        footer.append(
+            f"trace: {runner.tracer.path} "
+            f"(inspect with: python -m repro report {scenario.name})"
         )
-        if runner.profile_path is not None:
-            console(f"profile: {runner.profile_path}")
-        elif args.profile:
-            console("profile: nothing to profile (every unit was cached)")
-        if runner.tracer is not None:
-            console(
-                f"trace: {runner.tracer.path} "
-                f"(inspect with: python -m repro report {scenario.name})"
-            )
-    return 0
+    return result.to_payload(), [_result_report(result)], footer
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
@@ -330,19 +355,20 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     worker_id = args.worker_id or default_worker_id()
     tracer = _tracer(args, f"{scenario.name}-worker-{worker_id}")
     try:
-        stats = run_worker(
-            scenario,
-            cache_dir=args.cache_dir,
-            worker_id=worker_id,
-            lease_s=args.lease,
-            poll_s=args.poll,
-            idle_timeout_s=(
-                args.idle_timeout if args.idle_timeout > 0 else None
-            ),
-            max_units=args.max_units,
-            tracer=tracer,
-            progress=getattr(args, "progress", None),
-        )
+        with _or_exit():  # e.g. junk REPRO_PROGRESS
+            stats = run_worker(
+                scenario,
+                cache_dir=args.cache_dir,
+                worker_id=worker_id,
+                lease_s=args.lease,
+                poll_s=args.poll,
+                idle_timeout_s=(
+                    args.idle_timeout if args.idle_timeout > 0 else None
+                ),
+                max_units=args.max_units,
+                tracer=tracer,
+                progress=args.progress,
+            )
     except HeartbeatError as exc:
         # The shared store died under the heartbeat thread; the claim
         # was abandoned (best effort).  Exit distinctly so supervisors
@@ -350,8 +376,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         # a clean drain (0).
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:  # e.g. junk REPRO_PROGRESS
-        raise SystemExit(f"error: {exc}") from None
     console(
         f"worker {stats.worker_id}: {stats.claimed} claim(s), "
         f"{stats.computed} computed, {stats.reused} already cached, "
@@ -368,29 +392,23 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_status(args: argparse.Namespace) -> int:
+def _cmd_status(args: argparse.Namespace):
     scenario = _apply_overrides(_resolve(args.scenario), args)
-    try:
+    with _or_exit():  # e.g. junk REPRO_WORKERS or REPRO_PROGRESS
         runner = CampaignRunner(scenario, cache_dir=args.cache_dir)
-    except ValueError as exc:  # e.g. junk REPRO_WORKERS or REPRO_PROGRESS
-        raise SystemExit(f"error: {exc}") from None
     status = runner.status()
-    if args.json:
-        print(json.dumps(status.__dict__, indent=2, sort_keys=True))
-        return 0
     state = (
         "complete"
         if status.complete
         else f"{status.pending_units} unit(s) pending"
     )
-    console(
+    return status.__dict__, [], [
         f"{status.scenario} [{status.scenario_hash}]: "
         f"{status.cached_units}/{status.total_units} units cached -- {state}"
-    )
-    return 0
+    ]
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
+def _cmd_compare(args: argparse.Namespace):
     scenario_a = _apply_overrides(_resolve(args.scenario_a), args)
     scenario_b = _apply_overrides(_resolve(args.scenario_b), args)
     if scenario_a.kind != scenario_b.kind:
@@ -444,11 +462,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         "b": result_b.to_payload(),
         "comparison": rows,
     }
-    _emit(report, payload, args.format)
-    return 0
+    return payload, [report]
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
+def _cmd_validate(args: argparse.Namespace):
     names = args.scenarios or registry.names_with_expectations()
     if not names:
         raise SystemExit("error: no scenarios have registered expectations")
@@ -465,18 +482,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         policy_fields["min_trials"] = args.min_trials
     if args.max_trials is not None:
         policy_fields["max_trials"] = args.max_trials
-    try:
+    with _or_exit():
         policy = AdaptivePolicy(**policy_fields)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}") from None
-    try:
-        if resolve_tracing(getattr(args, "trace", None)):
-            _log.warning(
-                "tracing covers the run and compare verbs only; "
-                "validate runs untraced"
-            )
-    except ValueError as exc:  # junk REPRO_TRACE
-        raise SystemExit(f"error: {exc}") from None
 
     report = ValidationReport(strict=args.strict)
     for name in names:
@@ -486,7 +493,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             raise SystemExit(
                 f"error: scenario {name!r} has no registered expectations"
             )
-        try:
+        with _or_exit():  # e.g. bad --workers
             validation = validate_scenario(
                 scenario,
                 expectations,
@@ -497,50 +504,22 @@ def _cmd_validate(args: argparse.Namespace) -> int:
                 persist=not args.no_cache,
                 confidence=args.confidence,
             )
-        except ValueError as exc:  # e.g. bad --workers
-            raise SystemExit(f"error: {exc}") from None
         report.scenarios.append(validation)
 
-    if args.format == "json":
-        print(json.dumps(report.to_payload(), indent=2, sort_keys=True))
-    else:
-        render = (
-            (lambda r: r.render_markdown())
-            if args.format == "markdown"
-            else (lambda r: r.render())
-        )
-        for validation in report.scenarios:
-            print(render(_validation_report(validation)))
-            print(_validation_footer(validation))
-            print()
-        print(report.summary())
-        if not report.passed and report.verdict != "fail":
-            print("(inconclusive under --strict: more trials would settle it)")
-    return 0 if report.passed else 1
+    blocks: list = []
+    for validation in report.scenarios:
+        blocks += [
+            _validation_report(validation),
+            _validation_footer(validation) + "\n",
+        ]
+    footer = [report.summary()]
+    if not report.passed and report.verdict != "fail":
+        footer.append("(inconclusive under --strict: more trials would settle it)")
+    return report.to_payload(), blocks, footer, 0 if report.passed else 1
 
 
-def _cmd_cache_stats(args: argparse.Namespace) -> int:
+def _cmd_cache_stats(args: argparse.Namespace):
     stats = SQLiteStore(_cache_root(args)).stats()
-    if args.json:
-        print(json.dumps(
-            {
-                "entries": stats.entries,
-                "bytes": stats.bytes,
-                "location": stats.location,
-                "scenarios": [
-                    {
-                        "hash": s.scenario_hash,
-                        "name": s.name,
-                        "entries": s.entries,
-                        "bytes": s.bytes,
-                    }
-                    for s in stats.scenarios
-                ],
-            },
-            indent=2,
-            sort_keys=True,
-        ))
-        return 0
     report = ExperimentReport(
         f"cache at {stats.location}",
         headers=("scenario", "hash", "entries", "size"),
@@ -552,12 +531,24 @@ def _cmd_cache_stats(args: argparse.Namespace) -> int:
             str(s.entries),
             _human_bytes(s.bytes),
         )
-    print(report.render())
-    console(
+    payload = {
+        "entries": stats.entries,
+        "bytes": stats.bytes,
+        "location": stats.location,
+        "scenarios": [
+            {
+                "hash": s.scenario_hash,
+                "name": s.name,
+                "entries": s.entries,
+                "bytes": s.bytes,
+            }
+            for s in stats.scenarios
+        ],
+    }
+    return payload, [report], [
         f"\ntotal: {stats.entries} unit(s), {_human_bytes(stats.bytes)} "
         f"across {len(stats.scenarios)} scenario namespace(s)"
-    )
-    return 0
+    ]
 
 
 def _cmd_cache_prune(args: argparse.Namespace) -> int:
@@ -667,7 +658,7 @@ def _report_table(summary: dict) -> ExperimentReport:
     return report
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
+def _cmd_report(args: argparse.Namespace):
     root = _cache_root(args)
     runs = find_runs(root, scenario=args.scenario)
     if not runs:
@@ -677,21 +668,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
             f"{runs_root(root)}; run with --trace (or REPRO_TRACE=1) first"
         )
     if args.list_runs:
-        if args.format == "json":
-            print(json.dumps(
-                [
-                    {
-                        "run_id": r.run_id,
-                        "scenario": r.manifest.get("scenario"),
-                        "role": r.manifest.get("role", "runner"),
-                        "started_at": r.manifest.get("started_at"),
-                    }
-                    for r in runs
-                ],
-                indent=2,
-                sort_keys=True,
-            ))
-            return 0
         title = "traced runs" + (
             f" of {args.scenario}" if args.scenario else ""
         )
@@ -705,13 +681,18 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 str(r.manifest.get("role") or "runner"),
                 str(r.manifest.get("started_at") or "?"),
             )
-        print(
-            listing.render_markdown()
-            if args.format == "markdown"
-            else listing.render()
-        )
-        console("\nreport one with:  python -m repro report --run-id <id>")
-        return 0
+        payload = [
+            {
+                "run_id": r.run_id,
+                "scenario": r.manifest.get("scenario"),
+                "role": r.manifest.get("role", "runner"),
+                "started_at": r.manifest.get("started_at"),
+            }
+            for r in runs
+        ]
+        return payload, [listing], [
+            "\nreport one with:  python -m repro report --run-id <id>"
+        ]
     if args.run_id is not None:
         matches = [r for r in runs if r.run_id == args.run_id]
         if not matches:
@@ -724,34 +705,23 @@ def _cmd_report(args: argparse.Namespace) -> int:
         info = matches[0]
     else:
         info = runs[-1]
-    try:
+    with _or_exit(f"unreadable trace {info.path}: ", (OSError, ValueError)):
         manifest, events = load_trace(info.path)
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"error: unreadable trace {info.path}: {exc}") from None
     summary = summarize_run(manifest, events, slowest=args.slowest)
-    if args.format == "json":
-        print(json.dumps(summary, indent=2, sort_keys=True))
-        return 0
-    report = _report_table(summary)
-    print(
-        report.render_markdown()
-        if args.format == "markdown"
-        else report.render()
-    )
-    backends = (
+    footer = [
+        f"\nmanifest: kind={manifest.get('kind')} "
+        f"seed={manifest.get('seed')} "
         f"workers={manifest.get('workers')} "
         f"cache={manifest.get('cache_backend')}"
-    )
-    console(
-        f"\nmanifest: kind={manifest.get('kind')} "
-        f"seed={manifest.get('seed')} {backends}"
-    )
+    ]
     if manifest.get("forced_serial"):
-        console("note: --profile forced serial evaluation for this run")
+        footer.append("note: --profile forced serial evaluation for this run")
     if summary["summary"] is None:
-        console("note: no summary event -- the run was interrupted mid-trace")
-    console(f"trace: {info.path}")
-    return 0
+        footer.append(
+            "note: no summary event -- the run was interrupted mid-trace"
+        )
+    footer.append(f"trace: {info.path}")
+    return summary, [_report_table(summary)], footer
 
 
 def _watch_cache(args: argparse.Namespace):
@@ -762,76 +732,61 @@ def _watch_cache(args: argparse.Namespace):
 
 
 def _cmd_top(args: argparse.Namespace) -> int:
-    import time as _time
+    """Poll a campaign cache (or, with ``--live URL``, a running live
+    engine's /status) until it completes, printing each snapshot."""
+    import time
 
-    from repro.obs.top import render_status, scenario_status
+    from repro.obs import top
 
     if args.interval <= 0:
         raise SystemExit(
             f"error: --interval must be positive, got {args.interval}"
         )
     if args.live is not None:
-        return _top_live(args)
-    if args.scenario is None:
-        raise SystemExit("error: a scenario name is required without --live")
-    scenario = _apply_overrides(_resolve(args.scenario), args)
-    cache = _watch_cache(args)
+        import urllib.request
+
+        base = args.live.rstrip("/")
+        if not base.startswith("http"):
+            base = "http://" + base
+        url = base + "/status"
+
+        def fetch() -> dict:
+            with _or_exit(
+                f"cannot poll live status at {url}: ", (OSError, ValueError)
+            ), urllib.request.urlopen(url, timeout=5.0) as resp:
+                return json.loads(resp.read().decode("utf-8"))
+
+        render, done = top.render_live_status, "finished"
+    else:
+        if args.scenario is None:
+            raise SystemExit(
+                "error: a scenario name is required without --live"
+            )
+        scenario = _apply_overrides(_resolve(args.scenario), args)
+        cache = _watch_cache(args)
+
+        def fetch() -> dict:
+            return top.scenario_status(cache, scenario)
+
+        render, done = top.render_status, "complete"
     # A TTY gets an ANSI-refreshed screen; pipes and CI logs get one
     # plain block per poll, separated so the stream stays greppable.
-    is_tty = sys.stdout.isatty()
+    redraw = sys.stdout.isatty() and not args.once
     first = True
     while True:
-        status = scenario_status(cache, scenario)
-        if args.json:
-            print(json.dumps(status, sort_keys=True), flush=True)
-        else:
-            if is_tty and not args.once:
+        snapshot = fetch()
+        if args.format != "json":
+            if redraw:
                 sys.stdout.write("\x1b[2J\x1b[H")
             elif not first:
                 print("---")
-            print("\n".join(render_status(status)), flush=True)
+        _emit(
+            args.format, snapshot, ["\n".join(render(snapshot))], stream=True
+        )
         first = False
-        if args.once:
+        if args.once or snapshot.get(done):
             return 0
-        if status["complete"]:
-            return 0
-        _time.sleep(args.interval)
-
-
-def _top_live(args: argparse.Namespace) -> int:
-    """``repro top --live URL``: poll a running live engine's /status."""
-    import time as _time
-    import urllib.error
-    import urllib.request
-
-    from repro.obs.top import render_live_status
-
-    base = args.live.rstrip("/")
-    if not base.startswith("http"):
-        base = "http://" + base
-    url = base + "/status"
-    is_tty = sys.stdout.isatty()
-    first = True
-    while True:
-        try:
-            with urllib.request.urlopen(url, timeout=5.0) as resp:
-                snapshot = json.loads(resp.read().decode("utf-8"))
-        except (urllib.error.URLError, OSError, ValueError) as exc:
-            raise SystemExit(
-                f"error: cannot poll live status at {url}: {exc}"
-            ) from None
-        if args.json:
-            print(json.dumps(snapshot, sort_keys=True), flush=True)
-        else:
-            if is_tty and not args.once:
-                sys.stdout.write("\x1b[2J\x1b[H")
-            elif not first:
-                print("---")
-            print("\n".join(render_live_status(snapshot)), flush=True)
-        first = False
-        if args.once or snapshot.get("finished"):
-            return 0
-        _time.sleep(args.interval)
+        time.sleep(args.interval)
 
 
 def _cmd_live(args: argparse.Namespace) -> int:
@@ -844,7 +799,7 @@ def _cmd_live(args: argparse.Namespace) -> int:
     from repro.live.serve import run_live
     from repro.obs.top import render_live_status
 
-    try:
+    with _or_exit():
         config = LiveConfig(
             n_patients=args.patients,
             seed=args.seed,
@@ -854,17 +809,12 @@ def _cmd_live(args: argparse.Namespace) -> int:
             burst_trials=args.burst_trials,
             attack_command=args.command,
         )
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}") from None
-    if args.drain:
-        clock = TestClock()
-    elif args.speedup == 1.0:
-        clock = WallClock()
-    else:
-        try:
+        if args.drain:
+            clock = TestClock()
+        elif args.speedup == 1.0:
+            clock = WallClock()
+        else:
             clock = AcceleratedClock(args.speedup)
-        except ValueError as exc:
-            raise SystemExit(f"error: {exc}") from None
 
     event_log = EventLog() if args.log_events else None
     pipeline = AlarmPipeline(notifiers=[LogNotifier()])
@@ -880,7 +830,7 @@ def _cmd_live(args: argparse.Namespace) -> int:
             )
     else:
         on_started = None
-    try:
+    with _or_exit("cannot serve live stream: ", OSError):  # port taken
         snapshot = asyncio.run(
             run_live(
                 engine,
@@ -891,8 +841,6 @@ def _cmd_live(args: argparse.Namespace) -> int:
                 on_started=on_started,
             )
         )
-    except OSError as exc:  # port taken, bad host
-        raise SystemExit(f"error: cannot serve live stream: {exc}") from None
 
     if event_log is not None:
         path = event_log.write(args.log_events)
@@ -915,12 +863,10 @@ def _cmd_export_metrics(args: argparse.Namespace) -> int:
     scenario = _apply_overrides(_resolve(args.scenario), args)
     cache = _watch_cache(args)
     if args.serve is not None:
-        try:
+        with _or_exit("cannot serve metrics: ", OSError):  # port taken
             server = serve_metrics(
                 cache, scenario, args.serve, host=args.host
             )
-        except OSError as exc:  # port taken, bad host
-            raise SystemExit(f"error: cannot serve metrics: {exc}") from None
         host, port = server.server_address[:2]
         console(
             f"serving Prometheus metrics on http://{host}:{port}/metrics "
@@ -945,17 +891,14 @@ def _cmd_export_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_history(args: argparse.Namespace) -> int:
+def _cmd_history(args: argparse.Namespace):
     from repro.obs.history import history_path, load_history
 
     root = _cache_root(args)
     entries = load_history(root, scenario=args.scenario)
     if args.limit is not None and args.limit > 0:
         entries = entries[-args.limit:]
-    if args.format == "json":
-        print(json.dumps(entries, indent=2, sort_keys=True))
-        return 0
-    if not entries:
+    if not entries and args.format != "json":
         what = f"of {args.scenario!r} " if args.scenario else ""
         raise SystemExit(
             f"error: no recorded runs {what}in {history_path(root)}; "
@@ -988,15 +931,9 @@ def _cmd_history(args: argparse.Namespace) -> int:
             units,
             timing,
         )
-    print(
-        report.render_markdown()
-        if args.format == "markdown"
-        else report.render()
-    )
-    console(
+    return entries, [report], [
         "\ndiff two with:  python -m repro diff <run-a> <run-b>"
-    )
-    return 0
+    ]
 
 
 def _fmt_diff_value(name: str, value) -> str:
@@ -1007,7 +944,7 @@ def _fmt_diff_value(name: str, value) -> str:
     return f"{float(value):.4g}"
 
 
-def _cmd_diff(args: argparse.Namespace) -> int:
+def _cmd_diff(args: argparse.Namespace):
     from repro.obs.history import (
         diff_runs,
         find_entry,
@@ -1028,17 +965,11 @@ def _cmd_diff(args: argparse.Namespace) -> int:
                 f"most recent: {known or '(none recorded)'}"
             )
         entries[label] = entry
-    try:
+    with _or_exit():
         diff = diff_runs(
             entries["baseline"], entries["candidate"],
             threshold=args.threshold,
         )
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}") from None
-    regressed = bool(diff["regressions"])
-    if args.format == "json":
-        print(json.dumps(diff, indent=2, sort_keys=True))
-        return 1 if regressed and args.strict else 0
     report = ExperimentReport(
         f"{diff['baseline']} -> {diff['candidate']}",
         headers=("metric", "baseline", "candidate", "change"),
@@ -1058,21 +989,15 @@ def _cmd_diff(args: argparse.Namespace) -> int:
             _fmt_diff_value(name, metric["candidate"]),
             change,
         )
-    print(
-        report.render_markdown()
-        if args.format == "markdown"
-        else report.render()
-    )
-    if regressed:
-        console(
-            f"\n{len(diff['regressions'])} regression(s) beyond "
-            f"{args.threshold:.0%}: {', '.join(diff['regressions'])}"
+    regressions = diff["regressions"]
+    if regressions:
+        footer = (
+            f"\n{len(regressions)} regression(s) beyond "
+            f"{args.threshold:.0%}: {', '.join(regressions)}"
         )
-        if args.strict:
-            return 1
     else:
-        console(f"\nno regressions beyond {args.threshold:.0%}")
-    return 0
+        footer = f"\nno regressions beyond {args.threshold:.0%}"
+    return diff, [report], [footer], int(bool(regressions) and args.strict)
 
 
 def _human_bytes(n: int) -> str:
@@ -1084,70 +1009,300 @@ def _human_bytes(n: int) -> str:
 
 
 # ----------------------------------------------------------------------
-# Argument parsing
+# Argument parsing: one table row per verb
 # ----------------------------------------------------------------------
 
 
-def _add_override_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--trials", type=int, default=None,
-        help="override trials per grid point (changes the cache namespace)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=None, help="override the root seed"
-    )
-    parser.add_argument(
-        "--chunk-size", type=int, default=None,
-        help="shard each grid point's trials into chunks of this size",
-    )
-    parser.add_argument(
-        "--locations", default=None,
-        help="comma-separated location indices (attack/passive scenarios)",
-    )
-    parser.add_argument(
-        "--patients", type=int, default=None,
-        help="override the cohort size (fleet scenarios only)",
-    )
+def _arg(*flags: str, **options) -> tuple:
+    """One ``add_argument`` call, declared as table data."""
+    return flags, options
 
 
-def _add_log_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--log-level", choices=LOG_LEVELS, default=None,
-        help="diagnostic verbosity on stderr (default: REPRO_LOG, "
-             "else warning)",
-    )
+#: The shared argument groups.  Every flag here has this one definition;
+#: a verb takes a group by naming it in its ``_VERBS`` row.
+_GROUPS = {
+    "overrides": (
+        _arg("--trials", type=int,
+             help="override trials per grid point (changes the cache "
+                  "namespace)"),
+        _arg("--seed", type=int, help="override the root seed"),
+        _arg("--chunk-size", type=int,
+             help="shard each grid point's trials into chunks of this size"),
+        _arg("--locations",
+             help="comma-separated location indices (attack/passive "
+                  "scenarios)"),
+        _arg("--patients", type=int,
+             help="override the cohort size (fleet scenarios only)"),
+    ),
+    "execution": (
+        _arg("--workers", type=int,
+             help="worker processes (default: REPRO_WORKERS, else serial)"),
+        _arg("--no-cache", action="store_true",
+             help="run fully in memory: no cache reads or writes"),
+    ),
+    "trace": (
+        _arg("--trace", action=argparse.BooleanOptionalAction,
+             help="write a structured JSONL trace (manifest + one span per "
+                  "unit) to <cache>/runs/<run_id>/trace.jsonl; --no-trace "
+                  "overrides REPRO_TRACE=1 (never changes results)"),
+        _arg("--progress", action=argparse.BooleanOptionalAction,
+             help="publish live progress snapshots through the cache for "
+                  "`python -m repro top` (default on; --no-progress or "
+                  "REPRO_PROGRESS=0 silences them; never changes results)"),
+    ),
+    "cache": (
+        _arg("--cache-dir",
+             help="result cache root (default: REPRO_CACHE_DIR, else "
+                  ".repro-cache)"),
+    ),
+    "log": (
+        _arg("--log-level", choices=LOG_LEVELS,
+             help="diagnostic verbosity on stderr (default: REPRO_LOG, "
+                  "else warning)"),
+    ),
+    "format": (
+        _arg("--format", choices=("text", "markdown", "json"),
+             default="text", help="output format (default: text)"),
+    ),
+    "serve": (
+        _arg("--serve", type=int, metavar="PORT",
+             help="serve over HTTP on this port (0 picks a free one): "
+                  "live mounts /events /status /metrics /healthz, "
+                  "export-metrics a /metrics endpoint that re-collects "
+                  "per scrape"),
+        _arg("--host", default="127.0.0.1",
+             help="bind address for --serve (default: 127.0.0.1)"),
+    ),
+}
+
+#: Help for each positional a row names; a ``?`` or ``*`` suffix in the
+#: row is the positional's nargs.
+_POSITIONALS = {
+    "scenario": "registered scenario name",
+    "scenarios": "scenario names (default: every scenario with "
+                 "expectations)",
+    "scenario_a": "baseline scenario name",
+    "scenario_b": "candidate scenario name",
+    "run_a": "baseline run id (see `repro history`)",
+    "run_b": "candidate run id",
+}
 
 
-def _add_execution_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes (default: REPRO_WORKERS, else serial)",
-    )
-    parser.add_argument(
-        "--trace", action=argparse.BooleanOptionalAction, default=None,
-        help="write a structured JSONL trace (manifest + one span per "
-             "unit) to <cache>/runs/<run_id>/trace.jsonl; --no-trace "
-             "overrides REPRO_TRACE=1 (never changes results)",
-    )
-    parser.add_argument(
-        "--progress", action=argparse.BooleanOptionalAction, default=None,
-        help="publish live progress snapshots through the cache for "
-             "`python -m repro top` (default on; --no-progress or "
-             "REPRO_PROGRESS=0 silences them; never changes results)",
-    )
-    _add_log_args(parser)
-    parser.add_argument(
-        "--cache-dir", default=None,
-        help=f"result cache root (default: REPRO_CACHE_DIR or {default_cache_dir()})",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="run fully in memory: no cache reads or writes",
-    )
-    parser.add_argument(
-        "--format", choices=("text", "markdown", "json"), default="text",
-        help="report format (default: text)",
-    )
+class _Verb(NamedTuple):
+    #: ``"cache stats"`` nests under the ``"cache"`` row.
+    name: str
+    #: Returns an exit code, or ``(payload, report, footer[, code])``
+    #: for :func:`_emit`; ``None`` for a row that only groups verbs.
+    func: Callable | None
+    help: str
+    positionals: tuple[str, ...] = ()
+    #: Space-separated ``_GROUPS`` keys.
+    groups: str = ""
+    #: The verb's own ``_arg`` declarations.
+    args: tuple = ()
+
+
+_VERBS = (
+    _Verb("list", _cmd_list, "list registered scenarios", groups="format"),
+    _Verb(
+        "run", _cmd_run, "run a scenario (incremental: resumes from cache)",
+        ("scenario",), "overrides execution trace cache log format", (
+            _arg("--force", action="store_true",
+                 help="recompute every unit, overwriting cache entries"),
+            _arg("--profile", action="store_true",
+                 help="profile pending-unit evaluation with cProfile and "
+                      "write profiles/<scenario>.pstats next to the cache "
+                      "root (forces serial evaluation of the profiled "
+                      "units)"),
+            _arg("--distributed", action="store_true",
+                 help="coordinate through the SQLite work queue: plan and "
+                      "enqueue units, wait for `python -m repro worker` "
+                      "processes to drain them, then reduce (bit-identical "
+                      "to a serial run)"),
+            _arg("--wait-timeout", type=float,
+                 help="with --distributed: give up after this many seconds "
+                      "without campaign completion (default: wait forever)"),
+        ),
+    ),
+    _Verb(
+        "worker", _cmd_worker,
+        "drain a scenario's distributed work queue: claim -> evaluate -> "
+        "persist -> complete under an expiring lease",
+        ("scenario",), "overrides trace cache log", (
+            _arg("--worker-id",
+                 help="fleet-unique worker identity (default: "
+                      "<hostname>-<pid>)"),
+            _arg("--lease", type=float, default=60.0,
+                 help="lease duration in seconds; a crashed worker's unit "
+                      "is re-queued once its lease expires (default: 60)"),
+            _arg("--poll", type=float, default=0.5,
+                 help="seconds between claim attempts when the queue is "
+                      "empty but units are still leased elsewhere "
+                      "(default: 0.5)"),
+            _arg("--idle-timeout", type=float, default=600.0,
+                 help="exit (status 3) after this many seconds without "
+                      "claimable work while units remain uncached; 0 or "
+                      "less polls forever (default: 600)"),
+            _arg("--max-units", type=int,
+                 help="stop after this many claims (default: run until the "
+                      "campaign is fully cached)"),
+        ),
+    ),
+    _Verb(
+        "status", _cmd_status, "cache completeness of a scenario",
+        ("scenario",), "overrides cache log format",
+    ),
+    _Verb(
+        "compare", _cmd_compare,
+        "run two scenarios and diff their shared grid points",
+        ("scenario_a", "scenario_b"),
+        "overrides execution trace cache log format",
+    ),
+    _Verb(
+        "validate", _cmd_validate,
+        "judge scenarios against the golden-figure expectation table",
+        ("scenarios*",), "execution cache log format", (
+            _arg("--adaptive", action="store_true",
+                 help="adaptive-precision execution: stop each cell at its "
+                      "CI target instead of running the fixed trial "
+                      "budget"),
+            _arg("--budget", choices=tuple(BUDGETS), default="default",
+                 help="fixed-budget preset: smoke (4 trials, 3 cells -- CI "
+                      "gate), default (registered budget), full (100 "
+                      "trials per cell)"),
+            _arg("--precision", type=float,
+                 help="target CI half-width for every metric (default: "
+                      "per-metric targets, 0.10 for probabilities / 0.02 "
+                      "for BER)"),
+            _arg("--confidence", type=float,
+                 help="confidence level for intervals and verdicts "
+                      "(default 0.95)"),
+            _arg("--interval", choices=("wilson", "jeffreys"),
+                 help="proportion-interval construction (default "
+                      "jeffreys)"),
+            _arg("--round-size", type=int,
+                 help="adaptive trials per cell per round (default 6)"),
+            _arg("--min-trials", type=int,
+                 help="adaptive floor per cell before stopping (default 6)"),
+            _arg("--max-trials", type=int,
+                 help="adaptive budget cap per cell (default 100)"),
+            _arg("--strict", action="store_true",
+                 help="treat inconclusive verdicts (CI straddles a bound) "
+                      "as failures"),
+        ),
+    ),
+    _Verb("cache", None, "inspect and clean the result cache"),
+    _Verb(
+        "cache stats", _cmd_cache_stats,
+        "entries, bytes, and per-scenario counts", groups="cache log format",
+    ),
+    _Verb(
+        "cache prune", _cmd_cache_prune, "drop cached scenario namespaces",
+        groups="cache log", args=(
+            _arg("--scenario",
+                 help="prune every cached namespace of this scenario name"),
+            _arg("--all", action="store_true",
+                 help="prune the whole cache root"),
+        ),
+    ),
+    _Verb(
+        "report", _cmd_report,
+        "diagnostics from a traced run: latency percentiles, cache hit "
+        "rate, worker utilization, slowest units",
+        ("scenario?",), "cache log format", (
+            _arg("--run-id",
+                 help="report a specific run (default: the most recent "
+                      "trace)"),
+            _arg("--list-runs", action="store_true",
+                 help="list the matching traced runs instead of reporting "
+                      "one"),
+            _arg("--slowest", type=int, default=5,
+                 help="how many slowest units to list (default: 5)"),
+        ),
+    ),
+    _Verb(
+        "live", _cmd_live,
+        "real-time clinical monitor: stream a cohort's vitals, attack "
+        "encounters, and alarms (optionally over SSE with --serve)",
+        groups="serve log", args=(
+            _arg("--patients", type=int, default=100,
+                 help="monitored cohort size (default: 100)"),
+            _arg("--seed", type=int, default=0,
+                 help="cohort/run seed; same seed replays byte-identically "
+                      "(default: 0)"),
+            _arg("--duration", type=float, default=60.0,
+                 help="simulated horizon in seconds (default: 60)"),
+            _arg("--telemetry-interval", type=float, default=1.0,
+                 help="simulated seconds between vitals ticks (default: 1)"),
+            _arg("--speedup", type=float, default=1.0,
+                 help="simulated seconds per wall second (default: 1 = "
+                      "real time)"),
+            _arg("--drain", action="store_true",
+                 help="no pacing at all: dispatch the whole schedule as "
+                      "fast as one core can (replay/benchmark mode)"),
+            _arg("--bursts", type=int, default=1,
+                 help="attack bursts to inject over the horizon "
+                      "(default: 1)"),
+            _arg("--burst-trials", type=int, default=5,
+                 help="unauthorized commands per burst (default: 5)"),
+            _arg("--command", choices=("therapy", "interrogate"),
+                 default="therapy",
+                 help="attack command each burst sends (default: therapy)"),
+            _arg("--linger", type=float, default=0.0,
+                 help="keep serving this many wall seconds after the "
+                      "horizon so late subscribers drain (default: 0)"),
+            _arg("--log-events", metavar="PATH",
+                 help="write the canonical event/alarm log as JSONL to "
+                      "PATH (two runs of one seed write identical bytes)"),
+        ),
+    ),
+    _Verb(
+        "top", _cmd_top,
+        "live campaign view: cached units, queue depth, leases (stalled "
+        "ones flagged), per-participant progress snapshots",
+        ("scenario?",), "overrides cache log format", (
+            _arg("--live", metavar="URL",
+                 help="watch a running `repro live --serve` engine at URL "
+                      "(polls its /status) instead of a campaign cache"),
+            _arg("--interval", type=float, default=2.0,
+                 help="seconds between polls (default: 2)"),
+            _arg("--once", action="store_true",
+                 help="print one snapshot and exit (CI / scripting mode)"),
+        ),
+    ),
+    _Verb(
+        "export-metrics", _cmd_export_metrics,
+        "export campaign/queue/progress state in Prometheus text format: "
+        "one-shot file (--output) or HTTP /metrics (--serve)",
+        ("scenario",), "overrides serve cache log", (
+            _arg("--output", default="-",
+                 help="write the exposition to this file (default: '-', "
+                      "stdout)"),
+        ),
+    ),
+    _Verb(
+        "history", _cmd_history,
+        "recorded runs from <cache>/runs/history.jsonl (traced runs record "
+        "automatically at finish)",
+        ("scenario?",), "cache log format", (
+            _arg("--limit", type=int,
+                 help="show only the newest N entries (default: all)"),
+        ),
+    ),
+    _Verb(
+        "diff", _cmd_diff,
+        "compare two recorded runs: stage latency percentiles, cache hit "
+        "rate, throughput; flags regressions beyond --threshold",
+        ("run_a", "run_b"), "cache log format", (
+            _arg("--threshold", type=float, default=0.10,
+                 help="relative regression threshold (default: 0.10 = "
+                      "10%%)"),
+            _arg("--strict", action="store_true",
+                 help="exit non-zero when any metric regresses beyond the "
+                      "threshold"),
+        ),
+    ),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1155,405 +1310,24 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro",
         description="Run, resume, and compare named reproduction campaigns.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_list = sub.add_parser("list", help="list registered scenarios")
-    p_list.add_argument("--json", action="store_true", help="emit JSON")
-    p_list.set_defaults(func=_cmd_list)
-
-    p_run = sub.add_parser(
-        "run", help="run a scenario (incremental: resumes from cache)"
-    )
-    p_run.add_argument("scenario", help="registered scenario name")
-    p_run.add_argument(
-        "--force", action="store_true",
-        help="recompute every unit, overwriting cache entries",
-    )
-    p_run.add_argument(
-        "--profile", action="store_true",
-        help="profile pending-unit evaluation with cProfile and write "
-             "profiles/<scenario>.pstats next to the cache root "
-             "(forces serial evaluation of the profiled units)",
-    )
-    p_run.add_argument(
-        "--distributed", action="store_true",
-        help="coordinate through the SQLite work queue: plan and enqueue "
-             "units, wait for `python -m repro worker` processes to drain "
-             "them, then reduce (bit-identical to a serial run)",
-    )
-    p_run.add_argument(
-        "--wait-timeout", type=float, default=None,
-        help="with --distributed: give up after this many seconds without "
-             "campaign completion (default: wait forever)",
-    )
-    _add_override_args(p_run)
-    _add_execution_args(p_run)
-    p_run.set_defaults(func=_cmd_run)
-
-    p_worker = sub.add_parser(
-        "worker",
-        help="drain a scenario's distributed work queue: claim -> "
-             "evaluate -> persist -> complete under an expiring lease",
-    )
-    p_worker.add_argument("scenario", help="registered scenario name")
-    p_worker.add_argument(
-        "--worker-id", default=None,
-        help="fleet-unique worker identity (default: <hostname>-<pid>)",
-    )
-    p_worker.add_argument(
-        "--lease", type=float, default=60.0,
-        help="lease duration in seconds; a crashed worker's unit is "
-             "re-queued once its lease expires (default: 60)",
-    )
-    p_worker.add_argument(
-        "--poll", type=float, default=0.5,
-        help="seconds between claim attempts when the queue is empty "
-             "but units are still leased elsewhere (default: 0.5)",
-    )
-    p_worker.add_argument(
-        "--idle-timeout", type=float, default=600.0,
-        help="exit (status 3) after this many seconds without claimable "
-             "work while units remain uncached; 0 or less polls forever "
-             "(default: 600)",
-    )
-    p_worker.add_argument(
-        "--max-units", type=int, default=None,
-        help="stop after this many claims (default: run until the "
-             "campaign is fully cached)",
-    )
-    p_worker.add_argument(
-        "--cache-dir", default=None,
-        help=f"shared cache root (default: REPRO_CACHE_DIR or "
-             f"{default_cache_dir()})",
-    )
-    p_worker.add_argument(
-        "--trace", action=argparse.BooleanOptionalAction, default=None,
-        help="write this worker's spans to its own "
-             "<cache>/runs/<run_id>/trace.jsonl",
-    )
-    p_worker.add_argument(
-        "--progress", action=argparse.BooleanOptionalAction, default=None,
-        help="publish this worker's live progress snapshots through the "
-             "shared cache (default on; --no-progress or "
-             "REPRO_PROGRESS=0 silences them)",
-    )
-    _add_override_args(p_worker)
-    _add_log_args(p_worker)
-    p_worker.set_defaults(func=_cmd_worker)
-
-    p_status = sub.add_parser("status", help="cache completeness of a scenario")
-    p_status.add_argument("scenario", help="registered scenario name")
-    p_status.add_argument("--json", action="store_true", help="emit JSON")
-    p_status.add_argument("--cache-dir", default=None, help="result cache root")
-    _add_override_args(p_status)
-    _add_log_args(p_status)
-    p_status.set_defaults(func=_cmd_status)
-
-    p_cmp = sub.add_parser(
-        "compare", help="run two scenarios and diff their shared grid points"
-    )
-    p_cmp.add_argument("scenario_a", help="baseline scenario name")
-    p_cmp.add_argument("scenario_b", help="candidate scenario name")
-    _add_override_args(p_cmp)
-    _add_execution_args(p_cmp)
-    p_cmp.set_defaults(func=_cmd_compare)
-
-    p_val = sub.add_parser(
-        "validate",
-        help="judge scenarios against the golden-figure expectation table",
-    )
-    p_val.add_argument(
-        "scenarios", nargs="*",
-        help="scenario names (default: every scenario with expectations)",
-    )
-    p_val.add_argument(
-        "--adaptive", action="store_true",
-        help="adaptive-precision execution: stop each cell at its CI target "
-             "instead of running the fixed trial budget",
-    )
-    p_val.add_argument(
-        "--budget", choices=tuple(BUDGETS), default="default",
-        help="fixed-budget preset: smoke (4 trials, 3 cells -- CI gate), "
-             "default (registered budget), full (100 trials per cell)",
-    )
-    p_val.add_argument(
-        "--precision", type=float, default=None,
-        help="target CI half-width for every metric (default: per-metric "
-             "targets, 0.10 for probabilities / 0.02 for BER)",
-    )
-    p_val.add_argument(
-        "--confidence", type=float, default=None,
-        help="confidence level for intervals and verdicts (default 0.95)",
-    )
-    p_val.add_argument(
-        "--interval", choices=("wilson", "jeffreys"), default=None,
-        help="proportion-interval construction (default jeffreys)",
-    )
-    p_val.add_argument(
-        "--round-size", type=int, default=None,
-        help="adaptive trials per cell per round (default 6)",
-    )
-    p_val.add_argument(
-        "--min-trials", type=int, default=None,
-        help="adaptive floor per cell before stopping (default 6)",
-    )
-    p_val.add_argument(
-        "--max-trials", type=int, default=None,
-        help="adaptive budget cap per cell (default 100)",
-    )
-    p_val.add_argument(
-        "--strict", action="store_true",
-        help="treat inconclusive verdicts (CI straddles a bound) as failures",
-    )
-    _add_execution_args(p_val)
-    p_val.set_defaults(func=_cmd_validate)
-
-    p_cache = sub.add_parser(
-        "cache", help="inspect and clean the result cache"
-    )
-    cache_sub = p_cache.add_subparsers(dest="cache_command", required=True)
-
-    p_cache_stats = cache_sub.add_parser(
-        "stats", help="entries, bytes, and per-scenario counts"
-    )
-    p_cache_stats.add_argument("--json", action="store_true", help="emit JSON")
-    p_cache_stats.add_argument(
-        "--cache-dir", default=None, help="result cache root"
-    )
-    _add_log_args(p_cache_stats)
-    p_cache_stats.set_defaults(func=_cmd_cache_stats)
-
-    p_cache_prune = cache_sub.add_parser(
-        "prune", help="drop cached scenario namespaces"
-    )
-    p_cache_prune.add_argument(
-        "--scenario", default=None,
-        help="prune every cached namespace of this scenario name",
-    )
-    p_cache_prune.add_argument(
-        "--all", action="store_true", help="prune the whole cache root"
-    )
-    p_cache_prune.add_argument(
-        "--cache-dir", default=None, help="result cache root"
-    )
-    _add_log_args(p_cache_prune)
-    p_cache_prune.set_defaults(func=_cmd_cache_prune)
-
-    p_report = sub.add_parser(
-        "report",
-        help="diagnostics from a traced run: latency percentiles, cache "
-             "hit rate, worker utilization, slowest units",
-    )
-    p_report.add_argument(
-        "scenario", nargs="?", default=None,
-        help="registered scenario name (default: any scenario's runs)",
-    )
-    p_report.add_argument(
-        "--run-id", default=None,
-        help="report a specific run (default: the most recent trace)",
-    )
-    p_report.add_argument(
-        "--list-runs", action="store_true",
-        help="list the matching traced runs instead of reporting one",
-    )
-    p_report.add_argument(
-        "--cache-dir", default=None,
-        help=f"result cache root holding runs/ (default: REPRO_CACHE_DIR "
-             f"or {default_cache_dir()})",
-    )
-    p_report.add_argument(
-        "--format", choices=("text", "markdown", "json"), default="text",
-        help="report format (default: text)",
-    )
-    p_report.add_argument(
-        "--slowest", type=int, default=5,
-        help="how many slowest units to list (default: 5)",
-    )
-    _add_log_args(p_report)
-    p_report.set_defaults(func=_cmd_report)
-
-    p_live = sub.add_parser(
-        "live",
-        help="real-time clinical monitor: stream a cohort's vitals, "
-             "attack encounters, and alarms (optionally over SSE with "
-             "--serve)",
-    )
-    p_live.add_argument(
-        "--patients", type=int, default=100,
-        help="monitored cohort size (default: 100)",
-    )
-    p_live.add_argument(
-        "--seed", type=int, default=0,
-        help="cohort/run seed; same seed replays byte-identically "
-             "(default: 0)",
-    )
-    p_live.add_argument(
-        "--duration", type=float, default=60.0,
-        help="simulated horizon in seconds (default: 60)",
-    )
-    p_live.add_argument(
-        "--telemetry-interval", type=float, default=1.0,
-        help="simulated seconds between vitals ticks (default: 1)",
-    )
-    p_live.add_argument(
-        "--speedup", type=float, default=1.0,
-        help="simulated seconds per wall second (default: 1 = real time)",
-    )
-    p_live.add_argument(
-        "--drain", action="store_true",
-        help="no pacing at all: dispatch the whole schedule as fast as "
-             "one core can (replay/benchmark mode)",
-    )
-    p_live.add_argument(
-        "--bursts", type=int, default=1,
-        help="attack bursts to inject over the horizon (default: 1)",
-    )
-    p_live.add_argument(
-        "--burst-trials", type=int, default=5,
-        help="unauthorized commands per burst (default: 5)",
-    )
-    p_live.add_argument(
-        "--command", choices=("therapy", "interrogate"), default="therapy",
-        help="attack command each burst sends (default: therapy)",
-    )
-    p_live.add_argument(
-        "--serve", type=int, default=None, metavar="PORT",
-        help="stream over SSE on this port (0 picks a free one); "
-             "mounts /events /status /metrics /healthz",
-    )
-    p_live.add_argument(
-        "--host", default="127.0.0.1",
-        help="bind address for --serve (default: 127.0.0.1)",
-    )
-    p_live.add_argument(
-        "--linger", type=float, default=0.0,
-        help="keep serving this many wall seconds after the horizon "
-             "so late subscribers drain (default: 0)",
-    )
-    p_live.add_argument(
-        "--log-events", default=None, metavar="PATH",
-        help="write the canonical event/alarm log as JSONL to PATH "
-             "(two runs of one seed write identical bytes)",
-    )
-    _add_log_args(p_live)
-    p_live.set_defaults(func=_cmd_live)
-
-    p_top = sub.add_parser(
-        "top",
-        help="live campaign view: cached units, queue depth, leases "
-             "(stalled ones flagged), per-participant progress snapshots",
-    )
-    p_top.add_argument(
-        "scenario", nargs="?", default=None,
-        help="registered scenario name (omit with --live)",
-    )
-    p_top.add_argument(
-        "--live", metavar="URL", default=None,
-        help="watch a running `repro live --serve` engine at URL "
-             "(polls its /status) instead of a campaign cache",
-    )
-    p_top.add_argument(
-        "--interval", type=float, default=2.0,
-        help="seconds between polls (default: 2)",
-    )
-    p_top.add_argument(
-        "--once", action="store_true",
-        help="print one snapshot and exit (CI / scripting mode)",
-    )
-    p_top.add_argument(
-        "--json", action="store_true",
-        help="emit one JSON status object per poll instead of text",
-    )
-    p_top.add_argument(
-        "--cache-dir", default=None,
-        help=f"shared cache root being watched (default: REPRO_CACHE_DIR "
-             f"or {default_cache_dir()})",
-    )
-    _add_override_args(p_top)
-    _add_log_args(p_top)
-    p_top.set_defaults(func=_cmd_top)
-
-    p_export = sub.add_parser(
-        "export-metrics",
-        help="export campaign/queue/progress state in Prometheus text "
-             "format: one-shot file (--output) or HTTP /metrics (--serve)",
-    )
-    p_export.add_argument("scenario", help="registered scenario name")
-    p_export.add_argument(
-        "--output", default="-",
-        help="write the exposition to this file (default: '-', stdout)",
-    )
-    p_export.add_argument(
-        "--serve", type=int, default=None, metavar="PORT",
-        help="serve a /metrics endpoint on this port instead of a "
-             "one-shot export (stdlib http.server; re-collects per scrape)",
-    )
-    p_export.add_argument(
-        "--host", default="127.0.0.1",
-        help="bind address for --serve (default: 127.0.0.1)",
-    )
-    p_export.add_argument(
-        "--cache-dir", default=None,
-        help=f"shared cache root being exported (default: REPRO_CACHE_DIR "
-             f"or {default_cache_dir()})",
-    )
-    _add_override_args(p_export)
-    _add_log_args(p_export)
-    p_export.set_defaults(func=_cmd_export_metrics)
-
-    p_history = sub.add_parser(
-        "history",
-        help="recorded runs from <cache>/runs/history.jsonl (traced runs "
-             "record automatically at finish)",
-    )
-    p_history.add_argument(
-        "scenario", nargs="?", default=None,
-        help="registered scenario name (default: every recorded run)",
-    )
-    p_history.add_argument(
-        "--limit", type=int, default=None,
-        help="show only the newest N entries (default: all)",
-    )
-    p_history.add_argument(
-        "--cache-dir", default=None,
-        help=f"cache root holding runs/history.jsonl (default: "
-             f"REPRO_CACHE_DIR or {default_cache_dir()})",
-    )
-    p_history.add_argument(
-        "--format", choices=("text", "markdown", "json"), default="text",
-        help="output format (default: text)",
-    )
-    _add_log_args(p_history)
-    p_history.set_defaults(func=_cmd_history)
-
-    p_diff = sub.add_parser(
-        "diff",
-        help="compare two recorded runs: stage latency percentiles, "
-             "cache hit rate, throughput; flags regressions beyond "
-             "--threshold",
-    )
-    p_diff.add_argument("run_a", help="baseline run id (see `repro history`)")
-    p_diff.add_argument("run_b", help="candidate run id")
-    p_diff.add_argument(
-        "--threshold", type=float, default=0.10,
-        help="relative regression threshold (default: 0.10 = 10%%)",
-    )
-    p_diff.add_argument(
-        "--strict", action="store_true",
-        help="exit non-zero when any metric regresses beyond the threshold",
-    )
-    p_diff.add_argument(
-        "--cache-dir", default=None,
-        help=f"cache root holding runs/history.jsonl (default: "
-             f"REPRO_CACHE_DIR or {default_cache_dir()})",
-    )
-    p_diff.add_argument(
-        "--format", choices=("text", "markdown", "json"), default="text",
-        help="output format (default: text)",
-    )
-    _add_log_args(p_diff)
-    p_diff.set_defaults(func=_cmd_diff)
-
+    subparsers = {"": parser.add_subparsers(dest="command", required=True)}
+    for verb in _VERBS:
+        parent, _, name = verb.name.rpartition(" ")
+        p = subparsers[parent].add_parser(name, help=verb.help)
+        if verb.func is None:
+            subparsers[name] = p.add_subparsers(
+                dest=f"{name}_command", required=True
+            )
+            continue
+        for spec in verb.positionals:
+            dest = spec.rstrip("?*")
+            p.add_argument(
+                dest, nargs=spec[len(dest):] or None, help=_POSITIONALS[dest]
+            )
+        declared = [a for g in verb.groups.split() for a in _GROUPS[g]]
+        for flags, options in (*verb.args, *declared):
+            p.add_argument(*flags, **options)
+        p.set_defaults(func=verb.func)
     return parser
 
 
@@ -1565,7 +1339,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        return args.func(args)
+        result = args.func(args)
+        return result if isinstance(result, int) else _emit(args.format, *result)
     except KeyboardInterrupt:
         _log.warning(
             "interrupted -- completed units are cached; "

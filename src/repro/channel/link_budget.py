@@ -96,10 +96,6 @@ class LinkBudget:
             - self.body.loss_db
         )
 
-    def shield_jam_at_location_dbm(self, location: AdversaryLocation) -> float:
-        """The shield's jamming as received at an adversary location."""
-        return self.shield_tx_dbm - self.geometry.air_loss_to_shield_db(location)
-
     def attacker_rx_at_imd_dbm(
         self, location: AdversaryLocation, tx_dbm: float
     ) -> float:

@@ -88,6 +88,9 @@ class TestClock:
     #: runs; ``None`` reads as "as fast as possible".
     speedup = None
 
+    # Not a pytest class, despite the name.
+    __test__ = False
+
     def __init__(self):
         self.sim_time_s = 0.0
         self.behind_s = 0.0

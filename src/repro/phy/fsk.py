@@ -67,9 +67,6 @@ class FSKConfig:
         """(f0, f1): the tone used for a '0' bit and for a '1' bit."""
         return (-self.deviation_hz, self.deviation_hz)
 
-    def bit_duration(self) -> float:
-        return 1.0 / self.bit_rate
-
     def n_samples(self, n_bits: int) -> int:
         return n_bits * self.samples_per_bit
 

@@ -21,7 +21,7 @@ class TestList:
         assert "mimo-eavesdropper" in out
 
     def test_json_listing_parses(self, capsys):
-        payload = json.loads(_run(capsys, "list", "--json"))
+        payload = json.loads(_run(capsys, "list", "--format", "json"))
         names = {entry["name"] for entry in payload}
         assert "crypto-only-baseline" in names
         assert all("hash" in entry for entry in payload)
@@ -121,7 +121,7 @@ class TestStatus:
         argv = (
             "status", "attack-success-shielded",
             "--trials", "2", "--locations", "1,8",
-            "--cache-dir", str(tmp_path), "--json",
+            "--cache-dir", str(tmp_path), "--format", "json",
         )
         before = json.loads(_run(capsys, *argv))
         assert before["cached_units"] == 0
@@ -200,3 +200,167 @@ class TestProfileFlag:
             "--cache-dir", str(tmp_path / "q"), "--format", "json",
         ))
         assert profiled["points"] == plain["points"]
+
+
+_TINY = ("--trials", "2", "--locations", "1")
+
+#: One succeeding invocation per verb that prints a result, run against
+#: the ``traced_cache`` fixture (``{run_a}``/``{run_b}``: its two runs).
+_RESULT_ARGV = {
+    "list": ("list",),
+    "run": ("run", "attack-success-shielded", *_TINY),
+    "status": ("status", "attack-success-shielded", *_TINY),
+    "compare": (
+        "compare", "attack-success-unshielded", "attack-success-shielded",
+        *_TINY,
+    ),
+    "validate": ("validate", "attack-success-shielded", "--budget", "smoke"),
+    "cache stats": ("cache", "stats"),
+    "report": ("report", "attack-success-shielded"),
+    "top": ("top", "attack-success-shielded", *_TINY, "--once"),
+    "history": ("history",),
+    "diff": ("diff", "{run_a}", "{run_b}"),
+}
+
+
+@pytest.fixture(scope="module")
+def traced_cache(tmp_path_factory):
+    """A cache root holding two traced runs of one tiny scenario."""
+    from repro.obs.history import load_history
+
+    root = tmp_path_factory.mktemp("traced")
+    for _ in range(2):
+        assert main([
+            "run", "attack-success-shielded", *_TINY,
+            "--cache-dir", str(root), "--trace",
+        ]) == 0
+    run_a, run_b = (e["run_id"] for e in load_history(root))
+    return root, {"run_a": run_a, "run_b": run_b}
+
+
+def _result_argv(verb, traced_cache) -> list[str]:
+    root, run_ids = traced_cache
+    argv = [arg.format(**run_ids) for arg in _RESULT_ARGV[verb]]
+    if verb != "list":
+        argv += ["--cache-dir", str(root)]
+    return argv
+
+
+class TestVerbTable:
+    def test_result_verbs_are_the_format_verbs(self):
+        from repro.campaigns.cli import _VERBS
+
+        takes_format = {v.name for v in _VERBS if "format" in v.groups.split()}
+        assert takes_format == set(_RESULT_ARGV)
+
+    def test_shared_flags_have_one_definition(self):
+        from repro.campaigns.cli import _GROUPS, _VERBS
+
+        shared = ("--cache-dir", "--format", "--trace", "--progress",
+                  "--log-level")
+        declared = [
+            flag
+            for specs in (*_GROUPS.values(), *(v.args for v in _VERBS))
+            for flags, _ in specs
+            for flag in flags
+        ]
+        for flag in shared:
+            assert declared.count(flag) == 1, flag
+
+    @pytest.mark.parametrize("verb", sorted(_RESULT_ARGV))
+    def test_every_result_verb_prints_json(self, verb, traced_cache, capsys):
+        capsys.readouterr()
+        assert main([*_result_argv(verb, traced_cache), "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        if verb == "top":  # streams: one compact document per poll
+            assert len(out.splitlines()) == 1
+        json.loads(out)
+
+    @pytest.mark.parametrize("verb", ["list", "status", "cache stats", "top"])
+    def test_json_flag_is_gone(self, verb, traced_cache):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*_result_argv(verb, traced_cache), "--json"])
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("flag", ["--trace", "--progress"])
+    def test_validate_takes_no_execution_trace_flags(self, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["validate", "attack-success-shielded", flag])
+        assert excinfo.value.code == 2
+
+
+class TestJsonPayloads:
+    """``--format json`` prints the payloads the old ``--json`` printed."""
+
+    def _json(self, capsys, verb, traced_cache):
+        capsys.readouterr()
+        assert main([*_result_argv(verb, traced_cache), "--format", "json"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def test_list(self, capsys, traced_cache):
+        from repro.campaigns import registry
+
+        assert self._json(capsys, "list", traced_cache) == [
+            {
+                "name": s.name,
+                "kind": s.kind,
+                "title": s.title,
+                "grid": s.grid_size(),
+                "n_trials": s.n_trials,
+                "tags": list(s.tags),
+                "hash": s.scenario_hash(),
+            }
+            for s in registry.all_scenarios()
+        ]
+
+    def _scenario(self):
+        from repro.campaigns import registry
+
+        return registry.get("attack-success-shielded").override(
+            n_trials=2, location_indices=(1,)
+        )
+
+    def test_status(self, capsys, traced_cache):
+        scenario = self._scenario()
+        assert self._json(capsys, "status", traced_cache) == {
+            "scenario": "attack-success-shielded",
+            "scenario_hash": scenario.scenario_hash(),
+            "total_units": 1,
+            "cached_units": 1,
+        }
+
+    def test_cache_stats(self, capsys, traced_cache):
+        from repro.campaigns.store import SQLiteStore
+
+        payload = self._json(capsys, "cache stats", traced_cache)
+        stats = SQLiteStore(traced_cache[0]).stats()
+        assert payload == {
+            "entries": stats.entries,
+            "bytes": stats.bytes,
+            "location": stats.location,
+            "scenarios": [
+                {
+                    "hash": s.scenario_hash,
+                    "name": s.name,
+                    "entries": s.entries,
+                    "bytes": s.bytes,
+                }
+                for s in stats.scenarios
+            ],
+        }
+        assert self._scenario().scenario_hash() in {
+            s["hash"] for s in payload["scenarios"]
+        }
+
+    def test_top_once(self, capsys, traced_cache):
+        status = self._json(capsys, "top", traced_cache)
+        assert set(status) == {
+            "scenario", "scenario_hash", "now", "total_units",
+            "cached_units", "remaining_units", "complete", "queue",
+            "leases", "stalled_leases", "workers", "runners",
+            "idle_workers",
+        }
+        assert status["scenario_hash"] == self._scenario().scenario_hash()
+        assert (status["total_units"], status["cached_units"]) == (1, 1)
+        assert status["complete"] is True
+        assert status["queue"] == {"queued": 0, "leased": 0}

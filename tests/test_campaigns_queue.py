@@ -10,6 +10,7 @@ acceptance lives in ``test_distributed_scale.py``.
 
 import json
 import threading
+import time
 
 import pytest
 
@@ -377,22 +378,38 @@ class TestRunDistributed:
         scenario = _scenario()
         serial = CampaignRunner(scenario, cache_dir=tmp_path / "serial").run()
         runner = CampaignRunner(scenario, cache_dir=tmp_path / "dist")
-        worker = threading.Thread(
-            target=run_worker,
-            args=(scenario,),
-            kwargs=dict(
-                cache_dir=tmp_path / "dist",
-                worker_id="bg", lease_s=30, poll_s=0.01,
-                idle_timeout_s=60,
-            ),
-        )
-        worker.start()
+        outcome = {}
+
+        def coordinate():
+            try:
+                outcome["result"] = runner.run_distributed(
+                    poll_s=0.01, wait_timeout_s=120
+                )
+            except BaseException as exc:  # re-raised on the test thread
+                outcome["error"] = exc
+
+        coordinator = threading.Thread(target=coordinate)
+        coordinator.start()
+        # The coordinator's cached/computed split is its plan-time
+        # snapshot, and a worker enqueues the plan itself: start the
+        # worker only once the coordinator's enqueue is visible, so no
+        # unit can be finished before that snapshot.
+        queue = WorkQueue(SQLiteStore(tmp_path / "dist"), scenario.scenario_hash())
+        deadline = time.monotonic() + 60
+        while queue.counts().queued < 4:
+            assert coordinator.is_alive(), outcome
+            assert time.monotonic() < deadline, "coordinator never enqueued"
+            time.sleep(0.005)
         try:
-            distributed = runner.run_distributed(
-                poll_s=0.01, wait_timeout_s=120
+            run_worker(
+                scenario, cache_dir=tmp_path / "dist",
+                worker_id="bg", lease_s=30, poll_s=0.01, idle_timeout_s=60,
             )
         finally:
-            worker.join(timeout=120)
+            coordinator.join(timeout=120)
+        if "error" in outcome:
+            raise outcome["error"]
+        distributed = outcome["result"]
         assert json.dumps(distributed.points, sort_keys=True) == json.dumps(
             serial.points, sort_keys=True
         )

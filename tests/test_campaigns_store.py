@@ -336,7 +336,8 @@ class TestCacheCli:
     def test_stats_json(self, capsys, tmp_path):
         scenario = self._seed_cache(tmp_path)
         out = self._run(
-            capsys, "cache", "stats", "--json", "--cache-dir", str(tmp_path)
+            capsys, "cache", "stats", "--format", "json",
+            "--cache-dir", str(tmp_path),
         )
         payload = json.loads(out)
         assert payload["entries"] == 2

@@ -132,7 +132,7 @@ class TestTopLive:
             host, port = server.server_address[:2]
             rc = main([
                 "top", "--live", f"http://{host}:{port}",
-                "--once", "--json",
+                "--once", "--format", "json",
             ])
         finally:
             server.shutdown()

@@ -180,7 +180,7 @@ class TestTopCli:
         assert main([
             "top", "attack-success-shielded", *self._OVERRIDES,
             "--cache-dir", str(tmp_path),
-            "--once", "--json",
+            "--once", "--format", "json",
         ]) == 0
         status = json.loads(capsys.readouterr().out)
         assert status["complete"] is True
@@ -238,7 +238,7 @@ def _spawn(verb: str, cache_dir: Path, *extra: str):
 
 
 def _top_once(cache_dir: Path, *extra: str) -> dict:
-    proc = _spawn("top", cache_dir, "--once", "--json", *extra)
+    proc = _spawn("top", cache_dir, "--once", "--format", "json", *extra)
     out, err = proc.communicate(timeout=120)
     assert proc.returncode == 0, err
     return json.loads(out)
