@@ -13,6 +13,9 @@ import os
 
 import pytest
 
+from repro.campaigns.runner import CampaignRunner
+from repro.campaigns.spec import Scenario
+
 
 def trials_per_location(default: int = 40) -> int:
     """How many attack trials to run per location (paper: 100)."""
@@ -22,3 +25,10 @@ def trials_per_location(default: int = 40) -> int:
 @pytest.fixture
 def n_trials() -> int:
     return trials_per_location()
+
+
+def attack_sweep(name: str, workers: int | None = None, **fields) -> dict:
+    """Run an in-memory ``attack`` campaign; its points keyed by location."""
+    scenario = Scenario(name=name, kind="attack", **fields)
+    result = CampaignRunner(scenario, workers=workers, persist=False).run()
+    return {point["axis"]: point for point in result.points}

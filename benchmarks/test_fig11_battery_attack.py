@@ -8,22 +8,22 @@ With the shield off, an off-the-shelf-power adversary reaches ~14 m
 (location 8); with the shield on, it fails even at 20 cm.
 """
 
-from benchmarks.conftest import trials_per_location
+from benchmarks.conftest import attack_sweep, trials_per_location
 from repro.experiments.report import ExperimentReport
-from repro.experiments.sweeps import attack_success_sweep
 
 LOCATIONS = tuple(range(1, 15))
 
 
 def _success_curve(shield_present: bool, n_trials: int, command: str, seed: int):
-    results = attack_success_sweep(
+    points = attack_sweep(
+        f"fig11-{command}",
         shield_present=shield_present,
         n_trials=n_trials,
         command=command,
         location_indices=LOCATIONS,
         seed=seed,
     )
-    return {loc: r.success_probability for loc, r in results.items()}
+    return {loc: p["success_probability"] for loc, p in points.items()}
 
 
 PAPER_ABSENT = {

@@ -10,23 +10,25 @@ Paper findings (locations 1..18):
   succeed.
 """
 
-from benchmarks.conftest import trials_per_location
+from benchmarks.conftest import attack_sweep, trials_per_location
 from repro.experiments.report import ExperimentReport
-from repro.experiments.sweeps import highpower_sweep
 from repro.experiments.testbed import AttackTestbed
 
 LOCATIONS = tuple(range(1, 19))
 
 
 def _highpower_curves(shield_present: bool, n_trials: int, seed: int):
-    results = highpower_sweep(
+    points = attack_sweep(
+        "fig13",
         shield_present=shield_present,
         n_trials=n_trials,
+        command="therapy",
+        attacker="highpower",
         location_indices=LOCATIONS,
         seed=seed,
     )
-    success = {loc: r.success_probability for loc, r in results.items()}
-    alarm = {loc: r.alarm_probability for loc, r in results.items()}
+    success = {loc: p["success_probability"] for loc, p in points.items()}
+    alarm = {loc: p["alarm_probability"] for loc, p in points.items()}
     return success, alarm
 
 

@@ -10,9 +10,9 @@ for accidental slowdowns).
 import numpy as np
 import pytest
 
+from benchmarks.conftest import attack_sweep
 from repro.core.detector import ActiveDetector
 from repro.core.jamming import ShapedJammer
-from repro.experiments.sweeps import attack_success_sweep
 from repro.experiments.testbed import AttackTestbed
 from repro.experiments.waveform_lab import PassiveLab
 from repro.phy.fsk import FSKConfig, FSKModulator, NoncoherentFSKDemodulator
@@ -146,20 +146,23 @@ def test_perf_batched_ber_one_location(benchmark):
     assert 0.3 < out[1] < 0.6
 
 
+_SWEEP = dict(
+    shield_present=False, n_trials=40, location_indices=(1, 8), seed=0
+)
+
+
 def test_perf_attack_sweep_serial(benchmark):
-    """The Fig. 11 sweep shape at 40 trials, serial execution."""
+    """The Fig. 11 sweep shape at 40 trials: an in-memory serial campaign."""
 
     def run():
-        return attack_success_sweep(
-            shield_present=False, n_trials=40, location_indices=(1, 8), seed=0
-        )
+        return attack_sweep("perf-attack", **_SWEEP)
 
     out = benchmark.pedantic(run, rounds=3, iterations=1)
     assert set(out) == {1, 8}
 
 
 def test_perf_attack_sweep_parallel(benchmark):
-    """Same sweep through the process pool; results must match serial.
+    """Same campaign through the process pool; results must match serial.
 
     On a single-core box the pool only adds overhead -- the bench exists
     to regression-guard the parallel path's correctness and to show the
@@ -167,16 +170,7 @@ def test_perf_attack_sweep_parallel(benchmark):
     """
 
     def run():
-        return attack_success_sweep(
-            shield_present=False,
-            n_trials=40,
-            location_indices=(1, 8),
-            seed=0,
-            workers=2,
-        )
+        return attack_sweep("perf-attack", workers=2, **_SWEEP)
 
     out = benchmark.pedantic(run, rounds=3, iterations=1)
-    serial = attack_success_sweep(
-        shield_present=False, n_trials=40, location_indices=(1, 8), seed=0
-    )
-    assert out == serial
+    assert out == attack_sweep("perf-attack", **_SWEEP)

@@ -14,8 +14,6 @@ Two event-level attacker radios:
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.protocol.packets import DecodeError, Packet, PacketCodec
 from repro.sim.air import AirTransmission
 from repro.sim.engine import Simulator
@@ -55,21 +53,6 @@ class CommandInjector(RadioDevice):
             bits=bits,
             kind="packet",
             meta={"role": "attack", "opcode": int(packet.opcode)},
-        )
-        self.sent.append(tx)
-        return tx
-
-    def send_bits(self, bits: np.ndarray) -> AirTransmission:
-        """Transmit raw bits (used by replay and fuzzing experiments)."""
-        air = self._require_air()
-        tx = air.transmit(
-            source=self.name,
-            channel=self.channel,
-            tx_power_dbm=self.tx_power_dbm,
-            bit_rate=self.bit_rate,
-            bits=np.asarray(bits, dtype=np.int64),
-            kind="packet",
-            meta={"role": "attack-replay"},
         )
         self.sent.append(tx)
         return tx

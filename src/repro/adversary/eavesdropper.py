@@ -48,9 +48,6 @@ class BatchEavesdropResult:
     def n_packets(self) -> int:
         return self.bits.shape[0]
 
-    def mean_bit_error_rate(self) -> float:
-        return float(np.mean(self.bit_error_rates))
-
     def results(self) -> list[EavesdropResult]:
         """The batch unpacked into per-packet :class:`EavesdropResult` rows."""
         return [

@@ -42,7 +42,3 @@ class HighPowerAttacker(CommandInjector):
             simulator, channel, tx_power_dbm=eirp, codec=codec, name=name
         )
         self.antenna_gain_dbi = antenna_gain_dbi
-
-    @property
-    def amplifier_gain_db(self) -> float:
-        return HIGH_POWER_FACTOR_DB

@@ -6,7 +6,6 @@ import functools
 from dataclasses import dataclass
 
 from repro.campaigns.cache import unit_hash
-from repro.experiments.sweeps import ATTACK_METRICS
 from repro.runtime import chunk_sizes
 from repro.runtime.seeding import round_seed_sequence, unit_seed_sequence
 from repro.stats.adaptive import metric_estimator
@@ -20,9 +19,6 @@ BUDGETS = {
     "default": {"n_trials": None, "shrink_grid": False},
     "full": {"n_trials": 100, "shrink_grid": False},
 }
-
-_ATTACKERS = ("fcc", "highpower")
-_COMMANDS = ("interrogate", "therapy")
 
 
 @dataclass(frozen=True)
@@ -66,25 +62,6 @@ def check_locations(scenario) -> None:
         raise ValueError(
             f"unknown testbed location(s) {bad}; the Fig. 6 geometry "
             f"numbers locations {min(known)}-{max(known)}"
-        )
-
-
-def check_attacker(scenario) -> None:
-    """Reject an unknown active attacker, command or win metric."""
-    if scenario.attacker not in _ATTACKERS:
-        raise ValueError(
-            f"unknown attacker {scenario.attacker!r}; "
-            f"expected one of {_ATTACKERS}"
-        )
-    if scenario.command not in _COMMANDS:
-        raise ValueError(
-            f"unknown command {scenario.command!r}; "
-            f"expected one of {_COMMANDS}"
-        )
-    if scenario.metric not in ATTACK_METRICS:
-        raise ValueError(
-            f"unknown metric {scenario.metric!r}; "
-            f"expected one of {ATTACK_METRICS}"
         )
 
 

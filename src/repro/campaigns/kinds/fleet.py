@@ -9,8 +9,9 @@ statistic, so the kind is fixed-budget only.
 from __future__ import annotations
 
 from repro.campaigns.cache import unit_hash
+from repro.campaigns.kinds.attack import check_attacker
 from repro.campaigns.kinds.base import (
-    CampaignUnit, ScenarioKind, check_attacker, check_locations,
+    CampaignUnit, ScenarioKind, check_locations,
 )
 from repro.fleet.cohort import (
     FLEET_TASKS, cohort_from_scenario, validate_cohort_fields,

@@ -264,22 +264,6 @@ class CampaignRunner:
             cached_units=cached,
         )
 
-    def materialize(
-        self, limit: int | None = None, force: bool = False
-    ) -> int:
-        """Evaluate up to ``limit`` pending units into the cache.
-
-        Returns how many units were computed.  With ``limit=None`` the
-        whole plan materializes; calling this repeatedly (or across
-        interrupted processes) converges to a fully cached campaign.
-        """
-        with self._observer("runner") as observer:
-            units, _, computed = self._execute(
-                observer, limit=limit, force=force, collect=False
-            )
-            observer.finish(total_units=len(units), computed_units=computed)
-        return computed
-
     def run(self, force: bool = False) -> CampaignResult:
         """Run the campaign to completion and reduce it.
 
@@ -288,9 +272,7 @@ class CampaignRunner:
         overwrites existing cache entries.
         """
         with self._observer("runner") as observer:
-            units, results, computed = self._execute(
-                observer, limit=None, force=force, collect=True
-            )
+            units, results, computed = self._execute(observer, force)
             cached = len(units) - computed
             points = self._reduce(observer, units, results)
             observer.finish(
@@ -435,13 +417,11 @@ class CampaignRunner:
         }
 
     def _execute(
-        self,
-        observer: RunObserver,
-        limit: int | None,
-        force: bool,
-        collect: bool,
-    ) -> tuple[list[CampaignUnit], dict[str, dict] | None, int]:
-        """Shared engine of :meth:`materialize` and :meth:`run`."""
+        self, observer: RunObserver, force: bool
+    ) -> tuple[list[CampaignUnit], dict[str, dict], int]:
+        """Load cached units, compute and persist the rest: :meth:`run`'s
+        engine, returning the plan, every unit's result and how many
+        were computed."""
         plan_start = time.perf_counter()
         units = self.plan()
         plan_seconds = time.perf_counter() - plan_start
@@ -459,8 +439,6 @@ class CampaignRunner:
                 hits.append((unit, load_seconds))
             else:
                 pending.append(unit)
-        if limit is not None:
-            pending = pending[:limit]
         forced_serial = bool(
             self.profile and pending and self.executor.parallel
         )
@@ -531,8 +509,6 @@ class CampaignRunner:
                 units=len(pending),
                 workers=executor.workers,
             )
-        if not collect:
-            return units, None, computed
         missing = [u.key for u in units if u.key not in results]
         if missing:
             raise RuntimeError(

@@ -64,20 +64,14 @@ class FadingModel:
         if self.shadowing_sigma_db < 0:
             raise ValueError("shadowing sigma cannot be negative")
 
-    def gain_db(self, line_of_sight: bool, rng: np.random.Generator) -> float:
-        """Draw a combined fading + shadowing gain in dB (mean ~ 0 dB)."""
-        return float(self.gain_db_batch(line_of_sight, rng, 1)[0])
-
     def gain_db_batch(
         self, line_of_sight: bool, rng: np.random.Generator, count: int
     ) -> np.ndarray:
-        """``count`` independent :meth:`gain_db` draws in one vector pass.
+        """``count`` combined fading + shadowing gains in dB (mean ~ 0 dB).
 
         The event simulator draws a fading term per (transmission,
-        receiver); batching the normals keeps that off the scalar-RNG
-        hot path.  :meth:`gain_db` is the batch of one, so the fast-
-        fading formulas live only here (plus the complex-valued
-        :func:`rician_gain`/:func:`rayleigh_gain` used for waveforms).
+        receiver); drawing the normals in one vector pass keeps that off
+        the scalar-RNG hot path.
         """
         if count <= 0:
             raise ValueError("count must be positive")
@@ -98,16 +92,6 @@ class FadingModel:
             fast_power = (z[:, 0] ** 2 + z[:, 1] ** 2) / 2.0
         fast_power = np.maximum(fast_power, 1e-12)
         return 10.0 * np.log10(fast_power) + self.shadowing_sigma_db * z[:, 2]
-
-    def complex_gain(
-        self, line_of_sight: bool, rng: np.random.Generator
-    ) -> complex:
-        """Draw a complex fast-fading gain (no shadowing) for waveform use."""
-        if not self.enabled:
-            return 1.0 + 0.0j
-        if line_of_sight:
-            return rician_gain(self.los_k_factor_db, rng)
-        return rayleigh_gain(rng)
 
 
 #: A fading model that always returns 0 dB -- useful for deterministic tests.

@@ -151,11 +151,6 @@ class TestbedGeometry:
         """Air loss between the shield and the IMD (before body loss)."""
         return self.pathloss.loss_db(self.shield_to_imd_m)
 
-    def rssi_ordering_is_descending(self) -> bool:
-        """Check the Fig. 6 invariant: location numbers order RSSI."""
-        losses = [self.air_loss_to_shield_db(loc) for loc in self.locations]
-        return all(a < b for a, b in zip(losses, losses[1:]))
-
 
 def default_testbed() -> TestbedGeometry:
     """The calibrated Fig. 6 testbed used by every protocol benchmark."""

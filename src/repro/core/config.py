@@ -70,13 +70,6 @@ class ShieldConfig:
     #: or stops jamming (Table 2: 270 +/- 23 us).
     turnaround_s: float = 270e-6
     turnaround_std_s: float = 23e-6
-    #: Channel re-estimation cadence outside sessions (S5: every 200 ms).
-    probe_interval_s: float = 200e-3
-    #: Probe transmit power; kept low so "other nodes [can] leverage
-    #: spatial reuse to concurrently access the medium" (S5).
-    probe_tx_dbm: float = -45.0
-    #: Probe burst duration.
-    probe_duration_s: float = 0.5e-3
 
     # -- identifying sequence --------------------------------------------
     #: Bit budget of the streaming S_id window (m); set from the codec by
@@ -101,13 +94,3 @@ class ShieldConfig:
             raise ValueError("detection window is implausibly small")
         if not self.monitored_channels:
             raise ValueError("the shield must monitor at least one channel")
-
-    @property
-    def jam_window_duration_s(self) -> float:
-        """How long the reply-window jam lasts: (T2 - T1) + P (S6)."""
-        return (self.t2_s - self.t1_s) + self.max_packet_s
-
-    @property
-    def total_cancellation_db(self) -> float:
-        """Mean end-to-end self-interference rejection (antenna + digital)."""
-        return self.antenna_cancellation_db + self.digital_cancellation_db

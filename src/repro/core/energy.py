@@ -7,8 +7,8 @@ adversary.  However, since the shield transmits at the FCC power limit
 for the MICS band, it can last for a day or longer even if transmitting
 continuously."
 
-This meter tallies transmit/receive/idle energy so the battery-life
-claims become checkable numbers in tests and examples.
+This meter tallies transmit energy and predicts battery life, so the
+battery-life claims become checkable numbers in tests and examples.
 """
 
 from __future__ import annotations
@@ -43,25 +43,16 @@ class ShieldEnergyMeter:
 
     budget: EnergyBudget = field(default_factory=EnergyBudget)
     tx_seconds: float = 0.0
-    monitor_seconds: float = 0.0
 
     def record_transmission(self, duration_s: float) -> None:
         if duration_s < 0:
             raise ValueError("duration cannot be negative")
         self.tx_seconds += duration_s
 
-    def record_monitoring(self, duration_s: float) -> None:
-        if duration_s < 0:
-            raise ValueError("duration cannot be negative")
-        self.monitor_seconds += duration_s
-
     @property
     def energy_spent_j(self) -> float:
-        monitor_only = max(self.monitor_seconds - self.tx_seconds, 0.0)
-        return (
-            self.tx_seconds * (self.budget.tx_power_w + self.budget.rx_power_w)
-            + monitor_only * (self.budget.rx_power_w + self.budget.idle_power_w)
-        )
+        """Energy of the transmissions so far, receive chain included."""
+        return self.tx_seconds * (self.budget.tx_power_w + self.budget.rx_power_w)
 
     def battery_life_hours(self, duty_cycle_tx: float) -> float:
         """Predicted battery life at a given transmit duty cycle.

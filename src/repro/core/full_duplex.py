@@ -7,7 +7,7 @@ receive chain.  This module simulates that front end sample-by-sample:
 * the self-loop channel ``H_self`` (a wire: strong, stable) and the
   air path ``H_jam->rec`` (weaker by ``jam_to_self_ratio_db``, -27 dB on
   the paper's USRP2 prototype);
-* probe-based estimation of both channels at finite SNR;
+* channel estimates carrying the error a finite-SNR probe leaves;
 * antidote synthesis and the resulting cancellation (Fig. 7 measures its
   distribution);
 * optionally a digital second stage: the shield knows ``j(t)`` exactly,
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.antidote import antidote_signal, estimate_channel, residual_gain
+from repro.core.antidote import residual_gain
 from repro.core.config import ShieldConfig
 from repro.phy.signal import Waveform, db_to_linear, linear_to_db
 
@@ -126,35 +126,13 @@ class JammerCumReceiver:
     # Channel estimation
     # ------------------------------------------------------------------
 
-    def estimate_channels(
-        self, probe: Waveform, noise_power: float
-    ) -> tuple[complex, complex]:
-        """Probe both channels and store least-squares estimates.
-
-        The shield probes "immediately before it transmits to the IMD or
-        jams" and every 200 ms otherwise (S5).  Both chains observe the
-        probe at finite SNR, so each estimate carries complex Gaussian
-        error -- the error that bounds the antidote's cancellation.
-        """
-        rx_self = probe.scaled(self.channels.h_self).with_noise(
-            noise_power, self.rng
-        )
-        rx_air = probe.scaled(self.channels.h_jam_to_rec).with_noise(
-            noise_power, self.rng
-        )
-        est_self = estimate_channel(probe, rx_self, noise_power).gain
-        est_air = estimate_channel(probe, rx_air, noise_power).gain
-        self._estimates = (est_self, est_air)
-        return self._estimates
-
     def set_estimation_error(self, relative_std: float | None = None) -> None:
         """Draw channel estimates with a given relative error.
 
-        Shortcut used by experiments that do not want to synthesise a
-        probe waveform: estimates are the true channels perturbed by
-        complex Gaussian relative error (default: the configured
-        ``estimation_error_std``, calibrated to reproduce the ~32 dB mean
-        cancellation of Fig. 7).
+        Estimates are the true channels perturbed by complex Gaussian
+        relative error -- what probing at finite SNR leaves (default:
+        the configured ``estimation_error_std``, calibrated to reproduce
+        the ~32 dB mean cancellation of Fig. 7).
         """
         std = self.config.estimation_error_std if relative_std is None else relative_std
         if std < 0:
@@ -174,11 +152,6 @@ class JammerCumReceiver:
     # ------------------------------------------------------------------
     # Receive while jamming
     # ------------------------------------------------------------------
-
-    def antidote_for(self, jam: Waveform) -> Waveform:
-        """The antidote waveform for a jam, using current estimates."""
-        est_self, est_air = self._require_estimates()
-        return antidote_signal(jam, est_air, est_self)
 
     def received(
         self,

@@ -24,10 +24,6 @@ class JamWindow:
     def end_time(self) -> float:
         return self.start_time + self.duration
 
-    def covers(self, t0: float, t1: float) -> bool:
-        """Whether the window fully covers the interval [t0, t1]."""
-        return self.start_time <= t0 and t1 <= self.end_time
-
 
 @dataclass(frozen=True)
 class JamWindowPolicy:
@@ -59,18 +55,6 @@ class JamWindowPolicy:
             duration=(self.t2_s - self.t1_s) + self.max_packet_s,
         )
 
-    def covers_reply(
-        self, command_end_time: float, reply_delay_s: float, reply_duration_s: float
-    ) -> bool:
-        """Whether a reply with the given timing falls inside the window.
-
-        True for any reply delay in [T1, T2] and duration up to P --
-        the calibration guarantee the shield depends on.
-        """
-        window = self.window_after(command_end_time)
-        start = command_end_time + reply_delay_s
-        return window.covers(start, start + reply_duration_s)
-
 
 @dataclass(frozen=True)
 class AlarmEvent:
@@ -97,6 +81,3 @@ class AlarmPolicy:
     @property
     def alarm_count(self) -> int:
         return len(self._events)
-
-    def alarms_since(self, time: float) -> list[AlarmEvent]:
-        return [e for e in self._events if e.time >= time]

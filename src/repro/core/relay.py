@@ -11,11 +11,9 @@ sealed by :class:`~repro.crypto.secure_channel.SecureChannel`.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.crypto.secure_channel import SecureChannel
 from repro.protocol.crc import bits_to_bytes, bytes_to_bits
-from repro.protocol.packets import DecodeError, Packet, PacketCodec
+from repro.protocol.packets import Packet, PacketCodec
 
 __all__ = ["ShieldRelay", "ProgrammerLink", "packet_to_wire", "wire_to_packet"]
 
@@ -69,15 +67,3 @@ class ShieldRelay:
         """Encrypt an IMD reply for the programmer."""
         self.relayed_replies += 1
         return self.channel.send(packet_to_wire(packet, self.codec))
-
-    def seal_reply_bits(self, bits: np.ndarray) -> bytes | None:
-        """Encrypt a reply decoded from the air, if it parses cleanly.
-
-        Returns ``None`` when the (jammed) bits fail the CRC at the
-        shield -- the rare packet-loss case Fig. 10 quantifies.
-        """
-        try:
-            packet = self.codec.decode(np.asarray(bits, dtype=np.int64))
-        except DecodeError:
-            return None
-        return self.seal_reply(packet)

@@ -100,7 +100,7 @@ class ShieldRadio(RadioDevice):
         self.energy = ShieldEnergyMeter()
 
         # Per-episode full-duplex rejection; redrawn whenever the shield
-        # re-estimates its channels (every probe and before every jam).
+        # re-estimates its channels (before every jam).
         self._draw_cancellation()
 
         self._active_jams: dict[int, AirTransmission] = {}
@@ -115,15 +115,11 @@ class ShieldRadio(RadioDevice):
         # additionally be attacked by the reactive jammer.
         self._expected_reply_starts: dict[int, list[tuple[float, float]]] = {}
         self._jam_records: list[JamRecord] = []
-        self._detections: list[DetectionDecision] = []
         self._turnaround_samples: list[float] = []
         self.decoded_replies: list[Packet] = []
         self.failed_reply_decodes: int = 0
         self.sealed_outbox: list[bytes] = []
         self.aborted_relays: int = 0
-        self.probe_count = 0
-        self._probing = False
-        self.powered = True
 
     # ------------------------------------------------------------------
     # Full-duplex front-end state
@@ -148,86 +144,6 @@ class ShieldRadio(RadioDevice):
             50e-6,
             self.rng.normal(self.config.turnaround_s, self.config.turnaround_std_s),
         )
-
-    # ------------------------------------------------------------------
-    # Power switch (the S1 safety story)
-    # ------------------------------------------------------------------
-
-    def power_off(self) -> None:
-        """Shut the shield down, restoring direct access to the IMD.
-
-        The architecture's safety property (S1): in an emergency, medical
-        personnel "access a protected IMD by removing the external device
-        or powering it off" -- no credentials required, because the IMD
-        itself was never modified.  Powering off stops probing, ends any
-        active jamming, and silences every reactive behaviour.
-        """
-        self.powered = False
-        self.stop_probing()
-        air = self._require_air()
-        for jam in list(self._active_jams.values()):
-            air.stop(jam)
-        self._active_jams.clear()
-        self._jam_triggers.clear()
-        if self.trace is not None:
-            self.trace.record(self.simulator.now, self.name, "power-off")
-
-    def power_on(self) -> None:
-        self.powered = True
-        self._draw_cancellation()
-        if self.trace is not None:
-            self.trace.record(self.simulator.now, self.name, "power-on")
-
-    # ------------------------------------------------------------------
-    # Periodic channel probing (S5)
-    # ------------------------------------------------------------------
-
-    def start_probing(self) -> None:
-        """Begin the 200 ms probe cycle that keeps the antidote's channel
-        estimates fresh outside sessions.
-
-        Each probe is a short, low-power burst from the receive antenna's
-        transmit chain; after measuring it, the shield re-derives its
-        channel estimates (modelled as a fresh cancellation draw).
-        """
-        if self._probing:
-            return
-        self._probing = True
-        self._schedule_probe()
-
-    def stop_probing(self) -> None:
-        self._probing = False
-
-    def _schedule_probe(self) -> None:
-        if not self._probing:
-            return
-        self.simulator.schedule(
-            self.config.probe_interval_s, self._emit_probe, name="shield-probe"
-        )
-
-    def _emit_probe(self) -> None:
-        if not self._probing:
-            return
-        air = self._require_air()
-        # Do not interleave probes with an ongoing jam or relay; the
-        # channels were just estimated for those anyway (S5: estimates
-        # are refreshed "immediately before" transmitting or jamming).
-        busy = self._active_jams or self._own_message_tx is not None
-        if not busy:
-            air.transmit(
-                source=self.name,
-                channel=self.session_channel,
-                tx_power_dbm=self.config.probe_tx_dbm,
-                bit_rate=100e3,
-                bits=None,
-                duration=self.config.probe_duration_s,
-                kind="probe",
-                meta={"reason": "channel-estimation"},
-            )
-            self._draw_cancellation()
-            self.probe_count += 1
-            self.energy.record_transmission(self.config.probe_duration_s)
-        self._schedule_probe()
 
     # ------------------------------------------------------------------
     # Relay path (S4)
@@ -302,8 +218,6 @@ class ShieldRadio(RadioDevice):
         return any(lo <= now <= hi for lo, hi in live)
 
     def _start_reply_jam(self, duration: float) -> None:
-        if not self.powered:
-            return
         air = self._require_air()
         self._draw_cancellation()
         air.transmit(
@@ -327,8 +241,6 @@ class ShieldRadio(RadioDevice):
     # ------------------------------------------------------------------
 
     def on_transmission_start(self, tx: AirTransmission) -> None:
-        if not self.powered:
-            return
         if tx.kind == "jam" and tx.source == self.name:
             return
         # Rule 2 of S7: anything concurrent with the shield's own message
@@ -373,12 +285,9 @@ class ShieldRadio(RadioDevice):
         )
 
     def _detection_check(self, tx: AirTransmission) -> None:
-        if not self.powered:
-            return
         air = self._require_air()
         reception = air.receive(tx, self.name, until=self.simulator.now)
         decision = self.detector.evaluate(reception.bits, reception.rssi_dbm)
-        self._detections.append(decision)
         if decision.matched and self._is_imd_origin_frame(reception.bits):
             # The frame carries an IMD-to-programmer opcode: it is the
             # IMD itself talking (e.g. a life-threatening-condition
@@ -439,7 +348,7 @@ class ShieldRadio(RadioDevice):
     def _begin_jam(
         self, channel: int, trigger_tx_id: int, decision: DetectionDecision | None
     ) -> None:
-        if not self.jamming_enabled or not self.powered:
+        if not self.jamming_enabled:
             return
         air = self._require_air()
         self._jam_triggers.setdefault(channel, set()).add(trigger_tx_id)
@@ -466,8 +375,6 @@ class ShieldRadio(RadioDevice):
             )
 
     def on_transmission_end(self, tx: AirTransmission) -> None:
-        if not self.powered:
-            return
         # Stop the reactive jam (after turn-around) once its trigger ends.
         channel_triggers = self._jam_triggers.get(tx.channel, set())
         if tx.id in channel_triggers:
@@ -529,10 +436,6 @@ class ShieldRadio(RadioDevice):
     # ------------------------------------------------------------------
     # Introspection for the experiments
     # ------------------------------------------------------------------
-
-    @property
-    def detections(self) -> list[DetectionDecision]:
-        return list(self._detections)
 
     @property
     def jam_records(self) -> list[JamRecord]:

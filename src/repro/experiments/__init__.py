@@ -15,11 +15,6 @@ from repro.experiments.metrics import (
 )
 from repro.experiments.physio_lab import PhysioBatchResult, PhysioLab
 from repro.experiments.report import ExperimentReport, ascii_cdf
-from repro.experiments.sweeps import (
-    LocationResult,
-    attack_success_sweep,
-    highpower_sweep,
-)
 from repro.experiments.testbed import AttackOutcome, AttackTestbed
 from repro.experiments.waveform_lab import PassiveLab
 
@@ -27,16 +22,13 @@ __all__ = [
     "AttackOutcome",
     "AttackTestbed",
     "ExperimentReport",
-    "LocationResult",
     "PassiveLab",
     "PhysioBatchResult",
     "PhysioLab",
     "ascii_cdf",
-    "attack_success_sweep",
     "calibrate_b_thresh",
     "calibrate_p_thresh",
     "empirical_cdf",
-    "highpower_sweep",
     "success_probability",
     "summarize",
 ]

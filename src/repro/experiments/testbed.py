@@ -159,12 +159,6 @@ class ExperimentLinkModel(LinkModel):
             return self.budget.imd_noise_dbm
         return self.budget.receiver_noise_dbm
 
-    # -- loss bookkeeping ----------------------------------------------
-
-    def link_loss_db(self, source: str, destination: str) -> float:
-        """Mean total loss: air path plus any phantom crossings."""
-        return self._link(source, destination)[0]
-
 
 def _fixed_link(
     budget: LinkBudget, src: Placement, dst: Placement

@@ -87,19 +87,10 @@ class RandomPayloadSource:
     def payload_size(self) -> int:
         return self.size
 
-    def next_payload(self, rng: np.random.Generator) -> bytes:
-        return bytes(rng.integers(0, 256, size=self.size))
-
     def next_payload_batch(
         self, rng: np.random.Generator, count: int
     ) -> np.ndarray:
-        """``count`` payloads pre-drawn in one RNG call.
-
-        The generator fills a ``(count, size)`` draw element for element
-        in the same stream order as ``count`` per-packet calls, so row
-        ``i`` equals the ``i``-th :meth:`next_payload` -- batch and loop
-        are bit-identical, without ``count`` round trips into the RNG.
-        """
+        """``count`` uniformly random payloads drawn in one RNG call."""
         return rng.integers(0, 256, size=(count, self.size))
 
 
@@ -223,15 +214,6 @@ class PassiveLab:
     # ------------------------------------------------------------------
     # Signal construction
     # ------------------------------------------------------------------
-
-    def telemetry_packet_bits(self) -> np.ndarray:
-        """Bits of a fresh IMD telemetry packet (the jammed payload).
-
-        The payload comes from the lab's :class:`PayloadSource` -- random
-        bytes by default, encoded physiological windows when a content
-        experiment plugged its own source in.
-        """
-        return self.telemetry_packet_bits_batch(1)[0]
 
     def telemetry_packet_bits_batch(self, n_packets: int) -> np.ndarray:
         """``(n_packets, n_bits)`` bit matrix of fresh telemetry packets.

@@ -7,7 +7,7 @@ adherence, and per-device calibration all vary patient to patient?
 
 Three modules:
 
-* :mod:`repro.fleet.cohort` -- declarative, content-hashable
+* :mod:`repro.fleet.cohort` -- declarative
   :class:`~repro.fleet.cohort.CohortSpec` whose patient *i* is a pure
   function of (cohort seed, *i*), so any shard layout or worker count
   synthesizes bit-identical patients;

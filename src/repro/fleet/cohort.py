@@ -1,7 +1,7 @@
 """Deterministic patient cohorts: the population a fleet campaign runs.
 
-A :class:`CohortSpec` is a declarative, content-hashable description of
-a patient population -- rhythm-class prevalence (reusing the
+A :class:`CohortSpec` is a declarative description of a patient
+population -- rhythm-class prevalence (reusing the
 :data:`repro.physio.ecg.RHYTHM_CLASSES`), shield adherence (worn
 vs. off), per-device calibration spread (passive jam margin, the
 ``P_thresh`` alarm threshold, the full-duplex cancellation), and the
@@ -20,8 +20,6 @@ bit-identical population numbers.  The hypothesis suite pins this.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -158,7 +156,7 @@ class PatientProfile:
 
 @dataclass(frozen=True)
 class CohortSpec:
-    """A declarative, content-hashable patient population.
+    """A declarative patient population.
 
     ``rhythm_prevalence`` aligns with
     :data:`repro.physio.ecg.RHYTHM_CLASSES`; ``location_weights`` (when
@@ -215,35 +213,6 @@ class CohortSpec:
             "_rhythm_cdf",
             _choice_cdf(np.asarray(self.rhythm_prevalence, dtype=float)),
         )
-
-    # -- identity -------------------------------------------------------
-
-    def payload(self) -> dict:
-        """The canonical content of this cohort (what the hash covers)."""
-        return {
-            "n_patients": self.n_patients,
-            "seed": self.seed,
-            "rhythm_prevalence": list(self.rhythm_prevalence),
-            "location_indices": list(self.location_indices),
-            "location_weights": (
-                None
-                if self.location_weights is None
-                else list(self.location_weights)
-            ),
-            "shield_worn_fraction": self.shield_worn_fraction,
-            "jam_margin_mean_db": self.jam_margin_mean_db,
-            "jam_margin_std_db": self.jam_margin_std_db,
-            "p_thresh_std_db": self.p_thresh_std_db,
-            "cancellation_std_db": self.cancellation_std_db,
-            "observation_days": self.observation_days,
-        }
-
-    def cohort_hash(self) -> str:
-        """Content address of this cohort."""
-        canonical = json.dumps(
-            self.payload(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
     # -- patient synthesis ---------------------------------------------
 

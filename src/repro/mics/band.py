@@ -29,9 +29,6 @@ class MICSChannel:
     def high_hz(self) -> float:
         return self.center_hz + self.bandwidth_hz / 2.0
 
-    def contains(self, frequency_hz: float) -> bool:
-        return self.low_hz <= frequency_hz < self.high_hz
-
 
 @dataclass(frozen=True)
 class MICSBand:
@@ -68,12 +65,3 @@ class MICSBand:
             )
         center = self.low_hz + (index + 0.5) * self.channel_bandwidth_hz
         return MICSChannel(index, center, self.channel_bandwidth_hz)
-
-    def channel_for_frequency(self, frequency_hz: float) -> MICSChannel:
-        """The channel containing ``frequency_hz``."""
-        if not self.low_hz <= frequency_hz < self.high_hz:
-            raise ValueError(
-                f"{frequency_hz} Hz lies outside the {self.low_hz}-{self.high_hz} band"
-            )
-        index = int((frequency_hz - self.low_hz) / self.channel_bandwidth_hz)
-        return self.channel(index)

@@ -178,18 +178,13 @@ class PhysioPayloadSource:
     def remaining(self) -> int:
         return int(self._payloads.shape[0]) - self._served
 
-    def next_payload(self, rng: np.random.Generator) -> bytes:
-        """The next telemetry payload (``rng`` unused: content, not noise)."""
-        return self.next_payload_batch(rng, 1)[0].tobytes()
-
     def next_payload_batch(
         self, rng: np.random.Generator, count: int
     ) -> np.ndarray:
         """The next ``count`` payloads as ``(count, size)`` ``uint8`` rows,
-        row ``i`` equal to the ``i``-th :meth:`next_payload`.
+        in stream order (``rng`` unused: content, not noise).
 
-        A block that would run past the stream serves nothing and raises
-        the error :meth:`next_payload` raises once the stream is spent.
+        A block that would run past the stream serves nothing and raises.
         """
         total = self._payloads.shape[0]
         end = self._served + count

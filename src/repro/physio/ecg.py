@@ -32,7 +32,7 @@ batch's rates without drawing or synthesising the waveforms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -406,10 +406,6 @@ class ECGGenerator:
             peak_idx = np.clip(np.round(beat_t * fs).astype(np.int64), 0, n - 1)
             mask[record_index, peak_idx] = True
         return wave, mask
-
-    def with_duration(self, duration_s: float) -> "ECGGenerator":
-        """A generator whose records last exactly ``duration_s``."""
-        return ECGGenerator(replace(self.config, duration_s=duration_s))
 
 
 class HeartRateWalk:

@@ -42,16 +42,6 @@ class CommandType(enum.IntEnum):
         """Whether this opcode only ever flows IMD -> programmer."""
         return self in (CommandType.TELEMETRY, CommandType.ACK)
 
-    @property
-    def triggers_reply(self) -> bool:
-        """Whether an IMD that accepts this command transmits a response.
-
-        Every programmer command elicits a reply (S2: the pair "alternate
-        between the programmer transmitting a query or command, and the
-        IMD responding immediately").
-        """
-        return not self.is_imd_response
-
 
 @dataclass(frozen=True)
 class TherapySettings:

@@ -12,8 +12,9 @@ each behaviour is pinned to a measurement in the paper:
   shield pre-arm its jam window;
 * packets failing the checksum are silently discarded (S3.1);
 * the IMD never initiates transmission (FCC rule, S2);
-* every transmission spends battery energy -- the resource the
-  battery-depletion attack of Fig. 11 burns.
+* every transmission spends ``tx_energy_per_packet_j`` of battery -- the
+  resource the battery-depletion attack of Fig. 11 burns, counted by
+  :attr:`IMDevice.transmissions`.
 """
 
 from __future__ import annotations
@@ -62,14 +63,6 @@ class IMDParameters:
         if self.telemetry_payload_bytes < 1:
             raise ValueError("telemetry payload must be at least one byte")
 
-    @property
-    def reply_window(self) -> tuple[float, float]:
-        """[T1, T2]: the bounds the shield calibrates its jam window to."""
-        return (
-            self.reply_delay_s - self.reply_jitter_s * 2,
-            self.reply_delay_s + self.reply_jitter_s * 2 / 3,
-        )
-
 
 #: The two devices evaluated in the paper.  Their observable behaviour did
 #: not differ ("the two IMDs did not show any significant difference",
@@ -98,12 +91,9 @@ class IMDevice:
     rng: np.random.Generator = field(default_factory=lambda: np.random.default_rng(7))
 
     def __post_init__(self) -> None:
-        self._battery_spent_j = 0.0
         self._tx_count = 0
         self._rx_accepted = 0
-        self._rx_rejected = 0
         self._sequence = 0
-        self._in_session = False
 
     # ------------------------------------------------------------------
     # Receive path
@@ -122,34 +112,27 @@ class IMDevice:
         try:
             packet = self.codec.decode(bits)
         except DecodeError:
-            self._rx_rejected += 1
             return None
         return self.handle_packet(packet)
 
     def handle_packet(self, packet: Packet) -> tuple[Packet, float] | None:
         """Packet-level receive path (used when bits were drawn analytically)."""
         if packet.serial != self.serial:
-            self._rx_rejected += 1
             return None
         if packet.opcode.is_imd_response:
             # Replayed IMD telemetry is not a command; ignore it.
-            self._rx_rejected += 1
             return None
         self._rx_accepted += 1
         reply = self._execute(packet)
         if reply is None:
             return None
-        self._spend_tx_energy()
+        self._tx_count += 1
         return reply, self._draw_reply_delay()
 
     def _execute(self, packet: Packet) -> Packet | None:
         """Apply a command's effect and build the reply packet."""
         opcode = packet.opcode
-        if opcode == CommandType.SESSION_OPEN:
-            self._in_session = True
-            return self._reply(CommandType.ACK, bytes([int(opcode)]))
-        if opcode == CommandType.SESSION_CLOSE:
-            self._in_session = False
+        if opcode in (CommandType.SESSION_OPEN, CommandType.SESSION_CLOSE):
             return self._reply(CommandType.ACK, bytes([int(opcode)]))
         if opcode == CommandType.INTERROGATE:
             return self._reply(CommandType.TELEMETRY, self._telemetry_record())
@@ -165,19 +148,6 @@ class IMDevice:
     # ------------------------------------------------------------------
     # Transmit path
     # ------------------------------------------------------------------
-
-    def emergency_packet(self) -> Packet:
-        """An unsolicited transmission for a life-threatening condition.
-
-        The FCC rules allow an implant to initiate a transmission "if it
-        detects a life-threatening condition" (S2/S3.1); the paper
-        explicitly makes *no attempt* to protect the confidentiality of
-        such transmissions -- getting the alert out matters more.  The
-        caller (the radio layer) transmits this immediately, and the
-        shield must let it through unjammed.
-        """
-        self._spend_tx_energy()
-        return self._reply(CommandType.TELEMETRY, b"EMERGENCY" + self._telemetry_record())
 
     def _reply(self, opcode: CommandType, payload: bytes) -> Packet:
         self._sequence = (self._sequence + 1) % 256
@@ -200,24 +170,9 @@ class IMDevice:
         jitter = self.rng.uniform(-p.reply_jitter_s, p.reply_jitter_s / 2)
         return p.reply_delay_s + jitter
 
-    def _spend_tx_energy(self) -> None:
-        self._battery_spent_j += self.parameters.tx_energy_per_packet_j
-        self._tx_count += 1
-
     # ------------------------------------------------------------------
     # Introspection used by experiments
     # ------------------------------------------------------------------
-
-    @property
-    def battery_spent_j(self) -> float:
-        """Total energy drawn by transmissions so far."""
-        return self._battery_spent_j
-
-    @property
-    def battery_fraction_remaining(self) -> float:
-        return max(
-            0.0, 1.0 - self._battery_spent_j / self.parameters.battery_capacity_j
-        )
 
     @property
     def transmissions(self) -> int:
@@ -226,11 +181,3 @@ class IMDevice:
     @property
     def accepted_packets(self) -> int:
         return self._rx_accepted
-
-    @property
-    def rejected_packets(self) -> int:
-        return self._rx_rejected
-
-    @property
-    def in_session(self) -> bool:
-        return self._in_session

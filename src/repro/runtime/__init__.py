@@ -13,8 +13,8 @@ sweeps run on:
   reassembles results in submission order, pickled over the pool's
   pipes.
 
-The experiments layer (:mod:`repro.experiments.sweeps`,
-:mod:`repro.experiments.waveform_lab`) is built on top of these
+The campaign runner (:mod:`repro.campaigns.runner`) and the waveform
+lab (:mod:`repro.experiments.waveform_lab`) are built on top of these
 primitives; future scaling work (sharding, caching, multi-backend)
 should plug in here rather than into individual experiments.
 """

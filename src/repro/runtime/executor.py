@@ -87,7 +87,7 @@ class SweepExecutor:
 
     @contextmanager
     def pool_session(self):
-        """Keep one process pool alive across consecutive map/imap calls.
+        """Keep one process pool alive across consecutive imap calls.
 
         One-shot sweeps pay pool startup once and tear it down with the
         call -- fine.  Round-based callers (the adaptive scheduler) map
@@ -109,24 +109,17 @@ class SweepExecutor:
             pool, self._pool = self._pool, None
             pool.shutdown(wait=True)
 
-    def map(self, fn: Callable[[T], R], units: Iterable[T]) -> list[R]:
-        """Evaluate ``fn`` on every unit, returning results in unit order.
+    def imap(self, fn: Callable[[T], R], units: Iterable[T]) -> Iterator[R]:
+        """Evaluate ``fn`` on every unit, yielding results in unit order.
 
         In parallel mode ``fn`` and the units must be picklable
         (module-level function plus plain-data specs).  Because every
         unit carries its own RNG stream, the output is identical in both
-        modes.
-        """
-        return list(self.imap(fn, units))
-
-    def imap(self, fn: Callable[[T], R], units: Iterable[T]) -> Iterator[R]:
-        """Streaming :meth:`map`: yield each result as soon as it exists.
-
-        Results still arrive in submission order, so consumers see the
-        same sequence either way -- but a caller that persists or reacts
-        per unit (cache flushes, adaptive round bookkeeping) no longer
-        waits for the whole batch.  An interrupt therefore loses at most
-        the units still in flight, in serial *and* parallel mode alike.
+        modes.  Each result is yielded as soon as it exists, so a caller
+        that persists or reacts per unit (cache flushes, adaptive round
+        bookkeeping) never waits for the whole batch, and an interrupt
+        loses at most the units still in flight, in serial *and*
+        parallel mode alike.
         Closing the iterator early shuts the pool down cleanly.
         """
         units = list(units)

@@ -74,16 +74,6 @@ class IMDRadio(RadioDevice):
         self.trace = trace
         self._transmitting_until = -1.0
 
-    def retune(self, channel: int) -> None:
-        """Follow the session to a different MICS channel.
-
-        S2: a pair that encounters persistent interference abandons its
-        channel and re-establishes on an idle one; real IMDs rescan for
-        their programmer, which this models as an explicit retune.
-        """
-        self.channel = channel
-        self.monitored_channels = {channel}
-
     def on_transmission_end(self, tx: AirTransmission) -> None:
         if tx.kind != "packet" or tx.channel != self.channel:
             return
@@ -107,14 +97,6 @@ class IMDRadio(RadioDevice):
     def _transmit_reply(self, reply: Packet) -> None:
         """Transmit the reply immediately -- no medium sensing (Fig. 3(b))."""
         self._transmit_packet(reply, role="imd-reply")
-
-    def transmit_emergency(self) -> None:
-        """Initiate an unsolicited life-threatening-condition transmission.
-
-        The one case where the IMD transmits first (S2); the shield makes
-        no attempt to jam or hide it (S3.1).
-        """
-        self._transmit_packet(self.device.emergency_packet(), role="imd-emergency")
 
     def _transmit_packet(self, packet: Packet, role: str) -> None:
         air = self._require_air()
@@ -233,6 +215,3 @@ class ObserverRadio(RadioDevice):
             return
         air = self._require_air()
         self.receptions.append(air.receive(tx, self.name))
-
-    def packets_from(self, source: str) -> list[Reception]:
-        return [r for r in self.receptions if r.transmission.source == source]

@@ -8,9 +8,7 @@ sufficient statistics that question needs -- counts for proportions,
 be rebuilt from cached per-unit results in any order and always answer
 identically.
 
-:class:`SequentialEstimator` generalizes the one-off
-``LocationResult.wilson_interval`` that used to live in
-``experiments/sweeps.py``: the same Wilson construction, plus the
+:class:`SequentialEstimator` puts the Wilson construction, plus the
 Jeffreys interval adaptive stopping prefers, behind an accumulating
 ``update``/``merge`` API.
 """

@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.campaigns.cache import ResultCache
+from repro.campaigns.runner import evaluate_unit, plan_scenario_units
 from repro.campaigns.store import SQLiteStore
-
 from repro.phy.fsk import FSKConfig
 from repro.protocol.packets import PacketCodec
 
@@ -87,3 +88,18 @@ def results_digest():
 def cached_unit_count():
     """A read-only probe of how many units a cache root holds."""
     return _cached_unit_count
+
+
+def _cache_first_units(scenario, cache_dir, k: int) -> int:
+    """Cache a scenario's first ``k`` planned units, as a run that was
+    cut short leaves them; returns ``k``."""
+    cache = ResultCache(cache_dir)
+    for unit in plan_scenario_units(scenario)[:k]:
+        cache.put(scenario, unit.key, unit.coords, evaluate_unit(unit.spec))
+    return k
+
+
+@pytest.fixture
+def cache_first_units():
+    """Build a partly cached campaign (see above)."""
+    return _cache_first_units

@@ -96,8 +96,10 @@ class TestActiveAttackers:
         attacker = HighPowerAttacker(
             Simulator(), channel=0, shield_tx_power_dbm=-16.0, antenna_gain_dbi=10.0
         )
-        assert attacker.tx_power_dbm == pytest.approx(-16.0 + 20.0 + 10.0)
-        assert attacker.amplifier_gain_db == HIGH_POWER_FACTOR_DB
+        assert attacker.tx_power_dbm == pytest.approx(
+            -16.0 + HIGH_POWER_FACTOR_DB + 10.0
+        )
+        assert HIGH_POWER_FACTOR_DB == pytest.approx(20.0)
 
     def test_highpower_gain_validation(self):
         from repro.sim.engine import Simulator

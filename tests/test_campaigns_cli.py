@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.campaigns.cli import main
-from repro.experiments.sweeps import attack_success_sweep
+from repro.campaigns.kinds.attack import AttackChunkSpec, run_attack_chunk
 
 
 def _run(capsys, *argv) -> str:
@@ -36,19 +36,22 @@ class TestRun:
             "--cache-dir", str(tmp_path), "--format", "json",
         )
         payload = json.loads(out)
-        reference = attack_success_sweep(
-            shield_present=False,
-            n_trials=3,
-            command="therapy",
-            attacker="fcc",
-            location_indices=(1, 8),
-            seed=0,
-        )
         assert payload["units"]["computed"] == 2
         for point in payload["points"]:
-            ref = reference[point["axis"]]
-            assert point["success_probability"] == ref.success_probability
-            assert point["alarm_probability"] == ref.alarm_probability
+            location = point["axis"]
+            wins, alarms = run_attack_chunk(
+                AttackChunkSpec(
+                    location_index=location,
+                    n_trials=3,
+                    command="therapy",
+                    attacker="fcc",
+                    shield_present=False,
+                    antenna_gain_dbi=None,
+                    seed=0 + location,
+                )
+            )
+            assert point["success_probability"] == wins / 3
+            assert point["alarm_probability"] == alarms / 3
 
     def test_second_run_completes_from_cache(self, capsys, tmp_path):
         argv = (

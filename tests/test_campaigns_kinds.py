@@ -6,7 +6,10 @@ and unit specs of its fixed, chunked and adaptive round-0 plans, its
 reduced points, its rendered result table and its one-line summary.
 A moved unit key orphans every cached result of that scenario; a moved
 point or spec changes the numbers.  Digests are the first 16 hex digits
-of a sha256, like the repo's scenario hashes.
+of a sha256, like the repo's scenario hashes.  Each pin also records
+its kind's ``schema``: a change to a result digest must come with a
+schema bump, or a resumed campaign would mix cached results of the old
+code with fresh ones of the new.
 
 The branch guard keeps every per-kind rule inside
 ``repro.campaigns.kinds``; the toy kind shows that a new kind is one
@@ -34,6 +37,7 @@ _SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 SMOKE_PINS = {
     "attack-success-shielded": {
+        "schema": 3,
         "plan": "6314f8d9f9f4a7fd",
         "specs": "f4248eb517356950",
         "chunked": "3c9f360b582d2664",
@@ -46,6 +50,7 @@ SMOKE_PINS = {
         ),
     },
     "attack-success-unshielded": {
+        "schema": 3,
         "plan": "6314f8d9f9f4a7fd",
         "specs": "ba7c3c0336ef163c",
         "chunked": "9b439e52e4c6de69",
@@ -58,6 +63,7 @@ SMOKE_PINS = {
         ),
     },
     "battery-drain-shielded": {
+        "schema": 3,
         "plan": "6314f8d9f9f4a7fd",
         "specs": "b2b228db9bfa0304",
         "chunked": "a3a16e1677ecda3f",
@@ -70,6 +76,7 @@ SMOKE_PINS = {
         ),
     },
     "battery-drain-unshielded": {
+        "schema": 3,
         "plan": "6314f8d9f9f4a7fd",
         "specs": "d32751185a0b029f",
         "chunked": "a08fda76f7bfbae2",
@@ -82,6 +89,7 @@ SMOKE_PINS = {
         ),
     },
     "crypto-only-baseline": {
+        "schema": 3,
         "plan": "6314f8d9f9f4a7fd",
         "specs": "03e8d5d2d7c55718",
         "chunked": "13bee5ee15f157ac",
@@ -94,6 +102,7 @@ SMOKE_PINS = {
         ),
     },
     "fleet-alarm-burden": {
+        "schema": 4,
         "plan": "f660656873aebc03",
         "specs": "b05c892ff51821cd",
         "chunked": "d589a2d4e12b4c4c",
@@ -104,6 +113,7 @@ SMOKE_PINS = {
         ),
     },
     "fleet-attack-prevalence": {
+        "schema": 4,
         "plan": "f660656873aebc03",
         "specs": "c97134add7b32112",
         "chunked": "3edaddcffb387f1c",
@@ -112,6 +122,7 @@ SMOKE_PINS = {
         "summary": "30-patient cohort (90% shield-worn) x 2 attack encounters",
     },
     "fleet-privacy-leakage": {
+        "schema": 4,
         "plan": "a7eac08032d270dc",
         "specs": "3ef47460b62f70ce",
         "chunked": "fe40942439d71fc5",
@@ -120,6 +131,7 @@ SMOKE_PINS = {
         "summary": "30-patient cohort (80% shield-worn) x 1 telemetry records",
     },
     "highpower-shielded": {
+        "schema": 3,
         "plan": "3ec3b071cb70b394",
         "specs": "681bb202e5e8ce07",
         "chunked": "f5860ff534f60622",
@@ -132,6 +144,7 @@ SMOKE_PINS = {
         ),
     },
     "highpower-unshielded": {
+        "schema": 3,
         "plan": "3ec3b071cb70b394",
         "specs": "f1665ba7feb91495",
         "chunked": "806b8bc4751b693b",
@@ -144,6 +157,7 @@ SMOKE_PINS = {
         ),
     },
     "mimo-eavesdropper": {
+        "schema": 3,
         "plan": "6a1948206307d4b3",
         "specs": "e27c470956a7a506",
         "chunked": "5403b09585a7ecd6",
@@ -153,6 +167,7 @@ SMOKE_PINS = {
         "summary": "2-antenna eavesdropper, 3 separations x 4 attempts",
     },
     "passive-ber-by-location": {
+        "schema": 3,
         "plan": "939fbebd685f8c22",
         "specs": "efbd11672f63f46c",
         "chunked": "e89dd12b2bca1714",
@@ -165,6 +180,7 @@ SMOKE_PINS = {
         ),
     },
     "physio-leakage-by-location": {
+        "schema": 3,
         "plan": "118a2a3fbf2b7495",
         "specs": "c302b07c88acd66a",
         "chunked": "4d07583dd28a7a7d",
@@ -176,6 +192,7 @@ SMOKE_PINS = {
         ),
     },
     "physio-leakage-shielded": {
+        "schema": 3,
         "plan": "97827f7dc5dc4dd7",
         "specs": "62866a8adda727f0",
         "chunked": "14f252f24c08beaa",
@@ -188,6 +205,7 @@ SMOKE_PINS = {
         ),
     },
     "physio-rhythm-privacy": {
+        "schema": 3,
         "plan": "741393419c046049",
         "specs": "4a71d288b0ced3b6",
         "chunked": "27d29191371e0dd8",
@@ -230,6 +248,11 @@ def _points(points) -> str:
     )
 
 
+#: Pinned fields that carry results (unit keys, seeds, reduced numbers);
+#: ``report`` and ``summary`` are display only.
+_RESULT_PINS = ("plan", "specs", "chunked", "round0", "points")
+
+
 class TestSmokeOutputPins:
     def test_every_registered_scenario_is_pinned(self):
         assert sorted(SMOKE_PINS) == registry.names()
@@ -254,7 +277,26 @@ class TestSmokeOutputPins:
             got["round0"] = _specs(
                 plan_scenario_units(scenario, positions=[0], round_index=0)
             )
-        assert got == SMOKE_PINS[name], report
+        pinned = SMOKE_PINS[name]
+        schema = KINDS[scenario.kind].schema
+        moved = [
+            key for key in _RESULT_PINS
+            if key in pinned and got[key] != pinned[key]
+        ]
+        if moved and schema == pinned["schema"]:
+            pytest.fail(
+                f"bump {scenario.kind}.schema: {name}'s {moved} changed "
+                f"at schema {schema}, so cached results of the old code "
+                f"would be reused"
+            )
+        assert {**got, "schema": schema} == pinned, report
+
+    def test_a_result_change_without_a_schema_bump_fails(self, monkeypatch):
+        name = "attack-success-shielded"
+        moved = {**SMOKE_PINS[name], "points": "0" * 16}
+        monkeypatch.setitem(SMOKE_PINS, name, moved)
+        with pytest.raises(pytest.fail.Exception, match="bump attack.schema"):
+            self.test_plans_points_report_and_summary(name)
 
 
 class TestNoKindBranches:

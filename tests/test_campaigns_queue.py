@@ -259,7 +259,7 @@ class TestRunWorker:
         closing = summary["summary"]
         assert closing["computed"] == 4 and closing["worker_id"] == "traced-w"
 
-    def test_reused_span_counts_as_cache_hit(self, tmp_path):
+    def test_reused_span_counts_as_cache_hit(self, tmp_path, cache_first_units):
         scenario = _scenario()
         cache = ResultCache(tmp_path)
         units = plan_scenario_units(scenario)
@@ -268,8 +268,7 @@ class TestRunWorker:
         # recompute.  (A unit cached before enqueue is never claimable.)
         q = WorkQueue(cache.store, scenario.scenario_hash())
         q.enqueue(units)
-        serial = CampaignRunner(scenario, cache_dir=tmp_path)
-        serial.materialize(limit=1)
+        cache_first_units(scenario, tmp_path, 1)
         tracer = Tracer(tmp_path, "queue-worker", run_id="reuse-trace")
         stats = run_worker(
             scenario, cache_dir=tmp_path,

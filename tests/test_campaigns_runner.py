@@ -2,8 +2,8 @@
 
 The load-bearing guarantee: a campaign interrupted mid-run and resumed
 from cache produces **bit-identical** final numbers to an uninterrupted
-serial run -- and a cached campaign reproduces the figure sweeps number
-for number.
+serial run -- and an attack campaign reproduces its work units, seeded
+``seed + location``, number for number.
 """
 
 import json
@@ -15,9 +15,9 @@ import repro.campaigns.runner as runner_module
 from repro.campaigns import CampaignRunner, ResultCache, SQLiteStore, registry
 from repro.campaigns.cli import _budget_scenario
 from repro.campaigns.kinds import KINDS
+from repro.campaigns.kinds.attack import AttackChunkSpec, run_attack_chunk
 from repro.campaigns.runner import evaluate_unit, plan_scenario_units
 from repro.campaigns.spec import Scenario
-from repro.experiments.sweeps import attack_success_sweep
 
 
 def _small_attack(**changes) -> Scenario:
@@ -39,18 +39,22 @@ class TestAgainstSweepReference:
     def test_attack_campaign_matches_attack_success_sweep(self):
         scenario = _small_attack()
         result = CampaignRunner(scenario, persist=False).run()
-        reference = attack_success_sweep(
-            shield_present=False,
-            n_trials=4,
-            command="therapy",
-            attacker="fcc",
-            location_indices=(1, 8, 13),
-            seed=7,
-        )
         for point in result.points:
-            ref = reference[point["axis"]]
-            assert point["success_probability"] == ref.success_probability
-            assert point["alarm_probability"] == ref.alarm_probability
+            location = point["axis"]
+            # An unsharded cell keeps the integer seed + location seed.
+            wins, alarms = run_attack_chunk(
+                AttackChunkSpec(
+                    location_index=location,
+                    n_trials=4,
+                    command="therapy",
+                    attacker="fcc",
+                    shield_present=False,
+                    antenna_gain_dbi=None,
+                    seed=7 + location,
+                )
+            )
+            assert point["success_probability"] == wins / 4
+            assert point["alarm_probability"] == alarms / 4
 
     def test_registry_scenario_runs(self):
         scenario = registry.get("attack-success-shielded").override(
@@ -164,12 +168,16 @@ class TestInterruptResume:
         assert resumed.computed_units == status.total_units - 3
         assert resumed.points == fresh.points
 
-    def test_materialize_limit_steps_toward_completion(self, tmp_path):
+    def test_materialize_limit_steps_toward_completion(
+        self, tmp_path, cache_first_units
+    ):
+        # A campaign cached unit by unit reaches completion, and a run
+        # computes only what is still missing.
         scenario = _small_attack()
         runner = CampaignRunner(scenario, cache_dir=tmp_path)
-        assert runner.materialize(limit=1) == 1
+        cache_first_units(scenario, tmp_path, 1)
         assert runner.status().cached_units == 1
-        assert runner.materialize() == 2
+        assert runner.run().computed_units == 2
         assert runner.status().complete
 
 

@@ -24,8 +24,8 @@ class TestActiveProtection:
     def test_detection_recorded(self):
         bed = _bed()
         bed.attack_once(bed.interrogate_packet())
-        assert len(bed.shield.detections) >= 1
-        assert bed.shield.detections[0].matched
+        assert len(bed.shield.jam_records) >= 1
+        assert bed.shield.jam_records[0].decision.matched
 
     def test_jam_starts_after_detection_window(self):
         """The jam must begin after m bits + turn-around, not instantly."""

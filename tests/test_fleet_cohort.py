@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.campaigns.spec import Scenario
 from repro.fleet.cohort import (
     FLEET_SPAWN_NAMESPACE,
     CohortSpec,
@@ -65,19 +66,26 @@ class TestValidation:
 
 
 class TestContentHash:
+    """A cohort's content address is its fleet scenario's hash."""
+
+    @staticmethod
+    def _scenario(**changes) -> Scenario:
+        fields = dict(name="cohort", kind="fleet", n_patients=40, seed=11)
+        return Scenario(**{**fields, **changes})
+
     def test_hash_stable_across_instances(self):
-        assert _spec().cohort_hash() == _spec().cohort_hash()
+        assert self._scenario().scenario_hash() == self._scenario().scenario_hash()
 
     def test_hash_changes_with_any_axis(self):
-        base = _spec().cohort_hash()
-        assert _spec(seed=12).cohort_hash() != base
-        assert _spec(shield_worn_fraction=0.8).cohort_hash() != base
-        assert _spec(jam_margin_std_db=0.0).cohort_hash() != base
+        base = self._scenario().scenario_hash()
+        assert self._scenario(seed=12).scenario_hash() != base
+        assert self._scenario(shield_worn_fraction=0.8).scenario_hash() != base
+        assert self._scenario(jam_margin_std_db=0.0).scenario_hash() != base
 
     def test_payload_is_json_safe(self):
         import json
 
-        json.dumps(_spec().payload())
+        json.dumps(self._scenario().payload())
 
 
 class TestProfileSampling:

@@ -63,7 +63,9 @@ class TestPersistentInterferenceSwitch:
             flow.interrogate()
         assert flow.channel_switches == 1
         assert outcome.channel_index != 0
-        bed.imd_radio.retune(outcome.channel_index)
+        # The IMD rescans and follows its programmer to the new channel.
+        bed.imd_radio.channel = outcome.channel_index
+        bed.imd_radio.monitored_channels = {outcome.channel_index}
 
         flow.interrogate()
         assert len(outcome.telemetry_records) >= 1

@@ -23,15 +23,6 @@ class TestBand:
         for a, b in zip(chans, chans[1:]):
             assert a.high_hz == pytest.approx(b.low_hz)
 
-    def test_frequency_lookup(self):
-        band = MICSBand()
-        ch = band.channel_for_frequency(402.95e6)
-        assert ch.contains(402.95e6)
-
-    def test_frequency_lookup_out_of_band(self):
-        with pytest.raises(ValueError):
-            MICSBand().channel_for_frequency(406e6)
-
     def test_channel_index_bounds(self):
         with pytest.raises(IndexError):
             MICSBand().channel(10)

@@ -259,15 +259,18 @@ class TestTracedCampaign:
             misses.append(metrics["counters"]["store.sqlite.get_miss"])
         assert misses == [4, 4]
 
-    def test_materialize_finishes_the_trace(self, tmp_path):
+    def test_materialize_finishes_the_trace(self, tmp_path, cache_first_units):
+        # A run that completes a partly cached campaign closes its trace
+        # with the units it computed.
         scenario = _attack_scenario()
+        cache_first_units(scenario, tmp_path, 1)
         tracer = Tracer(tmp_path, scenario.name)
         runner = CampaignRunner(scenario, cache_dir=tmp_path, tracer=tracer)
-        computed = runner.materialize(limit=1)
-        assert computed == 1
+        assert runner.run().computed_units == 1
         assert tracer.finished
         events = _read_events(tracer.path)
         assert events[-1]["computed_units"] == 1
+        assert events[-1]["cached_units"] == 1
 
 
 class TestCounterParity:

@@ -155,13 +155,12 @@ class TestPlanningAndReduction:
         assert point["hr_abs_error"] < 1.0
         assert point["rhythm_accuracy"] == 1.0
 
-    def test_cache_resume_is_bit_identical(self, tmp_path):
+    def test_cache_resume_is_bit_identical(self, tmp_path, cache_first_units):
         scenario = _small_physio(chunk_size=1)
         uninterrupted = CampaignRunner(
             scenario, cache_dir=tmp_path / "a"
         ).run()
-        partial = CampaignRunner(scenario, cache_dir=tmp_path / "b")
-        assert partial.materialize(limit=3) == 3
+        cache_first_units(scenario, tmp_path / "b", 3)
         resumed = CampaignRunner(scenario, cache_dir=tmp_path / "b").run()
         assert resumed.cached_units == 3
         assert json.dumps(resumed.points, sort_keys=True) == json.dumps(

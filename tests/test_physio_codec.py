@@ -124,16 +124,16 @@ class TestPayloadSource:
         source = PhysioPayloadSource(payloads)
         state_before = rng.bit_generator.state
         assert source.payload_size == 4
-        assert source.next_payload(rng) == bytes([0, 1, 2, 3])
-        assert source.next_payload(rng) == bytes([4, 5, 6, 7])
+        assert bytes(source.next_payload_batch(rng, 1)[0]) == bytes([0, 1, 2, 3])
+        assert bytes(source.next_payload_batch(rng, 1)[0]) == bytes([4, 5, 6, 7])
         assert source.remaining == 1
         assert rng.bit_generator.state == state_before
 
     def test_refuses_to_wrap_around(self, rng):
         source = PhysioPayloadSource(np.zeros((1, 4), dtype=np.uint8))
-        source.next_payload(rng)
+        source.next_payload_batch(rng, 1)
         with pytest.raises(ValueError, match="exhausted"):
-            source.next_payload(rng)
+            source.next_payload_batch(rng, 1)
 
     def test_batch_serves_rows_in_order_like_next_payload(self, rng):
         payloads = np.arange(40, dtype=np.uint8).reshape(10, 4)
@@ -141,11 +141,10 @@ class TestPayloadSource:
         single = PhysioPayloadSource(payloads)
         state_before = rng.bit_generator.state
         rows = [*batched.next_payload_batch(rng, 3)]
-        rows.append(batched.next_payload(rng))
         rows += [*batched.next_payload_batch(rng, 1)]
-        rows += [*batched.next_payload_batch(rng, 5)]
+        rows += [*batched.next_payload_batch(rng, 6)]
         assert [bytes(row) for row in rows] == [
-            single.next_payload(rng) for _ in range(10)
+            bytes(single.next_payload_batch(rng, 1)[0]) for _ in range(10)
         ]
         assert batched.remaining == single.remaining == 0
         assert rng.bit_generator.state == state_before
@@ -158,7 +157,7 @@ class TestPayloadSource:
         assert source.remaining == 1
         source.next_payload_batch(rng, 1)
         with pytest.raises(ValueError, match="exhausted after 3 packets"):
-            source.next_payload(rng)
+            source.next_payload_batch(rng, 1)
 
     def test_rejects_empty_stream(self):
         with pytest.raises(ValueError):

@@ -201,7 +201,7 @@ class TestRhythmProperties:
 
 class TestWithDuration:
     def test_with_duration_resizes_records(self):
-        gen = ECGGenerator().with_duration(3.2)
+        gen = ECGGenerator(ECGConfig(duration_s=3.2))
         assert gen.config.duration_s == 3.2
         batch = gen.sample_batch(1, seed=0)
         assert batch.samples.shape[1] == int(3.2 * 120)

@@ -36,7 +36,7 @@ class TestPayloadSeedRegression:
     """Pinned to the pre-PayloadSource implementation's exact bits."""
 
     def test_single_packet_bits_unchanged(self):
-        bits = PassiveLab(seed=7).telemetry_packet_bits()
+        bits = PassiveLab(seed=7).telemetry_packet_bits_batch(1)[0]
         assert bits.shape == (1680,)
         assert (
             hashlib.sha256(bits.tobytes()).hexdigest()[:16]
@@ -143,7 +143,7 @@ class TestBatchFraming:
         lab, reference = self._lab("physio"), self._lab("physio")
         bits = lab.telemetry_packet_bits_batch(260)
         expected = np.stack(
-            [reference.telemetry_packet_bits() for _ in range(260)]
+            [reference.telemetry_packet_bits_batch(1)[0] for _ in range(260)]
         )
         np.testing.assert_array_equal(bits, expected)
         assert lab._sequence == reference._sequence == (250 + 260) % 256

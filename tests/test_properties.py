@@ -186,8 +186,10 @@ class TestJamWindowProperties:
     def test_window_covers_all_legal_replies(self, end_time, delay, duration):
         """For every command end time, any reply inside the calibrated
         [T1, T2] x (0, P] envelope is fully jammed -- the S6 guarantee."""
-        policy = JamWindowPolicy()
-        assert policy.covers_reply(end_time, delay, duration)
+        window = JamWindowPolicy().window_after(end_time)
+        start = end_time + delay
+        assert window.start_time <= start
+        assert start + duration <= window.end_time
 
 
 class TestCryptoProperties:

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.channel.link_budget import LinkBudget
 from repro.channel.models import DualSlopePathLoss
 from repro.crypto.secure_channel import SecureChannel
+from repro.experiments.testbed import AttackTestbed
 from repro.mics.channel_plan import ChannelPlan
 from repro.phy.gmsk import GMSKModulator
 from repro.phy.ofdm import OFDMConfig, OFDMModulator
@@ -59,24 +59,23 @@ class TestLinkBudgetProperties:
     @settings(max_examples=30)
     @given(st.floats(min_value=-40.0, max_value=20.0))
     def test_rssi_linear_in_tx_power(self, tx_dbm):
-        budget = LinkBudget()
-        loc = budget.geometry.location(5)
-        base = budget.attacker_rx_at_shield_dbm(loc, 0.0)
-        assert budget.attacker_rx_at_shield_dbm(loc, tx_dbm) == pytest.approx(
-            base + tx_dbm
-        )
+        # The shield-side RSSI the air model computes for a transmission.
+        links = AttackTestbed(location_index=5, seed=0).links
+        base = links.mean_rx_power_dbm("adversary", "shield", 0.0)
+        assert links.mean_rx_power_dbm(
+            "adversary", "shield", tx_dbm
+        ) == pytest.approx(base + tx_dbm)
 
     @settings(max_examples=20)
     @given(st.integers(min_value=1, max_value=18))
     def test_body_loss_gap_constant(self, index):
         """At every location the IMD path costs exactly the body loss
         more than the shield path."""
-        budget = LinkBudget()
-        loc = budget.geometry.location(index)
-        gap = budget.attacker_rx_at_shield_dbm(
-            loc, -16.0
-        ) - budget.attacker_rx_at_imd_dbm(loc, -16.0)
-        assert gap == pytest.approx(budget.body.loss_db)
+        bed = AttackTestbed(location_index=index, seed=0)
+        gap = bed.links.mean_rx_power_dbm(
+            "adversary", "shield", -16.0
+        ) - bed.links.mean_rx_power_dbm("adversary", "imd", -16.0)
+        assert gap == pytest.approx(bed.budget.body.loss_db)
 
 
 class TestChannelPlanProperties:

@@ -64,16 +64,17 @@ class TestResolveWorkers:
 
 class TestSweepExecutor:
     def test_serial_map_preserves_order(self):
-        assert SweepExecutor(1).map(_square, range(7)) == [x * x for x in range(7)]
+        serial = SweepExecutor(1).imap(_square, range(7))
+        assert list(serial) == [x * x for x in range(7)]
 
     def test_parallel_map_matches_serial(self):
         units = list(range(11))
-        serial = SweepExecutor(1).map(_square, units)
-        parallel = SweepExecutor(2).map(_square, units)
+        serial = list(SweepExecutor(1).imap(_square, units))
+        parallel = list(SweepExecutor(2).imap(_square, units))
         assert parallel == serial
 
     def test_empty_units(self):
-        assert SweepExecutor(2).map(_square, []) == []
+        assert list(SweepExecutor(2).imap(_square, [])) == []
 
     def test_parallel_flag(self):
         assert not SweepExecutor(1).parallel
@@ -93,7 +94,7 @@ class TestSweepExecutor:
             assert first_pool is not None
             a = list(executor.imap(_square, units))
             assert executor._pool is first_pool  # reused, not respawned
-            b = executor.map(_square, units)
+            b = list(executor.imap(_square, units))
         assert executor._pool is None  # torn down on exit
         assert a == b == [x * x for x in units]
 
@@ -101,7 +102,7 @@ class TestSweepExecutor:
         executor = SweepExecutor(1)
         with executor.pool_session():
             assert executor._pool is None
-            assert executor.map(_square, [3]) == [9]
+            assert list(executor.imap(_square, [3])) == [9]
 
 
 class _RecordingPool:
@@ -125,12 +126,12 @@ def test_serial_mode_never_touches_the_pool(monkeypatch):
     monkeypatch.setattr(
         "repro.runtime.executor.ProcessPoolExecutor", _RecordingPool
     )
-    assert SweepExecutor(1).map(_square, range(8)) == [
+    assert list(SweepExecutor(1).imap(_square, range(8))) == [
         x * x for x in range(8)
     ]
     assert _RecordingPool.calls == 0
     # The stand-in is live: the same map at two workers goes through it.
-    SweepExecutor(2).map(_square, range(8))
+    list(SweepExecutor(2).imap(_square, range(8)))
     assert _RecordingPool.calls == 1
 
 

@@ -21,12 +21,12 @@ import numpy as np
 import pytest
 
 from repro.campaigns import registry
+from repro.campaigns.kinds.attack import AttackChunkSpec, run_attack_chunk
 from repro.campaigns.runner import plan_scenario_units
 from repro.channel.geometry import TestbedGeometry
 from repro.channel.link_budget import LinkBudget
 from repro.core.config import ShieldConfig
 from repro.experiments import testbed as testbed_module
-from repro.experiments.sweeps import AttackChunkSpec, run_attack_chunk
 from repro.experiments.testbed import (
     AttackTestbed,
     ExperimentLinkModel,
@@ -37,6 +37,11 @@ from repro.fleet.runner import FleetChunkSpec, run_fleet_chunk
 from repro.protocol.packets import PacketCodec
 
 _TESTS = Path(__file__).resolve().parent
+
+
+def _loss(links: ExperimentLinkModel, source: str, destination: str) -> float:
+    """A link's mean total loss, as the air model applies it."""
+    return -links.mean_rx_power_dbm(source, destination, 0.0)
 
 
 def probe_results() -> list:
@@ -123,12 +128,12 @@ class TestTemplatePurity:
 
     def test_moved_device_gets_the_moved_loss(self):
         bed = AttackTestbed(location_index=2, seed=0)
-        near = bed.links.link_loss_db("adversary", "imd")
+        near = _loss(bed.links, "adversary", "imd")
         far_location = bed.budget.geometry.location(18)
         bed.links.place(Placement("adversary", location=far_location))
-        assert bed.links.link_loss_db("adversary", "imd") > near
-        assert AttackTestbed(location_index=2).links.link_loss_db(
-            "adversary", "imd"
+        assert _loss(bed.links, "adversary", "imd") > near
+        assert _loss(
+            AttackTestbed(location_index=2).links, "adversary", "imd"
         ) == near
 
 
@@ -155,7 +160,7 @@ class TestTemplateSharing:
         for src in names:
             for dst in names:
                 if src != dst:
-                    b.links.link_loss_db(src, dst)
+                    _loss(b.links, src, dst)
                     b.links.fading_db(src, dst, np.random.default_rng(0))
         geometry = a.budget.geometry
         a.links.place(Placement("adversary", location=geometry.location(17)))
@@ -183,9 +188,9 @@ class TestTemplateSharing:
         links = ExperimentLinkModel(LinkBudget(geometry=geometry))
         links.place(Placement("imd", in_phantom=True))
         links.place(Placement("shield", on_body=True))
-        shield_hop = links.link_loss_db("shield", "imd")
-        assert custom.links.link_loss_db("shield", "imd") == shield_hop
-        assert default.links.link_loss_db("shield", "imd") != shield_hop
+        shield_hop = _loss(links, "shield", "imd")
+        assert _loss(custom.links, "shield", "imd") == shield_hop
+        assert _loss(default.links, "shield", "imd") != shield_hop
 
     def test_a_shard_derives_one_identifying_sequence(self, monkeypatch):
         calls = []
