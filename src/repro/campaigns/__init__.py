@@ -7,9 +7,12 @@ budget.  This package makes that space declarative and operable:
 
 * :mod:`repro.campaigns.spec` -- the validated, content-addressed
   :class:`Scenario` record;
-* :mod:`repro.campaigns.registry` -- the named registry, pre-populated
-  with the paper's figures and extension grids (battery DoS,
-  crypto-only baseline, MIMO eavesdropper);
+* :mod:`repro.campaigns.kinds` -- one module per scenario kind, each
+  declaring its metrics, its built-in scenarios (the paper's figures and
+  extension grids: battery DoS, crypto-only baseline, MIMO
+  eavesdropper, physio leakage, fleet cohorts) and their golden claims;
+* :mod:`repro.campaigns.registry` -- the named lookup those built-ins
+  fill;
 * :mod:`repro.campaigns.cache` -- the per-unit result cache keyed by
   (scenario hash, unit coordinates): re-runs are incremental and
   interrupted campaigns resume instead of restarting;
@@ -29,8 +32,8 @@ budget.  This package makes that space declarative and operable:
   (``list`` / ``run`` / ``worker`` / ``status`` / ``compare`` /
   ``validate`` / ``cache`` / ``report``).
 
-The registry also carries the *golden-figure expectation table*
-(:func:`registry.expectations_for`): declarative
+The registry also carries each scenario's *golden-figure expectation
+table* (:func:`registry.expectations_for`): declarative
 :class:`~repro.stats.expectations.Expectation` records stating what the
 paper's figures demand of every scenario's numbers.  ``python -m repro
 validate`` judges runs against it -- fixed-budget or adaptive-precision

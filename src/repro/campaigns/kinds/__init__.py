@@ -1,9 +1,12 @@
 """Scenario kinds: one module per experiment family, one table.
 
 :data:`KINDS` maps each ``Scenario.kind`` to the
-:class:`~repro.campaigns.kinds.base.ScenarioKind` that owns its rules.
-Nothing outside this package branches on a kind's name: a new kind is
-one module plus one line below (docs/campaigns.md, "Adding a scenario
+:class:`~repro.campaigns.kinds.base.ScenarioKind` that owns its rules:
+its metrics (estimator family and stopping precision), its built-in
+scenarios and their golden-figure expectations, planning, evaluation
+and reduction.  Nothing outside this package branches on a kind's name,
+and :mod:`repro.stats` names none of its metrics: a new kind is one
+module plus one line below (docs/campaigns.md, "Adding a scenario
 kind").
 """
 

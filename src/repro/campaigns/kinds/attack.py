@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.campaigns.kinds.base import ScenarioKind, check_locations
+from repro.campaigns.kinds.base import ScenarioKind, check_locations, proportion
 from repro.experiments.metrics import success_probability
 from repro.experiments.testbed import AttackTestbed
+from repro.stats.expectations import Expectation
 
 #: Outcome fields a sweep may count as a "win"; ``"auto"`` selects the
 #: paper's metric for the command (therapy changes for ``"therapy"``,
@@ -96,7 +97,231 @@ class AttackKind(ScenarioKind):
         "attacker", "command", "shield_present", "metric", "antenna_gain_dbi",
     )
     spec_type = AttackChunkSpec
-    metrics = ("success_probability", "alarm_probability")
+    # +/-0.10 is tighter than a fixed 25-trial sweep resolves mid-range.
+    metrics = (
+        proportion("success_probability", precision=0.10),
+        proportion("alarm_probability", precision=0.10),
+    )
+    builtins = (
+        # --- the paper's figures --------------------------------------
+        (
+            dict(
+                name="attack-success-unshielded",
+                title="Fig. 12: therapy tampering against the bare IMD",
+                description=(
+                    "An FCC-power adversary sends unauthorized therapy "
+                    "commands at each location; without the shield it "
+                    "succeeds out to ~14 m."
+                ),
+                tags=("paper", "fig12", "active"),
+                attacker="fcc",
+                command="therapy",
+                shield_present=False,
+                location_indices=tuple(range(1, 15)),
+                n_trials=25,
+            ),
+            (
+                Expectation(
+                    metric="success_probability", kind="lower_bound",
+                    value=0.9, axes=(1, 2, 3, 4, 5, 6),
+                    note="Fig. 12: the bare IMD is reliably compromised "
+                         "out to several metres",
+                ),
+                Expectation(
+                    metric="success_probability", kind="upper_bound",
+                    value=0.05, axes=(10, 11, 12, 13, 14),
+                    note="Fig. 12: path loss alone ends the attack at the "
+                         "far NLOS locations",
+                ),
+            ),
+        ),
+        (
+            dict(
+                name="attack-success-shielded",
+                title="Fig. 12: therapy tampering against the shielded IMD",
+                description=(
+                    "The same FCC-power therapy attack with the shield "
+                    "worn: the reactive jammer should hold the success "
+                    "probability at zero everywhere."
+                ),
+                tags=("paper", "fig12", "active"),
+                attacker="fcc",
+                command="therapy",
+                shield_present=True,
+                location_indices=tuple(range(1, 15)),
+                n_trials=25,
+            ),
+            (
+                Expectation(
+                    metric="success_probability", kind="upper_bound",
+                    value=0.05,
+                    note="Fig. 12: >99% attack-packet rejection -- the "
+                         "reactive jammer holds success at zero everywhere",
+                ),
+            ),
+        ),
+        (
+            dict(
+                name="highpower-unshielded",
+                title="Fig. 13: 100x-power directional adversary, bare IMD",
+                description=(
+                    "The high-power attacker with a directional antenna "
+                    "sweeps all 18 locations against the unshielded IMD."
+                ),
+                tags=("paper", "fig13", "active", "highpower"),
+                attacker="highpower",
+                command="therapy",
+                shield_present=False,
+                location_indices=tuple(range(1, 19)),
+                n_trials=25,
+            ),
+            (
+                Expectation(
+                    metric="success_probability", kind="lower_bound",
+                    value=0.9, axes=(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11),
+                    note="Fig. 13: 100x power plus a directional antenna "
+                         "compromises the bare IMD across the room",
+                ),
+                Expectation(
+                    metric="success_probability", kind="upper_bound",
+                    value=0.05, axes=(15, 16, 17, 18),
+                    note="Fig. 13: even 100x power dies at the farthest "
+                         "NLOS spots",
+                ),
+            ),
+        ),
+        (
+            dict(
+                name="highpower-shielded",
+                title="Fig. 13: 100x-power directional adversary vs. the "
+                      "shield",
+                description=(
+                    "The intrinsic limitation: raw power beats jamming "
+                    "only from nearby line-of-sight spots, and every "
+                    "dangerous transmission raises the patient alarm."
+                ),
+                tags=("paper", "fig13", "active", "highpower"),
+                attacker="highpower",
+                command="therapy",
+                shield_present=True,
+                location_indices=tuple(range(1, 19)),
+                n_trials=25,
+            ),
+            (
+                Expectation(
+                    metric="success_probability", kind="lower_bound",
+                    value=0.9, axes=(1, 2),
+                    note="Fig. 13: raw power beats jamming only from "
+                         "nearby line-of-sight spots (the intrinsic "
+                         "limitation)",
+                ),
+                Expectation(
+                    metric="success_probability", kind="upper_bound",
+                    value=0.05, axes=tuple(range(7, 19)),
+                    note="Fig. 13: beyond a few metres the shield holds "
+                         "even against 100x power",
+                ),
+                Expectation(
+                    metric="alarm_probability", kind="lower_bound",
+                    value=0.9, axes=(1, 2, 3, 4, 5, 6),
+                    note="S6: every dangerous transmission near the "
+                         "patient raises the audible alarm",
+                ),
+            ),
+        ),
+        # --- beyond the paper's figures -------------------------------
+        (
+            dict(
+                name="battery-drain-unshielded",
+                title="Battery-DoS: sustained interrogation of the bare IMD",
+                description=(
+                    "The battery-depletion attacker model of Siddiqi et "
+                    "al. (arXiv:1904.06893): repeated interrogations "
+                    "force the IMD to receive and reply, draining a "
+                    "~20 kJ battery from across the room."
+                ),
+                tags=("extension", "battery-dos"),
+                attacker="fcc",
+                command="interrogate",
+                metric="imd_responded",
+                shield_present=False,
+                location_indices=tuple(range(1, 15)),
+                n_trials=25,
+            ),
+            (
+                Expectation(
+                    metric="success_probability", kind="lower_bound",
+                    value=0.9, axes=(1, 2, 3, 4, 5, 6),
+                    note="Battery-DoS (arXiv:1904.06893): the bare IMD "
+                         "answers every interrogation at close range",
+                ),
+                Expectation(
+                    metric="success_probability", kind="upper_bound",
+                    value=0.05, axes=(10, 11, 12, 13, 14),
+                    note="Battery-DoS: the drain needs link margin; far "
+                         "NLOS locations are safe",
+                ),
+            ),
+        ),
+        (
+            dict(
+                name="battery-drain-shielded",
+                title="Battery-DoS: sustained interrogation vs. the shield",
+                description=(
+                    "The same sustained interrogation with the shield "
+                    "worn; the reactive jammer keeps the IMD from ever "
+                    "decoding the command, so the drain never starts."
+                ),
+                tags=("extension", "battery-dos"),
+                attacker="fcc",
+                command="interrogate",
+                metric="imd_responded",
+                shield_present=True,
+                location_indices=tuple(range(1, 15)),
+                n_trials=25,
+            ),
+            (
+                Expectation(
+                    metric="success_probability", kind="upper_bound",
+                    value=0.05,
+                    note="Battery-DoS: the shield stops the drain before "
+                         "it starts -- the IMD never decodes the "
+                         "interrogation",
+                ),
+            ),
+        ),
+        (
+            dict(
+                name="crypto-only-baseline",
+                title="Crypto-only baseline: authenticated IMD, no shield",
+                description=(
+                    "No shield; commands are gated by authentication, so "
+                    "therapy tampering is cryptographically blocked -- "
+                    "but every delivered packet still reaches the IMD's "
+                    "receiver and costs verify energy.  The metric counts "
+                    "packets the bare IMD decodes (imd_accepted): the "
+                    "residual battery-DoS surface crypto alone cannot "
+                    "close (IMDfence, Siddiqi et al.)."
+                ),
+                tags=("extension", "crypto", "battery-dos"),
+                attacker="fcc",
+                command="interrogate",
+                metric="imd_accepted",
+                shield_present=False,
+                location_indices=tuple(range(1, 15)),
+                n_trials=25,
+            ),
+            (
+                Expectation(
+                    metric="success_probability", kind="lower_bound",
+                    value=0.9, axes=(1, 2, 3, 4, 5, 6),
+                    note="IMDfence: authentication cannot stop packet "
+                         "delivery; the receive/verify energy drain "
+                         "remains",
+                ),
+            ),
+        ),
+    )
     int_seed = True
     report_headers = ("location", "success", "alarm", "95% CI")
 

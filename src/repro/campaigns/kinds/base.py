@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.campaigns.cache import unit_hash
 from repro.runtime import chunk_sizes
 from repro.runtime.seeding import round_seed_sequence, unit_seed_sequence
-from repro.stats.adaptive import metric_estimator
+from repro.stats.estimator import MeanEstimator, SequentialEstimator
 
 #: ``validate --budget`` presets for grid kinds: fixed trials per grid
 #: point (None = the scenario's registered budget) and whether to
@@ -28,6 +29,37 @@ class CampaignUnit:
     key: str
     coords: dict
     spec: object
+
+
+@dataclass(frozen=True)
+class Metric:
+    """One quantity a kind's units measure, declared once by that kind.
+
+    ``estimator`` builds a fresh, empty estimator of the metric's
+    family (``None`` when the kind builds its estimators itself, as the
+    fleet kind does from its accumulator); ``precision`` is the CI
+    half-width adaptive stopping targets unless
+    :attr:`~repro.stats.adaptive.AdaptivePolicy.precision` overrides
+    it (``None`` for a fixed-budget-only kind).
+    """
+
+    name: str
+    estimator: Callable[[], object] | None = None
+    precision: float | None = None
+
+
+def proportion(name: str, *, precision: float) -> Metric:
+    """A success fraction, estimated by the binomial
+    :class:`~repro.stats.estimator.SequentialEstimator`."""
+    return Metric(name, SequentialEstimator, precision)
+
+
+def mean(
+    name: str, *, bounds: tuple[float, float] | None, precision: float
+) -> Metric:
+    """A per-trial mean whose interval clips to its physical ``bounds``
+    (``None``: unbounded), estimated from streaming moments."""
+    return Metric(name, functools.partial(MeanEstimator, bounds=bounds), precision)
 
 
 @functools.cache
@@ -81,7 +113,8 @@ class ScenarioKind:
     The defaults describe the common kind: a grid over Fig. 6 testbed
     locations, split into trial chunks, whose unit results are sums
     that reduce by plain addition.  Such a kind sets ``schema``,
-    ``spec_type``, ``metrics`` and ``report_headers`` and defines:
+    ``spec_type``, ``metrics``, ``builtins`` and ``report_headers`` and
+    defines:
 
     * ``make_spec(scenario, cell, chunk_index, size, seed)`` -- the
       picklable unit spec of one chunk of ``size`` trials;
@@ -102,16 +135,22 @@ class ScenarioKind:
     changes -- never orphans -- another kind's cached results.
     ``payload_fields`` are the scenario fields the hash covers; every
     other field is display or belongs to another kind.  ``metrics``
-    lists what the units measure, headline first.  ``axis_field`` is
-    the scenario field the grid sweeps and ``coord`` the unit
-    coordinate naming a cell; with ``int_seed`` an unsharded cell keeps
-    the legacy ``seed + cell`` integer seed.
+    declares what the units measure, one :class:`Metric` each, headline
+    first.  ``builtins`` are the kind's named scenarios, each a mapping
+    of :class:`~repro.campaigns.spec.Scenario` fields (``kind`` aside)
+    paired with the golden-figure
+    :class:`~repro.stats.expectations.Expectation` tuple ``repro
+    validate`` judges it by; the registry builds and registers them.
+    ``axis_field`` is the scenario field the grid sweeps and ``coord``
+    the unit coordinate naming a cell; with ``int_seed`` an unsharded
+    cell keeps the legacy ``seed + cell`` integer seed.
     """
 
     schema: int
     payload_fields = ("seed", "n_trials", "chunk_size", "location_indices")
     spec_type: type
-    metrics: tuple[str, ...]
+    metrics: tuple[Metric, ...]
+    builtins: tuple[tuple[dict, tuple], ...] = ()
     adaptive = True
     axis_field = "location_indices"
     coord = "location"
@@ -198,11 +237,15 @@ class ScenarioKind:
 
     def headline(self, scenario) -> str:
         """The per-point quantity reports, compares and stopping lead with."""
-        return self.metrics[0]
+        return self.metrics[0].name
+
+    def metric_names(self) -> tuple[str, ...]:
+        """Every metric the units measure, headline first."""
+        return tuple(metric.name for metric in self.metrics)
 
     def estimators(self) -> dict:
         """Fresh estimators, one per metric, for ``absorb`` to fill."""
-        return {metric: metric_estimator(metric) for metric in self.metrics}
+        return {metric.name: metric.estimator() for metric in self.metrics}
 
     def fixed_trials(self, scenario) -> int:
         """Trials the scenario's fixed budget spends."""

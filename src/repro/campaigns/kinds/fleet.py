@@ -11,7 +11,7 @@ from __future__ import annotations
 from repro.campaigns.cache import unit_hash
 from repro.campaigns.kinds.attack import check_attacker
 from repro.campaigns.kinds.base import (
-    CampaignUnit, ScenarioKind, check_locations,
+    CampaignUnit, Metric, ScenarioKind, check_locations,
 )
 from repro.fleet.cohort import (
     FLEET_TASKS, cohort_from_scenario, validate_cohort_fields,
@@ -19,6 +19,7 @@ from repro.fleet.cohort import (
 from repro.fleet.metrics import FleetAccumulator
 from repro.fleet.runner import FleetChunkSpec, run_fleet_chunk
 from repro.runtime import chunk_sizes
+from repro.stats.expectations import Expectation
 
 #: Patients per fleet work unit when the scenario does not set
 #: ``chunk_size``.  Small enough that a shard's wall time stays in
@@ -37,9 +38,145 @@ class FleetKind(ScenarioKind):
     )
     spec_type = FleetChunkSpec
     # The union over fleet tasks; a scenario populates only its task's.
-    metrics = (
-        "attack_prevalence", "alarm_rate_per_day", "hr_leak_median_bpm",
-        "hr_leak_p10_bpm", "hr_leak_p90_bpm", "mean_ber",
+    # ``absorb`` builds every estimator from the merged accumulator, and
+    # a fixed-budget-only kind has no stopping precision.
+    metrics = tuple(
+        Metric(name)
+        for name in (
+            "attack_prevalence", "alarm_rate_per_day", "hr_leak_median_bpm",
+            "hr_leak_p10_bpm", "hr_leak_p90_bpm", "mean_ber",
+        )
+    )
+    builtins = (
+        (
+            dict(
+                name="fleet-attack-prevalence",
+                title=(
+                    "Fleet: population prevalence of successful therapy "
+                    "tampering"
+                ),
+                description=(
+                    "A patient cohort with 90% shield adherence, "
+                    "per-device calibration spread, and attacker "
+                    "encounters drawn across the Fig. 6 geometry: what "
+                    "fraction of the population has any successful "
+                    "therapy-tampering attack?  The residual risk is the "
+                    "non-adherent tail -- the ecosystem framing of "
+                    "IMDfence and Newaz et al.'s healthcare-security "
+                    "survey."
+                ),
+                tags=("extension", "fleet", "population", "active"),
+                fleet_task="attack",
+                attacker="fcc",
+                command="therapy",
+                n_patients=400,
+                n_trials=2,
+                shield_worn_fraction=0.9,
+                location_indices=tuple(range(1, 15)),
+            ),
+            (
+                Expectation(
+                    metric="attack_prevalence", kind="upper_bound",
+                    value=0.12,
+                    note="Fleet: 90% shield adherence holds population "
+                         "therapy-tampering prevalence near the "
+                         "non-adherent tail",
+                ),
+                Expectation(
+                    metric="attack_prevalence", kind="lower_bound",
+                    value=0.02,
+                    note="Fleet: the residual risk is real -- unshielded "
+                         "patients at attackable range are reliably "
+                         "compromised",
+                ),
+            ),
+        ),
+        (
+            dict(
+                name="fleet-privacy-leakage",
+                title="Fleet: population distribution of heart-rate leakage",
+                description=(
+                    "Cardiac telemetry across a cohort with 80% shield "
+                    "adherence and mixed rhythm prevalence: the median "
+                    "patient's HR leaks nothing (error at the chance "
+                    "floor), while the 10th percentile -- the unshielded "
+                    "tail at clinical range -- still leaks to clinical "
+                    "precision.  Population quantiles come from a "
+                    "mergeable fixed-bin sketch, never a per-patient "
+                    "list."
+                ),
+                tags=("extension", "fleet", "population", "privacy", "passive"),
+                fleet_task="physio",
+                n_patients=250,
+                n_trials=1,
+                packets_per_record=8,
+                shield_worn_fraction=0.8,
+                location_indices=tuple(range(1, 19)),
+            ),
+            (
+                Expectation(
+                    metric="hr_leak_median_bpm", kind="lower_bound",
+                    value=20.0,
+                    note="Fleet: the median patient's HR error sits at "
+                         "the jamming chance floor -- tens of BPM, "
+                         "clinically useless",
+                ),
+                Expectation(
+                    metric="hr_leak_p10_bpm", kind="upper_bound", value=3.0,
+                    note="Fleet: the 10th percentile (the unshielded tail "
+                         "at clinical range) still leaks HR to a few BPM",
+                ),
+                Expectation(
+                    metric="mean_ber", kind="lower_bound", value=0.35,
+                    note="Fleet: population mean eavesdropper BER stays "
+                         "near coin flips because most links are jammed",
+                ),
+            ),
+        ),
+        (
+            dict(
+                name="fleet-alarm-burden",
+                title="Fleet: alarm burden per patient-day at full adherence",
+                description=(
+                    "Every patient wears the shield; unauthorized "
+                    "interrogation attempts arrive across the geometry.  "
+                    "The shield blocks every one (prevalence ~0) while "
+                    "the audible alarm fires only on near-range attempts "
+                    "-- the usability cost of the defense, measured as "
+                    "alarms per patient-day across the population."
+                ),
+                tags=("extension", "fleet", "population", "active"),
+                fleet_task="attack",
+                attacker="fcc",
+                command="interrogate",
+                n_patients=300,
+                n_trials=4,
+                shield_worn_fraction=1.0,
+                observation_days=1.0,
+                location_indices=tuple(range(1, 15)),
+            ),
+            (
+                Expectation(
+                    metric="attack_prevalence", kind="upper_bound",
+                    value=0.02,
+                    note="Fleet: at full adherence the shield blocks "
+                         "every interrogation across the population",
+                ),
+                Expectation(
+                    metric="alarm_rate_per_day", kind="upper_bound",
+                    value=0.6,
+                    note="Fleet: the audible-alarm burden stays well under "
+                         "one alarm per patient-day -- only near-range "
+                         "attempts fire",
+                ),
+                Expectation(
+                    metric="alarm_rate_per_day", kind="lower_bound",
+                    value=0.1,
+                    note="Fleet: alarms do fire on close-range attempts -- "
+                         "the patient is actually notified (S7(d))",
+                ),
+            ),
+        ),
     )
     adaptive = False
     report_headers = ("population", "metric", "value", "note")

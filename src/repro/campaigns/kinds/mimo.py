@@ -9,7 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.campaigns.kinds.base import ScenarioKind
+from repro.campaigns.kinds.base import ScenarioKind, mean
+from repro.stats.expectations import Expectation
 
 
 @dataclass(frozen=True)
@@ -32,7 +33,43 @@ class MimoKind(ScenarioKind):
         "n_antennas", "sir_db", "snr_db", "packet_bits",
     )
     spec_type = MimoChunkSpec
-    metrics = ("ber",)
+    metrics = (mean("ber", bounds=(0.0, 1.0), precision=0.02),)
+    builtins = (
+        (
+            dict(
+                name="mimo-eavesdropper",
+                title="S3.2: multi-antenna eavesdropper vs. source separation",
+                description=(
+                    "A 2-antenna eavesdropper at stand-off SNR (~6 dB, the "
+                    "testbed's far locations) runs blind jam-subspace "
+                    "projection against correlated shield/IMD channels: "
+                    "worn centimetres from the implant the shield leaves "
+                    "near coin flips; at half a wavelength projection "
+                    "recovers the telemetry."
+                ),
+                tags=("extension", "mimo", "passive"),
+                separations_m=(0.02, 0.06, 0.12, 0.25, 0.37),
+                n_antennas=2,
+                snr_db=6.0,
+                n_trials=10,
+            ),
+            (
+                Expectation(
+                    metric="ber", kind="lower_bound", value=0.3,
+                    axes=(0.02,),
+                    note="S3.2: worn centimetres from the implant, "
+                         "jam-subspace projection still leaves near coin "
+                         "flips",
+                ),
+                Expectation(
+                    metric="ber", kind="upper_bound", value=0.15,
+                    axes=(0.25, 0.37),
+                    note="S3.2: at half a wavelength of separation, "
+                         "projection recovers the telemetry",
+                ),
+            ),
+        ),
+    )
     axis_field = "separations_m"
     coord = "separation_index"
     report_headers = ("separation", "BER", "jam rejection", "attempts")

@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.campaigns.kinds.base import ScenarioKind
+from repro.campaigns.kinds.base import ScenarioKind, mean
+from repro.stats.expectations import Expectation
 
 
 @dataclass(frozen=True)
@@ -23,7 +24,36 @@ class PassiveBerKind(ScenarioKind):
     schema = 3
     payload_fields = ScenarioKind.payload_fields + ("jam_margin_db",)
     spec_type = PassiveChunkSpec
-    metrics = ("ber",)
+    metrics = (mean("ber", bounds=(0.0, 1.0), precision=0.02),)
+    builtins = (
+        (
+            dict(
+                name="passive-ber-by-location",
+                title=(
+                    "Fig. 9: eavesdropper BER under shaped jamming, by "
+                    "location"
+                ),
+                description=(
+                    "The IMD transmits telemetry while the shield jams "
+                    "+20 dB over the received IMD power; a passive "
+                    "eavesdropper at every numbered testbed location "
+                    "decodes ~coin flips."
+                ),
+                tags=("paper", "fig9", "passive"),
+                location_indices=tuple(range(1, 19)),
+                jam_margin_db=20.0,
+                n_trials=25,
+            ),
+            (
+                Expectation(
+                    metric="ber", kind="ci_overlap", value=0.5,
+                    tolerance=0.05,
+                    note="Fig. 9: under shaped jamming the eavesdropper "
+                         "decodes ~coin flips at every location",
+                ),
+            ),
+        ),
+    )
     # Mirror the attack plan's seeding convention: a whole-location
     # block keeps the seed+location scheme, sharded blocks get
     # per-chunk streams.

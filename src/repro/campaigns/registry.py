@@ -1,36 +1,27 @@
 """The scenario registry: every named run the repo knows how to reproduce.
 
-Pre-populated with the paper's headline grids (passive BER by location,
-shielded/unshielded attack success, the 100x-power sweep) plus grid
-entries the paper's figures do not cover but its threat model raises:
+Each scenario kind declares its built-in scenarios beside its other
+rules (:attr:`~repro.campaigns.kinds.base.ScenarioKind.builtins`): the
+paper's headline grids (passive BER by location, shielded/unshielded
+attack success, the 100x-power sweep) and the grid entries its threat
+model raises (battery drain, a crypto-only baseline, the MIMO
+eavesdropper, population-scale fleet cohorts).  This module is the
+lookup they are filled into, by iterating
+:data:`~repro.campaigns.kinds.KINDS`; the campaign runner, cache, CLI
+and examples all resolve scenarios from here, so a registered name is
+immediately runnable, resumable and comparable.
 
-* a sustained battery-drain attacker (the battery-DoS model of Siddiqi
-  et al., arXiv:1904.06893) with and without the shield;
-* a crypto-only baseline -- no shield, commands gated by authentication,
-  so command *execution* is blocked but every delivered packet still
-  costs the IMD receive/verify energy (the reason the paper argues for
-  an external defense);
-* the S3.2 MIMO eavesdropper versus shield-to-IMD separation;
-* population-scale fleet cohorts (``repro.fleet``, docs/fleet.md):
-  attack prevalence, privacy-leakage quantiles, and alarm burden
-  across patient populations with adherence and calibration spread.
-
-Registering a new scenario is one :func:`register` call with a
-:class:`~repro.campaigns.spec.Scenario`; the campaign runner, cache,
-CLI, and examples all resolve scenarios from here, so a registered name
-is immediately runnable, resumable, and comparable.
-
-The registry also holds the *golden-figure expectation table*
-(:func:`register_expectations` / :func:`expectations_for`): declarative
-:class:`~repro.stats.expectations.Expectation` records stating what the
-paper's figures demand of each scenario's numbers.  ``python -m repro
-validate`` judges runs against it; see docs/validation.md.
+A scenario is registered together with its *golden-figure expectation
+table*: declarative :class:`~repro.stats.expectations.Expectation`
+records stating what the paper's figures demand of its numbers.
+``python -m repro validate`` judges runs against it; see
+docs/validation.md.
 """
 
 from __future__ import annotations
 
+from repro.campaigns.kinds import KINDS
 from repro.campaigns.spec import Scenario
-from repro.stats.adaptive import scenario_metrics
 from repro.stats.expectations import Expectation
 
 __all__ = [
@@ -38,35 +29,61 @@ __all__ = [
     "get",
     "names",
     "all_scenarios",
-    "register_expectations",
     "expectations_for",
     "names_with_expectations",
 ]
 
-_REGISTRY: dict[str, Scenario] = {}
-_EXPECTATIONS: dict[str, tuple[Expectation, ...]] = {}
+#: Name -> (scenario, its expectation table): one entry, so a scenario
+#: and the claims judged against its grid can never get out of step.
+_REGISTRY: dict[str, tuple[Scenario, tuple[Expectation, ...]]] = {}
 
 
-def register(scenario: Scenario, *, allow_replace: bool = False) -> Scenario:
-    """Add a scenario to the registry (names are unique).
+def register(
+    scenario: Scenario, *expectations: Expectation, allow_replace: bool = False
+) -> Scenario:
+    """Add a scenario and its golden-figure expectations (names are unique).
 
-    Replacing a scenario drops its expectation table: expectations are
-    validated against the grid they were registered for, and silently
-    carrying them onto a different grid would skip (never judge) any
-    claim whose axes no longer exist.  Re-register expectations after
-    replacing.
+    Expectations are validated against the scenario here -- the metric
+    must be one the scenario's kind measures, and any named axes must
+    exist on its grid -- so a typo fails at the registration boundary,
+    not deep inside a validate run.  Replacing a scenario replaces its
+    table with the one given.
     """
     if scenario.name in _REGISTRY and not allow_replace:
         raise ValueError(f"scenario {scenario.name!r} is already registered")
-    _EXPECTATIONS.pop(scenario.name, None)
-    _REGISTRY[scenario.name] = scenario
+    # The same declarations the adaptive scheduler enforces at run time,
+    # so registration-time checks can never drift from execution.
+    known_metrics = KINDS[scenario.kind].metric_names()
+    grid = set(scenario.axis_values())
+    for expectation in expectations:
+        if expectation.metric not in known_metrics:
+            raise ValueError(
+                f"metric {expectation.metric!r} is not measured by the "
+                f"{scenario.kind!r} scenario {scenario.name!r}; "
+                f"expected one of {known_metrics}"
+            )
+        if expectation.axes is not None:
+            missing = [a for a in expectation.axes if a not in grid]
+            if missing:
+                raise ValueError(
+                    f"expectation on {scenario.name!r} names grid point(s) "
+                    f"{missing} the scenario does not sweep"
+                )
+    _REGISTRY[scenario.name] = (scenario, tuple(expectations))
     return scenario
+
+
+def _register_builtins() -> None:
+    """Register every kind's built-in scenarios with their tables."""
+    for kind_name, kind in KINDS.items():
+        for fields, expectations in kind.builtins:
+            register(Scenario(kind=kind_name, **fields), *expectations)
 
 
 def get(name: str) -> Scenario:
     """Look a scenario up by name."""
     try:
-        return _REGISTRY[name]
+        return _REGISTRY[name][0]
     except KeyError:
         known = ", ".join(sorted(_REGISTRY)) or "(none)"
         raise KeyError(
@@ -79,583 +96,18 @@ def names() -> list[str]:
 
 
 def all_scenarios() -> list[Scenario]:
-    return [_REGISTRY[name] for name in names()]
-
-
-def register_expectations(
-    name: str, *expectations: Expectation, allow_replace: bool = False
-) -> tuple[Expectation, ...]:
-    """Attach golden-figure expectations to a registered scenario.
-
-    Expectations are validated against the scenario at registration
-    time -- the metric must be one the scenario's kind measures, and any
-    named axes must exist on its grid -- so a typo fails here, at the
-    registration boundary, not deep inside a validate run.
-    """
-    scenario = get(name)
-    if not expectations:
-        raise ValueError(f"no expectations given for scenario {name!r}")
-    if name in _EXPECTATIONS and not allow_replace:
-        raise ValueError(
-            f"scenario {name!r} already has registered expectations"
-        )
-    # The same mapping the adaptive scheduler enforces at run time, so
-    # registration-time checks can never drift from execution reality.
-    known_metrics = scenario_metrics(scenario.kind)
-    grid = set(scenario.axis_values())
-    for expectation in expectations:
-        if expectation.metric not in known_metrics:
-            raise ValueError(
-                f"metric {expectation.metric!r} is not measured by the "
-                f"{scenario.kind!r} scenario {name!r}; "
-                f"expected one of {known_metrics}"
-            )
-        if expectation.axes is not None:
-            missing = [a for a in expectation.axes if a not in grid]
-            if missing:
-                raise ValueError(
-                    f"expectation on {name!r} names grid point(s) "
-                    f"{missing} the scenario does not sweep"
-                )
-    _EXPECTATIONS[name] = tuple(expectations)
-    return _EXPECTATIONS[name]
+    return [get(name) for name in names()]
 
 
 def expectations_for(name: str) -> tuple[Expectation, ...]:
     """The golden-figure expectations of a scenario (may be empty)."""
     get(name)  # surface unknown names with the standard error
-    return _EXPECTATIONS.get(name, ())
+    return _REGISTRY[name][1]
 
 
 def names_with_expectations() -> list[str]:
     """Registered scenarios that have a golden-figure table."""
-    return sorted(_EXPECTATIONS)
-
-
-def _register_builtins() -> None:
-    # --- the paper's figures ------------------------------------------
-    register(Scenario(
-        name="passive-ber-by-location",
-        kind="passive_ber",
-        title="Fig. 9: eavesdropper BER under shaped jamming, by location",
-        description=(
-            "The IMD transmits telemetry while the shield jams +20 dB over "
-            "the received IMD power; a passive eavesdropper at every "
-            "numbered testbed location decodes ~coin flips."
-        ),
-        tags=("paper", "fig9", "passive"),
-        location_indices=tuple(range(1, 19)),
-        jam_margin_db=20.0,
-        n_trials=25,
-    ))
-    register(Scenario(
-        name="attack-success-unshielded",
-        kind="attack",
-        title="Fig. 12: therapy tampering against the bare IMD",
-        description=(
-            "An FCC-power adversary sends unauthorized therapy commands at "
-            "each location; without the shield it succeeds out to ~14 m."
-        ),
-        tags=("paper", "fig12", "active"),
-        attacker="fcc",
-        command="therapy",
-        shield_present=False,
-        location_indices=tuple(range(1, 15)),
-        n_trials=25,
-    ))
-    register(Scenario(
-        name="attack-success-shielded",
-        kind="attack",
-        title="Fig. 12: therapy tampering against the shielded IMD",
-        description=(
-            "The same FCC-power therapy attack with the shield worn: the "
-            "reactive jammer should hold the success probability at zero "
-            "everywhere."
-        ),
-        tags=("paper", "fig12", "active"),
-        attacker="fcc",
-        command="therapy",
-        shield_present=True,
-        location_indices=tuple(range(1, 15)),
-        n_trials=25,
-    ))
-    register(Scenario(
-        name="highpower-unshielded",
-        kind="attack",
-        title="Fig. 13: 100x-power directional adversary, bare IMD",
-        description=(
-            "The high-power attacker with a directional antenna sweeps all "
-            "18 locations against the unshielded IMD."
-        ),
-        tags=("paper", "fig13", "active", "highpower"),
-        attacker="highpower",
-        command="therapy",
-        shield_present=False,
-        location_indices=tuple(range(1, 19)),
-        n_trials=25,
-    ))
-    register(Scenario(
-        name="highpower-shielded",
-        kind="attack",
-        title="Fig. 13: 100x-power directional adversary vs. the shield",
-        description=(
-            "The intrinsic limitation: raw power beats jamming only from "
-            "nearby line-of-sight spots, and every dangerous transmission "
-            "raises the patient alarm."
-        ),
-        tags=("paper", "fig13", "active", "highpower"),
-        attacker="highpower",
-        command="therapy",
-        shield_present=True,
-        location_indices=tuple(range(1, 19)),
-        n_trials=25,
-    ))
-
-    # --- grid entries beyond the paper's figures ----------------------
-    register(Scenario(
-        name="battery-drain-unshielded",
-        kind="attack",
-        title="Battery-DoS: sustained interrogation of the bare IMD",
-        description=(
-            "The battery-depletion attacker model of Siddiqi et al. "
-            "(arXiv:1904.06893): repeated interrogations force the IMD to "
-            "receive and reply, draining a ~20 kJ battery from across the "
-            "room."
-        ),
-        tags=("extension", "battery-dos"),
-        attacker="fcc",
-        command="interrogate",
-        metric="imd_responded",
-        shield_present=False,
-        location_indices=tuple(range(1, 15)),
-        n_trials=25,
-    ))
-    register(Scenario(
-        name="battery-drain-shielded",
-        kind="attack",
-        title="Battery-DoS: sustained interrogation vs. the shield",
-        description=(
-            "The same sustained interrogation with the shield worn; the "
-            "reactive jammer keeps the IMD from ever decoding the command, "
-            "so the drain never starts."
-        ),
-        tags=("extension", "battery-dos"),
-        attacker="fcc",
-        command="interrogate",
-        metric="imd_responded",
-        shield_present=True,
-        location_indices=tuple(range(1, 15)),
-        n_trials=25,
-    ))
-    register(Scenario(
-        name="crypto-only-baseline",
-        kind="attack",
-        title="Crypto-only baseline: authenticated IMD, no shield",
-        description=(
-            "No shield; commands are gated by authentication, so therapy "
-            "tampering is cryptographically blocked -- but every delivered "
-            "packet still reaches the IMD's receiver and costs verify "
-            "energy.  The metric counts packets the bare IMD decodes "
-            "(imd_accepted): the residual battery-DoS surface crypto alone "
-            "cannot close (IMDfence, Siddiqi et al.)."
-        ),
-        tags=("extension", "crypto", "battery-dos"),
-        attacker="fcc",
-        command="interrogate",
-        metric="imd_accepted",
-        shield_present=False,
-        location_indices=tuple(range(1, 15)),
-        n_trials=25,
-    ))
-    # --- physiological content leakage (the title claim) --------------
-    register(Scenario(
-        name="physio-leakage-by-location",
-        kind="physio",
-        title="Privacy: heart-rate leakage from bare telemetry, by location",
-        description=(
-            "The IMD streams cardiac telemetry (encoded IEGM windows + "
-            "beat annotations) with no shield; an eavesdropper at every "
-            "testbed location runs the bits-to-vitals pipeline.  Out to "
-            "~10 m the heart rate leaks to well under 2 BPM; past the "
-            "NLOS knee the raw BER alone destroys the content."
-        ),
-        tags=("extension", "physio", "privacy", "passive"),
-        shield_present=False,
-        rhythm="normal",
-        location_indices=tuple(range(1, 19)),
-        n_trials=25,
-    ))
-    register(Scenario(
-        name="physio-leakage-shielded",
-        kind="physio",
-        title="Privacy: the shield drives heart-rate inference to chance",
-        description=(
-            "The same cardiac telemetry with the shield jamming at "
-            "+20 dB: the attacker's heart-rate error becomes "
-            "statistically indistinguishable from a coin-flip chance "
-            "baseline at every distance, while the clear-channel "
-            "reference confirms the content was there to steal."
-        ),
-        tags=("extension", "physio", "privacy", "passive"),
-        shield_present=True,
-        jam_margin_db=20.0,
-        rhythm="mixed",
-        location_indices=(1, 9, 17),
-        n_trials=100,
-    ))
-    register(Scenario(
-        name="physio-rhythm-privacy",
-        kind="physio",
-        title="Privacy: rhythm-class recognition from eavesdropped telemetry",
-        description=(
-            "Records drawn uniformly from four rhythm classes (normal "
-            "sinus, bradycardia, tachycardia, AF-style irregular RR); "
-            "the unshielded eavesdropper classifies the arrhythmia "
-            "reliably at clinical range and collapses toward the "
-            "always-AF chance prior where the link degrades."
-        ),
-        tags=("extension", "physio", "privacy", "passive"),
-        shield_present=False,
-        rhythm="mixed",
-        location_indices=(1, 4, 8, 12, 14),
-        n_trials=40,
-    ))
-
-    # --- population-scale fleet cohorts (see repro.fleet) -------------
-    register(Scenario(
-        name="fleet-attack-prevalence",
-        kind="fleet",
-        title="Fleet: population prevalence of successful therapy tampering",
-        description=(
-            "A patient cohort with 90% shield adherence, per-device "
-            "calibration spread, and attacker encounters drawn across the "
-            "Fig. 6 geometry: what fraction of the population has any "
-            "successful therapy-tampering attack?  The residual risk is "
-            "the non-adherent tail -- the ecosystem framing of IMDfence "
-            "and Newaz et al.'s healthcare-security survey."
-        ),
-        tags=("extension", "fleet", "population", "active"),
-        fleet_task="attack",
-        attacker="fcc",
-        command="therapy",
-        n_patients=400,
-        n_trials=2,
-        shield_worn_fraction=0.9,
-        location_indices=tuple(range(1, 15)),
-    ))
-    register(Scenario(
-        name="fleet-privacy-leakage",
-        kind="fleet",
-        title="Fleet: population distribution of heart-rate leakage",
-        description=(
-            "Cardiac telemetry across a cohort with 80% shield adherence "
-            "and mixed rhythm prevalence: the median patient's HR leaks "
-            "nothing (error at the chance floor), while the 10th "
-            "percentile -- the unshielded tail at clinical range -- still "
-            "leaks to clinical precision.  Population quantiles come from "
-            "a mergeable fixed-bin sketch, never a per-patient list."
-        ),
-        tags=("extension", "fleet", "population", "privacy", "passive"),
-        fleet_task="physio",
-        n_patients=250,
-        n_trials=1,
-        packets_per_record=8,
-        shield_worn_fraction=0.8,
-        location_indices=tuple(range(1, 19)),
-    ))
-    register(Scenario(
-        name="fleet-alarm-burden",
-        kind="fleet",
-        title="Fleet: alarm burden per patient-day at full adherence",
-        description=(
-            "Every patient wears the shield; unauthorized interrogation "
-            "attempts arrive across the geometry.  The shield blocks every "
-            "one (prevalence ~0) while the audible alarm fires only on "
-            "near-range attempts -- the usability cost of the defense, "
-            "measured as alarms per patient-day across the population."
-        ),
-        tags=("extension", "fleet", "population", "active"),
-        fleet_task="attack",
-        attacker="fcc",
-        command="interrogate",
-        n_patients=300,
-        n_trials=4,
-        shield_worn_fraction=1.0,
-        observation_days=1.0,
-        location_indices=tuple(range(1, 15)),
-    ))
-
-    register(Scenario(
-        name="mimo-eavesdropper",
-        kind="mimo",
-        title="S3.2: multi-antenna eavesdropper vs. source separation",
-        description=(
-            "A 2-antenna eavesdropper at stand-off SNR (~6 dB, the "
-            "testbed's far locations) runs blind jam-subspace projection "
-            "against correlated shield/IMD channels: worn centimetres from "
-            "the implant the shield leaves near coin flips; at half a "
-            "wavelength projection recovers the telemetry."
-        ),
-        tags=("extension", "mimo", "passive"),
-        separations_m=(0.02, 0.06, 0.12, 0.25, 0.37),
-        n_antennas=2,
-        snr_db=6.0,
-        n_trials=10,
-    ))
-
-
-def _register_builtin_expectations() -> None:
-    """The golden-figure table: the paper's claims, machine-checkable.
-
-    Values and tolerances come from the paper's figures; axes pick the
-    grid points where each claim is unambiguous (transition-region
-    locations, where the success curve crosses 50%, are deliberately
-    left unjudged -- they are the statistically noisiest cells and the
-    paper makes no sharp claim about them).  ``python -m repro
-    validate`` evaluates this table; see docs/validation.md.
-    """
-    register_expectations(
-        "passive-ber-by-location",
-        Expectation(
-            metric="ber", kind="ci_overlap", value=0.5, tolerance=0.05,
-            note="Fig. 9: under shaped jamming the eavesdropper decodes "
-                 "~coin flips at every location",
-        ),
-    )
-    register_expectations(
-        "attack-success-unshielded",
-        Expectation(
-            metric="success_probability", kind="lower_bound", value=0.9,
-            axes=(1, 2, 3, 4, 5, 6),
-            note="Fig. 12: the bare IMD is reliably compromised out to "
-                 "several metres",
-        ),
-        Expectation(
-            metric="success_probability", kind="upper_bound", value=0.05,
-            axes=(10, 11, 12, 13, 14),
-            note="Fig. 12: path loss alone ends the attack at the far "
-                 "NLOS locations",
-        ),
-    )
-    register_expectations(
-        "attack-success-shielded",
-        Expectation(
-            metric="success_probability", kind="upper_bound", value=0.05,
-            note="Fig. 12: >99% attack-packet rejection -- the reactive "
-                 "jammer holds success at zero everywhere",
-        ),
-    )
-    register_expectations(
-        "highpower-unshielded",
-        Expectation(
-            metric="success_probability", kind="lower_bound", value=0.9,
-            axes=(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11),
-            note="Fig. 13: 100x power plus a directional antenna "
-                 "compromises the bare IMD across the room",
-        ),
-        Expectation(
-            metric="success_probability", kind="upper_bound", value=0.05,
-            axes=(15, 16, 17, 18),
-            note="Fig. 13: even 100x power dies at the farthest NLOS spots",
-        ),
-    )
-    register_expectations(
-        "highpower-shielded",
-        Expectation(
-            metric="success_probability", kind="lower_bound", value=0.9,
-            axes=(1, 2),
-            note="Fig. 13: raw power beats jamming only from nearby "
-                 "line-of-sight spots (the intrinsic limitation)",
-        ),
-        Expectation(
-            metric="success_probability", kind="upper_bound", value=0.05,
-            axes=tuple(range(7, 19)),
-            note="Fig. 13: beyond a few metres the shield holds even "
-                 "against 100x power",
-        ),
-        Expectation(
-            metric="alarm_probability", kind="lower_bound", value=0.9,
-            axes=(1, 2, 3, 4, 5, 6),
-            note="S6: every dangerous transmission near the patient "
-                 "raises the audible alarm",
-        ),
-    )
-    register_expectations(
-        "battery-drain-unshielded",
-        Expectation(
-            metric="success_probability", kind="lower_bound", value=0.9,
-            axes=(1, 2, 3, 4, 5, 6),
-            note="Battery-DoS (arXiv:1904.06893): the bare IMD answers "
-                 "every interrogation at close range",
-        ),
-        Expectation(
-            metric="success_probability", kind="upper_bound", value=0.05,
-            axes=(10, 11, 12, 13, 14),
-            note="Battery-DoS: the drain needs link margin; far NLOS "
-                 "locations are safe",
-        ),
-    )
-    register_expectations(
-        "battery-drain-shielded",
-        Expectation(
-            metric="success_probability", kind="upper_bound", value=0.05,
-            note="Battery-DoS: the shield stops the drain before it "
-                 "starts -- the IMD never decodes the interrogation",
-        ),
-    )
-    register_expectations(
-        "crypto-only-baseline",
-        Expectation(
-            metric="success_probability", kind="lower_bound", value=0.9,
-            axes=(1, 2, 3, 4, 5, 6),
-            note="IMDfence: authentication cannot stop packet delivery; "
-                 "the receive/verify energy drain remains",
-        ),
-    )
-    register_expectations(
-        "physio-leakage-by-location",
-        Expectation(
-            metric="hr_abs_error", kind="upper_bound", value=2.0,
-            axes=(1, 2, 3, 4, 5, 6, 7, 8, 9, 10),
-            note="Bare telemetry: heart rate leaks to clinical precision "
-                 "(< 2 BPM) everywhere the link is clean",
-        ),
-        Expectation(
-            metric="beat_f1", kind="lower_bound", value=0.9,
-            axes=(1, 2, 3, 4, 5, 6),
-            note="Bare telemetry: near the patient, every individual "
-                 "beat is recoverable",
-        ),
-        Expectation(
-            metric="waveform_nrmse", kind="upper_bound", value=0.05,
-            axes=(1, 2, 3, 4, 5, 6),
-            note="Bare telemetry: the waveform itself reconstructs to a "
-                 "few percent of its span",
-        ),
-        Expectation(
-            metric="hr_abs_error", kind="lower_bound", value=10.0,
-            axes=(17, 18),
-            note="Path loss alone ends the privacy leak at the far NLOS "
-                 "spots: raw BER ~0.5 destroys the content",
-        ),
-    )
-    register_expectations(
-        "physio-leakage-shielded",
-        Expectation(
-            metric="hr_error_vs_chance", kind="ci_overlap", value=0.0,
-            tolerance=15.0,
-            note="Shield on: attacker HR error is statistically "
-                 "indistinguishable from the coin-flip chance baseline",
-        ),
-        Expectation(
-            metric="hr_abs_error", kind="lower_bound", value=25.0,
-            note="Shield on: HR estimates are tens of BPM off -- "
-                 "clinically useless at every location",
-        ),
-        Expectation(
-            metric="hr_abs_error_clear", kind="upper_bound", value=2.0,
-            axes=(1, 9),
-            note="Clear-channel reference: without the shield the same "
-                 "records leak HR to < 2 BPM at the near locations",
-        ),
-        Expectation(
-            metric="rhythm_accuracy", kind="upper_bound", value=0.5,
-            note="Shield on: rhythm classification collapses to the "
-                 "chance prior",
-        ),
-        Expectation(
-            metric="beat_f1", kind="upper_bound", value=0.4,
-            note="Shield on: beat detection is no better than random "
-                 "peak picking",
-        ),
-    )
-    register_expectations(
-        "physio-rhythm-privacy",
-        Expectation(
-            metric="rhythm_accuracy", kind="lower_bound", value=0.85,
-            axes=(1, 4, 8),
-            note="Bare telemetry: the arrhythmia class is read reliably "
-                 "at clinical range -- the privacy harm is diagnostic, "
-                 "not just a bit rate",
-        ),
-        Expectation(
-            metric="rhythm_accuracy", kind="upper_bound", value=0.5,
-            axes=(14,),
-            note="Where the link degrades to coin flips the classifier "
-                 "falls to its always-irregular prior",
-        ),
-        Expectation(
-            metric="hr_abs_error", kind="upper_bound", value=3.0,
-            axes=(1, 4),
-            note="Mixed rhythms included, near-range HR still leaks to "
-                 "a few BPM",
-        ),
-    )
-    register_expectations(
-        "fleet-attack-prevalence",
-        Expectation(
-            metric="attack_prevalence", kind="upper_bound", value=0.12,
-            note="Fleet: 90% shield adherence holds population therapy-"
-                 "tampering prevalence near the non-adherent tail",
-        ),
-        Expectation(
-            metric="attack_prevalence", kind="lower_bound", value=0.02,
-            note="Fleet: the residual risk is real -- unshielded patients "
-                 "at attackable range are reliably compromised",
-        ),
-    )
-    register_expectations(
-        "fleet-privacy-leakage",
-        Expectation(
-            metric="hr_leak_median_bpm", kind="lower_bound", value=20.0,
-            note="Fleet: the median patient's HR error sits at the "
-                 "jamming chance floor -- tens of BPM, clinically useless",
-        ),
-        Expectation(
-            metric="hr_leak_p10_bpm", kind="upper_bound", value=3.0,
-            note="Fleet: the 10th percentile (the unshielded tail at "
-                 "clinical range) still leaks HR to a few BPM",
-        ),
-        Expectation(
-            metric="mean_ber", kind="lower_bound", value=0.35,
-            note="Fleet: population mean eavesdropper BER stays near "
-                 "coin flips because most links are jammed",
-        ),
-    )
-    register_expectations(
-        "fleet-alarm-burden",
-        Expectation(
-            metric="attack_prevalence", kind="upper_bound", value=0.02,
-            note="Fleet: at full adherence the shield blocks every "
-                 "interrogation across the population",
-        ),
-        Expectation(
-            metric="alarm_rate_per_day", kind="upper_bound", value=0.6,
-            note="Fleet: the audible-alarm burden stays well under one "
-                 "alarm per patient-day -- only near-range attempts fire",
-        ),
-        Expectation(
-            metric="alarm_rate_per_day", kind="lower_bound", value=0.1,
-            note="Fleet: alarms do fire on close-range attempts -- the "
-                 "patient is actually notified (S7(d))",
-        ),
-    )
-    register_expectations(
-        "mimo-eavesdropper",
-        Expectation(
-            metric="ber", kind="lower_bound", value=0.3,
-            axes=(0.02,),
-            note="S3.2: worn centimetres from the implant, jam-subspace "
-                 "projection still leaves near coin flips",
-        ),
-        Expectation(
-            metric="ber", kind="upper_bound", value=0.15,
-            axes=(0.25, 0.37),
-            note="S3.2: at half a wavelength of separation, projection "
-                 "recovers the telemetry",
-        ),
-    )
+    return [name for name in names() if _REGISTRY[name][1]]
 
 
 _register_builtins()
-_register_builtin_expectations()

@@ -9,7 +9,7 @@ the IMD.  :mod:`repro.channel.link_budget` evaluates the paper's SINR
 equations (6)-(9).
 """
 
-from repro.channel.fading import FadingModel, rician_gain, rayleigh_gain
+from repro.channel.fading import FadingModel
 from repro.channel.geometry import (
     AdversaryLocation,
     Position,
@@ -34,7 +34,5 @@ __all__ = [
     "TestbedGeometry",
     "default_testbed",
     "free_space_path_loss_db",
-    "rayleigh_gain",
-    "rician_gain",
     "thermal_noise_dbm",
 ]

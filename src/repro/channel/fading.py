@@ -15,30 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["rayleigh_gain", "rician_gain", "FadingModel"]
-
-
-def rayleigh_gain(rng: np.random.Generator) -> complex:
-    """Unit-mean-power Rayleigh (NLOS) complex channel gain."""
-    return complex(
-        rng.standard_normal() + 1j * rng.standard_normal()
-    ) / math.sqrt(2.0)
-
-
-def rician_gain(k_factor_db: float, rng: np.random.Generator) -> complex:
-    """Unit-mean-power Rician complex gain with the given K factor.
-
-    ``K`` is the power ratio of the direct path to the scattered paths;
-    large K approaches a deterministic channel, K -> -inf dB approaches
-    Rayleigh.
-    """
-    if math.isinf(k_factor_db) and k_factor_db > 0:
-        return 1.0 + 0.0j
-    k = 10.0 ** (k_factor_db / 10.0)
-    direct = math.sqrt(k / (k + 1.0))
-    scatter_scale = math.sqrt(1.0 / (2.0 * (k + 1.0)))
-    scatter = scatter_scale * (rng.standard_normal() + 1j * rng.standard_normal())
-    return complex(direct + scatter)
+__all__ = ["FadingModel"]
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ event-level air; :class:`repro.core.full_duplex.JammerCumReceiver` is the
 waveform-level front end used by the micro-benchmarks (Figs. 7-10).
 """
 
-from repro.core.antidote import ChannelEstimate, antidote_signal, estimate_channel
+from repro.core.antidote import antidote_signal
 from repro.core.config import ShieldConfig
 from repro.core.detector import ActiveDetector, DetectionDecision
 from repro.core.full_duplex import FrontEndChannels, JammerCumReceiver
@@ -35,7 +35,6 @@ from repro.core.shield import ShieldRadio
 __all__ = [
     "ActiveDetector",
     "AlarmPolicy",
-    "ChannelEstimate",
     "DetectionDecision",
     "FrontEndChannels",
     "JamWindowPolicy",
@@ -46,5 +45,4 @@ __all__ = [
     "ShieldRadio",
     "ShieldRelay",
     "antidote_signal",
-    "estimate_channel",
 ]

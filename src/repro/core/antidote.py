@@ -10,57 +10,22 @@ The cancellation is limited by how well the two channels are known.  The
 shield estimates them from probes "immediately before it transmits to the
 IMD or jams the IMD's transmission" and otherwise every 200 ms; a probe
 observed at finite SNR yields a least-squares estimate with complex
-Gaussian error, which is exactly what :func:`estimate_channel` computes
-and what produces the ~32 dB cancellation distribution of Fig. 7.
+Gaussian error (drawn by
+:meth:`~repro.core.full_duplex.JammerCumReceiver.set_estimation_error`),
+which is what produces the ~32 dB cancellation distribution of Fig. 7.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.phy.signal import Waveform
 
 __all__ = [
-    "ChannelEstimate",
-    "estimate_channel",
     "antidote_signal",
     "residual_gain",
     "wideband_antidote",
 ]
-
-
-@dataclass(frozen=True)
-class ChannelEstimate:
-    """A complex channel estimate plus its (relative) error variance."""
-
-    gain: complex
-    error_std: float
-
-    def __post_init__(self) -> None:
-        if self.error_std < 0:
-            raise ValueError("error std cannot be negative")
-
-
-def estimate_channel(
-    probe: Waveform, received: Waveform, noise_power: float
-) -> ChannelEstimate:
-    """Least-squares channel estimate from a known probe.
-
-    ``h_hat = <received, probe> / <probe, probe>``; its error standard
-    deviation follows from the probe energy and the noise power.
-    """
-    if len(probe) != len(received):
-        raise ValueError("probe and received waveform lengths differ")
-    if len(probe) == 0:
-        raise ValueError("cannot estimate a channel from zero samples")
-    probe_energy = float(np.sum(np.abs(probe.samples) ** 2))
-    if probe_energy <= 0:
-        raise ValueError("probe carries no energy")
-    gain = complex(np.vdot(probe.samples, received.samples) / probe_energy)
-    error_std = float(np.sqrt(noise_power / probe_energy))
-    return ChannelEstimate(gain, error_std)
 
 
 def antidote_signal(

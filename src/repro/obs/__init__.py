@@ -63,7 +63,6 @@ from repro.obs.metrics import (
     counter_inc,
     observed_call,
     take_global,
-    timed,
     timing_observe,
 )
 from repro.obs.export import (
@@ -134,7 +133,6 @@ __all__ = [
     "serve_metrics",
     "summarize_run",
     "take_global",
-    "timed",
     "timing_observe",
     "validate_exposition",
 ]

@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -39,7 +38,6 @@ __all__ = [
     "counter_inc",
     "observed_call",
     "take_global",
-    "timed",
     "timing_observe",
 ]
 
@@ -167,16 +165,6 @@ def counter_inc(name: str, value: float = 1) -> None:
 def timing_observe(name: str, seconds: float) -> None:
     """Record one duration onto a named timing (one dict update)."""
     _GLOBAL.observe(name, seconds)
-
-
-@contextmanager
-def timed(name: str):
-    """Time a block onto a named timing."""
-    start = time.perf_counter()
-    try:
-        yield
-    finally:
-        timing_observe(name, time.perf_counter() - start)
 
 
 def take_global() -> dict:

@@ -12,8 +12,8 @@ each behaviour is pinned to a measurement in the paper:
   shield pre-arm its jam window;
 * packets failing the checksum are silently discarded (S3.1);
 * the IMD never initiates transmission (FCC rule, S2);
-* every transmission spends ``tx_energy_per_packet_j`` of battery -- the
-  resource the battery-depletion attack of Fig. 11 burns, counted by
+* every reply is a transmission that drains the battery -- the resource
+  the battery-depletion attack of Fig. 11 burns, counted by
   :attr:`IMDevice.transmissions`.
 """
 
@@ -35,7 +35,7 @@ __all__ = ["IMDParameters", "IMDevice", "VIRTUOSO", "CONCERTO"]
 
 @dataclass(frozen=True)
 class IMDParameters:
-    """Timing, power, and energy constants of one IMD model."""
+    """Timing and power constants of one IMD model."""
 
     name: str
     #: Nominal command-to-reply latency (Fig. 3: 3.5 ms for the Virtuoso).
@@ -50,10 +50,6 @@ class IMDParameters:
     tx_power_dbm: float = -16.0
     #: Telemetry payload returned per interrogation, bytes.
     telemetry_payload_bytes: int = 24
-    #: Battery capacity; a real ICD carries roughly 20 kJ.
-    battery_capacity_j: float = 20_000.0
-    #: Energy per transmitted packet (radio + processing).
-    tx_energy_per_packet_j: float = 0.5e-3
 
     def __post_init__(self) -> None:
         if self.reply_delay_s <= 0 or self.reply_jitter_s < 0:

@@ -24,13 +24,16 @@ error.  This package owns both halves:
   validate`` drives: fixed or adaptive execution, expectation
   evaluation, reporting, exit codes.
 
-The campaign registry (:mod:`repro.campaigns.registry`) holds the
-expectation table for every named scenario; see ``docs/validation.md``
-for the semantics and for how to add a golden figure to a new scenario.
+This package names no metric.  Each scenario kind declares its metrics
+-- estimator family and default stopping precision -- and its built-in
+scenarios with their expectation tables
+(:mod:`repro.campaigns.kinds`); the campaign registry
+(:mod:`repro.campaigns.registry`) looks them up by name.  See
+``docs/validation.md`` for the semantics and for how to add a golden
+figure to a new scenario.
 """
 
 from repro.stats.adaptive import (
-    DEFAULT_PRECISION,
     AdaptiveCell,
     AdaptivePolicy,
     AdaptiveRunResult,
@@ -60,7 +63,6 @@ from repro.stats.validation import (
 )
 
 __all__ = [
-    "DEFAULT_PRECISION",
     "AdaptiveCell",
     "AdaptivePolicy",
     "AdaptiveRunResult",

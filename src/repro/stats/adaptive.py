@@ -8,7 +8,11 @@ caller states the precision, the scheduler finds the trial counts.  It
 feeds trial chunks through the campaign work-unit machinery in
 *rounds*: after each round every still-active (grid cell, metric) pair
 is re-checked, and a cell stops as soon as every tracked metric's
-confidence-interval half-width reaches its target.
+confidence-interval half-width reaches its target.  Targets and
+estimators come from the scenario kind, which declares each metric it
+measures (:class:`~repro.campaigns.kinds.base.Metric`); this module
+names no metric, and :attr:`AdaptivePolicy.precision` overrides every
+target at once.
 
 Determinism is the campaign runner's, exactly: a round unit's RNG
 stream is a pure function of (scenario payload, cell, round index) via
@@ -29,74 +33,11 @@ from repro.stats.estimator import INTERVAL_METHODS, MeanEstimator, SequentialEst
 from repro.stats.expectations import CellStats
 
 __all__ = [
-    "DEFAULT_PRECISION",
     "AdaptiveCell",
     "AdaptivePolicy",
     "AdaptiveRunResult",
     "AdaptiveScheduler",
-    "metric_estimator",
-    "scenario_metrics",
 ]
-
-#: Default target CI half-width per metric: probabilities stop at
-#: +/-0.10 (tighter than a fixed 25-trial sweep resolves mid-range),
-#: bit error rates at +/-0.02.  The physio heart-rate errors are in BPM
-#: -- a +/-3 BPM interval separates "leaks the heart rate" from the
-#: ~45 BPM chance regime without demanding thousands of records.
-DEFAULT_PRECISION = {
-    "success_probability": 0.10,
-    "alarm_probability": 0.10,
-    "ber": 0.02,
-    "hr_abs_error": 3.0,
-    "hr_error_vs_chance": 3.0,
-    "hr_abs_error_clear": 3.0,
-    "beat_f1": 0.05,
-    "rhythm_accuracy": 0.10,
-    "waveform_nrmse": 0.05,
-}
-
-
-def scenario_metrics(kind: str) -> tuple[str, ...]:
-    """Every metric a scenario kind's work units measure."""
-    # Deferred import: repro.campaigns pulls its registry in, which
-    # itself imports the expectation records from this package.
-    from repro.campaigns.kinds import KINDS
-
-    return KINDS[kind].metrics
-
-
-#: Physical range each mean-valued metric's interval clips to; ``None``
-#: means unbounded (the versus-chance gap can be negative).
-_METRIC_BOUNDS: dict[str, tuple[float, float] | None] = {
-    "ber": (0.0, 1.0),
-    "beat_f1": (0.0, 1.0),
-    "hr_abs_error": (0.0, float("inf")),
-    "hr_abs_error_clear": (0.0, float("inf")),
-    "hr_error_vs_chance": None,
-    "waveform_nrmse": (0.0, float("inf")),
-    "alarm_rate_per_day": (0.0, float("inf")),
-    "mean_ber": (0.0, 1.0),
-}
-
-_PROPORTION_METRICS = frozenset(
-    {"success_probability", "alarm_probability", "rhythm_accuracy",
-     "attack_prevalence"}
-)
-
-
-def metric_estimator(metric: str) -> SequentialEstimator | MeanEstimator:
-    """A fresh estimator of the right family for one metric.
-
-    Proportions (attack success, alarm rate, rhythm accuracy, attack
-    prevalence) get the binomial :class:`SequentialEstimator`;
-    everything else accumulates streaming moments in a
-    :class:`MeanEstimator` clipped to the metric's physical range.
-    """
-    if metric in _PROPORTION_METRICS:
-        return SequentialEstimator()
-    if metric not in _METRIC_BOUNDS:
-        raise ValueError(f"unknown metric {metric!r}")
-    return MeanEstimator(bounds=_METRIC_BOUNDS[metric])
 
 
 @dataclass(frozen=True)
@@ -104,7 +45,8 @@ class AdaptivePolicy:
     """How an adaptive run trades trials for precision.
 
     ``precision`` overrides every metric's target half-width at once;
-    ``None`` uses the per-metric :data:`DEFAULT_PRECISION`.  ``method``
+    ``None`` uses the precision each metric's scenario kind declares
+    (:attr:`~repro.campaigns.kinds.base.Metric.precision`).  ``method``
     picks the proportion-interval construction for stopping decisions
     (Jeffreys by default: tighter at the 0%/100% extremes the paper's
     claims live at).  ``max_trials`` bounds any one cell, so a
@@ -144,17 +86,6 @@ class AdaptivePolicy:
                 f"max_trials ({self.max_trials}) cannot be smaller than "
                 f"min_trials ({self.min_trials})"
             )
-
-    def target_for(self, metric: str) -> float:
-        if self.precision is not None:
-            return self.precision
-        try:
-            return DEFAULT_PRECISION[metric]
-        except KeyError:
-            raise ValueError(
-                f"no default precision for metric {metric!r}; "
-                f"set AdaptivePolicy.precision explicitly"
-            ) from None
 
 
 @dataclass
@@ -289,7 +220,7 @@ class AdaptiveScheduler:
             if persist
             else None
         )
-        metrics = self._kind.metrics
+        metrics = self._kind.metric_names()
         self._tracked: dict[int, tuple[str, ...]] = {}
         for position in range(scenario.grid_size()):
             if tracked is None:
@@ -310,6 +241,18 @@ class AdaptiveScheduler:
                     f"at least one stopping criterion"
                 )
             self._tracked[position] = tuple(sorted(wanted))
+        # Each tracked metric's stopping target: the policy's one
+        # precision, or the one the kind declares for that metric.
+        declared = {m.name: m.precision for m in self._kind.metrics}
+        self._targets: dict[str, float] = {}
+        for metric in set().union(*self._tracked.values()):
+            target = self.policy.precision or declared[metric]
+            if target is None:
+                raise ValueError(
+                    f"no default precision for metric {metric!r}; "
+                    f"set AdaptivePolicy.precision explicitly"
+                )
+            self._targets[metric] = target
 
     # -- cell bookkeeping ----------------------------------------------
 
@@ -335,7 +278,7 @@ class AdaptiveScheduler:
             return False
         for metric in cell.tracked:
             estimator = cell.estimators[metric]
-            target = policy.target_for(metric)
+            target = self._targets[metric]
             if isinstance(estimator, SequentialEstimator):
                 done = estimator.converged(
                     target, policy.confidence, policy.method

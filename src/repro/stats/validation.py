@@ -78,7 +78,7 @@ def tracked_metrics(scenario, expectations) -> dict[int, set[str]]:
     axes = scenario.axis_values()
     tracked = {position: {headline} for position in range(len(axes))}
     for expectation in expectations:
-        if expectation.metric not in kind.metrics:
+        if expectation.metric not in kind.metric_names():
             continue
         for position, axis in enumerate(axes):
             if expectation.axes is None or axis in expectation.axes:

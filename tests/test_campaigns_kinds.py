@@ -12,8 +12,10 @@ schema bump, or a resumed campaign would mix cached results of the old
 code with fresh ones of the new.
 
 The branch guard keeps every per-kind rule inside
-``repro.campaigns.kinds``; the toy kind shows that a new kind is one
-class plus one ``KINDS`` entry.
+``repro.campaigns.kinds``, and the metric guard keeps every metric name
+out of ``repro.stats``; the toy kind shows that a new kind -- its
+metric, its built-in scenario and that scenario's golden claim -- is
+one class plus one ``KINDS`` entry.
 """
 
 import ast
@@ -28,10 +30,12 @@ import pytest
 from repro.campaigns import registry
 from repro.campaigns.cli import _budget_scenario, _result_report
 from repro.campaigns.kinds import KINDS, ScenarioKind
+from repro.campaigns.kinds.base import proportion
 from repro.campaigns.runner import CampaignRunner, plan_scenario_units
 from repro.campaigns.spec import Scenario
 from repro.stats.adaptive import AdaptivePolicy, AdaptiveScheduler
-from repro.stats.validation import cells_from_result
+from repro.stats.expectations import Expectation
+from repro.stats.validation import cells_from_result, validate_scenario
 
 _SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -367,11 +371,75 @@ class TestNoKindBranches:
         assert self._is_spec_type(tree.body[1].test.args[1])
 
 
+class TestNoMetricNamesInStats:
+    """The statistics package names no metric: each kind declares its own."""
+
+    @staticmethod
+    def _declared() -> set[str]:
+        return {name for kind in KINDS.values() for name in kind.metric_names()}
+
+    @staticmethod
+    def _metric_literals(tree, declared) -> list[int]:
+        docstrings = {
+            id(node.body[0].value)
+            for node in ast.walk(tree)
+            if isinstance(
+                node,
+                (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef),
+            )
+            and node.body
+            and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)
+        }
+        return [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant)
+            and node.value in declared
+            and id(node) not in docstrings
+        ]
+
+    def test_no_metric_name_under_stats(self):
+        declared = self._declared()
+        found = [
+            f"{path.relative_to(_SRC)}:{line}"
+            for path in sorted((_SRC / "stats").rglob("*.py"))
+            for line in self._metric_literals(
+                ast.parse(path.read_text()), declared
+            )
+        ]
+        assert found == []
+
+    def test_the_guard_sees_a_metric_name(self):
+        tree = ast.parse(
+            '"""Per-metric targets: ber stops at 0.02."""\n'
+            'def f():\n'
+            '    """ber"""\n'
+            '    return {"ber": 0.02, "note": "coin flips"}\n'
+        )
+        assert self._metric_literals(tree, self._declared()) == [4]
+
+
+class TestMetricDeclarations:
+    def test_every_adaptive_kind_declares_each_precision(self):
+        for name, kind in KINDS.items():
+            if kind.adaptive:
+                for metric in kind.metrics:
+                    assert metric.precision, (name, metric.name)
+                    assert metric.estimator is not None, (name, metric.name)
+
+
 @dataclass(frozen=True)
 class _CoinSpec:
     location_index: int
     n_flips: int
     seed: object
+
+
+_COIN_CLAIM = Expectation(
+    metric="heads_fraction", kind="lower_bound", value=0.05,
+    note="a fair coin lands heads",
+)
 
 
 class _CoinKind(ScenarioKind):
@@ -380,7 +448,13 @@ class _CoinKind(ScenarioKind):
     schema = 1
     payload_fields = ("seed", "n_trials", "chunk_size", "location_indices")
     spec_type = _CoinSpec
-    metrics = ("success_probability",)
+    metrics = (proportion("heads_fraction", precision=0.2),)
+    builtins = (
+        (
+            dict(name="coin-flips", seed=3, n_trials=6, location_indices=(1, 5)),
+            (_COIN_CLAIM,),
+        ),
+    )
     report_headers = ("location", "heads", "flips", "note")
 
     def summary(self, scenario):
@@ -395,16 +469,16 @@ class _CoinKind(ScenarioKind):
 
     def point(self, scenario, sums):
         return {
-            "success_probability": sums["heads"] / scenario.n_trials,
+            "heads_fraction": sums["heads"] / scenario.n_trials,
             "heads": sums["heads"],
         }
 
     def absorb(self, estimators, n, data):
-        estimators["success_probability"].update(data["heads"], n)
+        estimators["heads_fraction"].update(data["heads"], n)
 
     def report_rows(self, scenario, points):
         return [
-            (p["label"], f"{p['success_probability']:.2f}",
+            (p["label"], f"{p['heads_fraction']:.2f}",
              str(scenario.n_trials), "")
             for p in points
         ]
@@ -416,12 +490,8 @@ class TestOneFileKind:
         monkeypatch.setitem(KINDS, "coin", _CoinKind())
 
     def _scenario(self, **changes):
-        fields_ = dict(
-            name="coin-flips", kind="coin", seed=3, n_trials=6,
-            location_indices=(1, 5),
-        )
-        fields_.update(changes)
-        return Scenario(**fields_)
+        ((fields_, _),) = _CoinKind.builtins
+        return Scenario(kind="coin", **{**fields_, **changes})
 
     def test_validates_and_hashes(self):
         scenario = self._scenario()
@@ -451,14 +521,14 @@ class TestOneFileKind:
         assert again.computed_units == 0
         assert again.points == fresh.points
         assert [p["axis"] for p in fresh.points] == [1, 5]
-        assert fresh.value_key == "success_probability"
+        assert fresh.value_key == "heads_fraction"
         assert sum(p["heads"] for p in fresh.points) <= 12
 
     def test_yields_cells_and_a_report(self):
         result = CampaignRunner(self._scenario(), persist=False).run()
         cells = cells_from_result(result)
         assert [c.axis for c in cells] == [1, 5]
-        estimator = cells[0].estimators["success_probability"]
+        estimator = cells[0].estimators["heads_fraction"]
         assert estimator.trials == 6
         assert estimator.successes == result.points[0]["heads"]
         report = _result_report(result).render()
@@ -472,3 +542,25 @@ class TestOneFileKind:
         assert [c.axis for c in run.cells] == [1, 5]
         assert all(2 <= c.trials <= 4 for c in run.cells)
         assert run.fixed_trials == 12
+        assert set(run.cells[0].estimators) == {"heads_fraction"}
+
+    def test_validates_against_its_own_claim(self):
+        for adaptive in (False, True):
+            checked = validate_scenario(
+                self._scenario(), (_COIN_CLAIM,), adaptive=adaptive,
+                policy=AdaptivePolicy(round_size=2, min_trials=2, max_trials=6),
+                persist=False,
+            )
+            assert checked.verdict == "pass"
+            assert [c.axis for c in checked.outcomes[0].cells] == [1, 5]
+
+    def test_a_registry_filled_from_kinds_lists_it(self, monkeypatch):
+        monkeypatch.setattr(registry, "_REGISTRY", {})
+        registry._register_builtins()
+        assert "coin-flips" in registry.names()
+        assert sorted(SMOKE_PINS) == [
+            name for name in registry.names() if name != "coin-flips"
+        ]
+        assert registry.get("coin-flips") == self._scenario()
+        assert registry.expectations_for("coin-flips") == (_COIN_CLAIM,)
+        assert "coin-flips" in registry.names_with_expectations()

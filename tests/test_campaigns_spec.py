@@ -172,9 +172,10 @@ class TestRegistry:
     def test_expectation_registration_validates_axes_and_metrics(self):
         from repro.stats import Expectation
 
+        scenario = registry.get("attack-success-shielded")
         with pytest.raises(ValueError, match="does not sweep"):
-            registry.register_expectations(
-                "attack-success-shielded",
+            registry.register(
+                scenario,
                 Expectation(
                     metric="success_probability", kind="upper_bound",
                     value=0.05, axes=(99,),
@@ -182,39 +183,53 @@ class TestRegistry:
                 allow_replace=True,
             )
         with pytest.raises(ValueError, match="not measured"):
-            registry.register_expectations(
-                "attack-success-shielded",
+            registry.register(
+                scenario,
                 Expectation(metric="ber", kind="upper_bound", value=0.05),
                 allow_replace=True,
             )
+        # A rejected table leaves the registered one in place.
+        assert len(registry.expectations_for(scenario.name)) == 1
 
     def test_replacing_a_scenario_drops_its_expectations(self):
-        """Expectations are validated against the grid they were
-        registered for; a replaced scenario must not silently carry a
-        stale table whose axes may no longer exist."""
+        """A scenario and its table are registered together: replacing
+        the scenario replaces the table, so a stale table whose axes
+        may no longer exist is never carried over."""
         from repro.stats import Expectation
 
         name = "test-replace-drops"
+        far = Expectation(
+            metric="success_probability", kind="upper_bound",
+            value=0.5, axes=(10, 14),
+        )
         try:
-            registry.register(Scenario(
-                name=name, kind="attack", location_indices=tuple(range(1, 15)),
-            ))
-            registry.register_expectations(
-                name,
-                Expectation(
-                    metric="success_probability", kind="upper_bound",
-                    value=0.5, axes=(10, 14),
+            registry.register(
+                Scenario(
+                    name=name, kind="attack",
+                    location_indices=tuple(range(1, 15)),
                 ),
+                far,
             )
-            assert registry.expectations_for(name)
+            assert registry.expectations_for(name) == (far,)
+            assert name in registry.names_with_expectations()
+            near = Expectation(
+                metric="success_probability", kind="upper_bound",
+                value=0.5, axes=(2,),
+            )
+            registry.register(
+                Scenario(name=name, kind="attack", location_indices=(1, 2)),
+                near,
+                allow_replace=True,
+            )
+            assert registry.expectations_for(name) == (near,)
             registry.register(
                 Scenario(name=name, kind="attack", location_indices=(1, 2)),
                 allow_replace=True,
             )
             assert registry.expectations_for(name) == ()
+            assert name not in registry.names_with_expectations()
         finally:
             registry._REGISTRY.pop(name, None)
-            registry._EXPECTATIONS.pop(name, None)
 
     def test_shielded_unshielded_share_the_axis(self):
         """The headline compare: same grid, one flag apart."""

@@ -3,25 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.channel.fading import NO_FADING, FadingModel, rayleigh_gain, rician_gain
-
-
-class TestGains:
-    def test_rayleigh_unit_mean_power(self, rng):
-        powers = [abs(rayleigh_gain(rng)) ** 2 for _ in range(20_000)]
-        assert np.mean(powers) == pytest.approx(1.0, rel=0.05)
-
-    def test_rician_unit_mean_power(self, rng):
-        powers = [abs(rician_gain(10.0, rng)) ** 2 for _ in range(20_000)]
-        assert np.mean(powers) == pytest.approx(1.0, rel=0.05)
-
-    def test_rician_less_variable_than_rayleigh(self, rng):
-        ray = [abs(rayleigh_gain(rng)) ** 2 for _ in range(5000)]
-        ric = [abs(rician_gain(12.0, rng)) ** 2 for _ in range(5000)]
-        assert np.std(ric) < np.std(ray)
-
-    def test_infinite_k_is_deterministic(self, rng):
-        assert rician_gain(float("inf"), rng) == 1.0 + 0.0j
+from repro.channel.fading import NO_FADING, FadingModel
 
 
 class TestFadingModel:

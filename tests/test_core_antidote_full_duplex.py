@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.antidote import (
     antidote_signal,
-    estimate_channel,
     residual_gain,
     wideband_antidote,
 )
@@ -65,38 +64,6 @@ class TestAntidoteMath:
             np.mean(np.abs(jam_only) ** 2) / np.mean(np.abs(at_l) ** 2)
         )
         assert abs(reduction_db) < 1.0
-
-
-class TestChannelEstimation:
-    def test_noiseless_estimate_exact(self, rng):
-        probe = _jam(rng, 2048)
-        h = 0.7 * np.exp(0.9j)
-        received = probe.scaled(h)
-        est = estimate_channel(probe, received, noise_power=0.0)
-        assert est.gain == pytest.approx(h, abs=1e-12)
-
-    def test_noisy_estimate_error_scales_with_snr(self, rng):
-        probe = _jam(rng, 8192)
-        h = 1.0
-        errors = []
-        for noise in (1e-4, 1e-2):
-            received = probe.scaled(h).with_noise(noise, rng)
-            est = estimate_channel(probe, received, noise)
-            errors.append(abs(est.gain - h))
-        assert errors[0] < errors[1]
-
-    def test_error_std_reported(self, rng):
-        probe = _jam(rng, 1024)
-        est = estimate_channel(probe, probe, noise_power=0.01)
-        assert est.error_std > 0
-
-    def test_validation(self, rng):
-        probe = _jam(rng, 64)
-        with pytest.raises(ValueError):
-            estimate_channel(probe, _jam(rng, 32), 0.0)
-        zero = Waveform(np.zeros(64), 600e3)
-        with pytest.raises(ValueError):
-            estimate_channel(zero, zero, 0.0)
 
 
 class TestWidebandAntidote:

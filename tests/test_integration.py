@@ -202,9 +202,9 @@ class TestBatteryDepletionAccounting:
     def test_unshielded_attack_drains_battery(self):
         bed = AttackTestbed(location_index=2, shield_present=False, seed=30)
         bed.run_trials(20, command="interrogate")
+        # Every interrogation forced a reply: 20 battery-draining
+        # transmissions.
         assert bed.imd.transmissions == 20
-        spent = bed.imd.transmissions * bed.imd.parameters.tx_energy_per_packet_j
-        assert spent > 0
 
     def test_shield_prevents_battery_drain(self):
         bed = AttackTestbed(location_index=2, shield_present=True, seed=30)

@@ -14,10 +14,11 @@ The function guard looks inside live modules: every top-level function
 and every non-dunder method of a top-level class must be named somewhere
 in ``src/``, ``examples/``, ``benchmarks/`` or ``perfbench/`` outside its
 own definition -- as a name, an attribute, an import, or a string
-constant (``perfbench/layers.py`` patches methods by name).  The match
-is by bare name, so it errs towards keeping code.  The only exceptions
-are :data:`TEST_ORACLES`: scalar reference paths the tests pin batched
-code against.
+constant (``perfbench/layers.py`` patches methods by name).  Re-exports
+are not uses: a package ``__init__``'s imports and any ``__all__``
+listing are skipped.  The match is by bare name, so it errs towards
+keeping code.  The only exceptions are :data:`TEST_ORACLES`: scalar
+reference paths the tests pin batched code against.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ TEST_ORACLES = {
         "repro.physio.inference.AttackerInference.infer_batch",
     "repro.protocol.crc._crc16_ccitt_bitwise":
         "repro.protocol.crc.crc16_bits_batch",
+    "repro.obs.export.validate_exposition":
+        "repro.obs.export.render_exposition",
 }
 
 
@@ -201,9 +204,27 @@ def _definitions(tree: ast.Module):
                     yield f"{node.name}.{item.name}", item
 
 
-def _mentions(tree: ast.Module):
-    """``(name, line)`` of every identifier the tree mentions."""
+def _reexports(tree: ast.Module, package: bool) -> set[int]:
+    """Ids of the nodes that only re-export a name: every string of an
+    ``__all__`` listing, and a package ``__init__``'s imported names."""
+    skipped = set()
     for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AugAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+            if any(getattr(t, "id", None) == "__all__" for t in targets):
+                skipped.update(map(id, ast.walk(node.value)))
+        elif package and isinstance(node, ast.alias):
+            skipped.add(id(node))
+    return skipped
+
+
+def _mentions(tree: ast.Module, package: bool = False):
+    """``(name, line)`` of every identifier the tree mentions, re-exports
+    aside."""
+    skipped = _reexports(tree, package)
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
         if isinstance(node, ast.Name):
             yield node.id, node.lineno
         elif isinstance(node, ast.Attribute):
@@ -237,7 +258,7 @@ def unreferenced_functions(
     }
     mentions: dict[str, list[tuple[pathlib.Path, int]]] = {}
     for path, tree in trees.items():
-        for name, line in _mentions(tree):
+        for name, line in _mentions(tree, path.name == "__init__.py"):
             mentions.setdefault(name, []).append((path, line))
     unreferenced = []
     for path, tree in trees.items():
@@ -298,3 +319,21 @@ def test_an_uncalled_function_fails_the_guard(tmp_path):
     # Recursion is not a caller, dunders are exempt, and a string
     # constant naming a method (as perfbench patches by name) counts.
     assert flagged == ["pkg.mod.uncalled", "pkg.mod.Box.orphan"]
+
+
+def test_a_reexported_uncalled_function_fails_the_guard(tmp_path):
+    src = tmp_path / "src" / "pkg"
+    src.mkdir(parents=True)
+    (src / "mod.py").write_text(
+        "__all__ = ['exported', 'used']\n\n\n"
+        "def exported():\n    return 1\n\n\n"
+        "def used():\n    return 2\n"
+    )
+    (src / "__init__.py").write_text(
+        "from pkg.mod import exported, used\n\n"
+        "__all__ = ['exported', 'used']\n\n"
+        "DEFAULT = used()\n"
+    )
+    # The package's own call counts; its import and both ``__all__``
+    # listings do not.
+    assert unreferenced_functions(src, [src]) == ["pkg.mod.exported"]

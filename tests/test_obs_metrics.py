@@ -22,7 +22,6 @@ from repro.obs.metrics import (
     counter_inc,
     observed_call,
     take_global,
-    timed,
     timing_observe,
 )
 
@@ -140,14 +139,6 @@ class TestGlobalAccumulator:
         # The next take sees only what happened after the previous one.
         empty = take_global()
         assert empty == {"counters": {}, "timings": {}}
-
-    def test_timed_context_records_a_timing(self):
-        take_global()
-        with timed("test.block"):
-            pass
-        delta = take_global()
-        assert delta["timings"]["test.block"]["count"] == 1
-        assert delta["timings"]["test.block"]["total"] >= 0.0
 
 
 class TestObservedCall:

@@ -22,12 +22,8 @@ from repro.campaigns import CampaignRunner, registry
 from repro.campaigns.cli import main as cli_main
 from repro.campaigns.runner import evaluate_unit, plan_scenario_units
 from repro.campaigns.spec import Scenario
-from repro.stats.adaptive import (
-    AdaptivePolicy,
-    AdaptiveScheduler,
-    metric_estimator,
-    scenario_metrics,
-)
+from repro.campaigns.kinds import KINDS
+from repro.stats.adaptive import AdaptivePolicy, AdaptiveScheduler
 from repro.stats.estimator import MeanEstimator, SequentialEstimator
 from repro.stats.validation import cells_from_result
 
@@ -170,26 +166,28 @@ class TestPlanningAndReduction:
 
 class TestStatsIntegration:
     def test_scenario_metrics(self):
-        metrics = scenario_metrics("physio")
-        assert "hr_abs_error" in metrics
+        metrics = KINDS["physio"].metric_names()
+        assert metrics[0] == "hr_abs_error"
         assert "rhythm_accuracy" in metrics
         assert len(metrics) == 6
 
     def test_metric_estimator_families(self):
-        assert isinstance(metric_estimator("rhythm_accuracy"), SequentialEstimator)
-        gap = metric_estimator("hr_error_vs_chance")
+        estimators = KINDS["physio"].estimators()
+        assert isinstance(estimators["rhythm_accuracy"], SequentialEstimator)
+        gap = estimators["hr_error_vs_chance"]
         assert isinstance(gap, MeanEstimator) and gap.bounds is None
-        err = metric_estimator("hr_abs_error")
-        assert err.bounds[0] == 0.0
-        with pytest.raises(ValueError, match="unknown metric"):
-            metric_estimator("qt-interval")
+        assert estimators["hr_abs_error"].bounds[0] == 0.0
+        with pytest.raises(ValueError, match="not measured"):
+            AdaptiveScheduler(
+                _small_physio(), tracked={"qt-interval"}, persist=False
+            )
 
     def test_cells_from_result_rebuild_exact_moments(self):
         result = CampaignRunner(_small_physio(), persist=False).run()
         cells = cells_from_result(result)
         point = result.points[0]
         estimators = cells[0].estimators
-        assert set(estimators) == set(scenario_metrics("physio"))
+        assert set(estimators) == set(KINDS["physio"].metric_names())
         assert estimators["hr_abs_error"].estimate == pytest.approx(
             point["hr_abs_error"]
         )

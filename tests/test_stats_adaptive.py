@@ -3,10 +3,14 @@
 import pytest
 
 from repro.campaigns import registry
+from repro.campaigns.kinds import KINDS
+from repro.campaigns.kinds.attack import AttackKind
+from repro.campaigns.kinds.base import Metric
 from repro.campaigns.spec import Scenario
 from repro.stats import (
     AdaptivePolicy,
     AdaptiveScheduler,
+    SequentialEstimator,
     tracked_metrics,
 )
 
@@ -23,20 +27,35 @@ def _passive(locations=(1, 10, 18)) -> Scenario:
     )
 
 
+def _targets(scenario, policy=None) -> dict[str, float]:
+    """The stopping target of each metric an adaptive run tracks."""
+    return AdaptiveScheduler(scenario, policy=policy, persist=False)._targets
+
+
 class TestPolicy:
     def test_defaults_are_valid(self):
-        policy = AdaptivePolicy()
-        assert policy.target_for("success_probability") == 0.10
-        assert policy.target_for("ber") == 0.02
+        # Each kind declares its metrics' default precision.
+        assert _targets(_shielded()) == {
+            "success_probability": 0.10, "alarm_probability": 0.10,
+        }
+        assert _targets(_passive()) == {"ber": 0.02}
 
     def test_precision_overrides_every_metric(self):
         policy = AdaptivePolicy(precision=0.07)
-        assert policy.target_for("success_probability") == 0.07
-        assert policy.target_for("ber") == 0.07
+        assert _targets(_shielded(), policy) == {
+            "success_probability": 0.07, "alarm_probability": 0.07,
+        }
+        assert _targets(_passive(), policy) == {"ber": 0.07}
 
-    def test_unknown_metric_without_override_raises(self):
+    def test_unknown_metric_without_override_raises(self, monkeypatch):
+        class NoPrecision(AttackKind):
+            metrics = (Metric("success_probability", SequentialEstimator),)
+
+        monkeypatch.setitem(KINDS, "attack", NoPrecision())
         with pytest.raises(ValueError, match="no default precision"):
-            AdaptivePolicy().target_for("latency")
+            _targets(_shielded())
+        policy = AdaptivePolicy(precision=0.07)
+        assert _targets(_shielded(), policy) == {"success_probability": 0.07}
 
     def test_validation(self):
         with pytest.raises(ValueError):
