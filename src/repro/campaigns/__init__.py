@@ -36,9 +36,9 @@ The registry also carries each scenario's *golden-figure expectation
 table* (:func:`registry.expectations_for`): declarative
 :class:`~repro.stats.expectations.Expectation` records stating what the
 paper's figures demand of every scenario's numbers.  ``python -m repro
-validate`` judges runs against it -- fixed-budget or adaptive-precision
-(:class:`~repro.stats.adaptive.AdaptiveScheduler`) -- see
-``docs/validation.md``.
+validate`` judges runs against it -- a fixed-budget
+:meth:`CampaignRunner.run` or an adaptive-precision
+:meth:`CampaignRunner.run_adaptive` -- see ``docs/validation.md``.
 
 Future scaling work (sharding campaigns across machines, a networked
 queue) should extend this package: everything above it -- CLI,

@@ -36,9 +36,10 @@ serial run (see docs/distributed.md).
 
 ``validate`` judges scenarios against the registry's golden-figure
 expectation table (see docs/validation.md) and exits non-zero when a
-paper claim is refuted -- with ``--adaptive`` it lets the
-:class:`~repro.stats.adaptive.AdaptiveScheduler` choose trial counts to
-hit a stated precision instead of running the fixed budget.
+paper claim is refuted -- with ``--adaptive`` it lets the runner's
+adaptive rounds (:meth:`~repro.campaigns.runner.CampaignRunner.run_adaptive`)
+choose trial counts to hit a stated precision instead of running the
+fixed budget.
 
 Killing a ``run`` (or ``validate``) mid-campaign is safe: completed
 work units are already on disk, and the next invocation completes from
@@ -1172,8 +1173,8 @@ _VERBS = (
                       "trials per cell)"),
             _arg("--precision", type=float,
                  help="target CI half-width for every metric (default: "
-                      "per-metric targets, 0.10 for probabilities / 0.02 "
-                      "for BER)"),
+                      "the precision each scenario kind declares for "
+                      "each of its metrics)"),
             _arg("--confidence", type=float,
                  help="confidence level for intervals and verdicts "
                       "(default 0.95)"),

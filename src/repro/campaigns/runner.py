@@ -13,6 +13,11 @@ campaign resumes where it stopped; the reduction is order-independent,
 so cached + fresh unit mixes reduce to *bit-identical* numbers versus an
 uninterrupted serial run.
 
+:meth:`CampaignRunner.run_adaptive` runs the same loop in rounds until
+every grid cell's confidence intervals reach a precision target
+(:mod:`repro.stats.adaptive`), so both modes persist, trace and publish
+progress alike.
+
 What a unit of each scenario kind is -- its plan, its evaluation, its
 reduction -- is the kind's business (:mod:`repro.campaigns.kinds`); the
 runner only looks the kind up.
@@ -39,6 +44,11 @@ from repro.obs.observer import RunObserver
 from repro.obs.progress import resolve_progress
 from repro.obs.trace import Tracer
 from repro.runtime import SweepExecutor
+from repro.stats.adaptive import (
+    AdaptiveCell,
+    AdaptivePolicy,
+    AdaptiveRunResult,
+)
 
 _log = get_logger("campaigns")
 
@@ -122,7 +132,7 @@ class CampaignResult:
 
 
 # ----------------------------------------------------------------------
-# Unit planning (shared by the runner and the adaptive scheduler)
+# Unit planning (shared by the runner and its queue workers)
 # ----------------------------------------------------------------------
 
 
@@ -232,6 +242,7 @@ class CampaignRunner:
         self.persist = persist
         self.profile = profile
         self.profile_path: Path | None = None
+        self._profiler: cProfile.Profile | None = None
         self.tracer = tracer
         self.progress = resolve_progress(progress)
         self._cache_root = Path(
@@ -272,7 +283,15 @@ class CampaignRunner:
         overwrites existing cache entries.
         """
         with self._observer("runner") as observer:
-            units, results, computed = self._execute(observer, force)
+            plan_start = time.perf_counter()
+            units = self.plan()
+            observer.start(
+                self.scenario, len(units), **self._manifest_fields()
+            )
+            observer.phase(
+                "plan", time.perf_counter() - plan_start, units=len(units)
+            )
+            results, computed = self._execute(units, observer, force)
             cached = len(units) - computed
             points = self._reduce(observer, units, results)
             observer.finish(
@@ -287,6 +306,155 @@ class CampaignRunner:
             cached_units=cached,
             computed_units=computed,
         )
+
+    def run_adaptive(
+        self,
+        policy: AdaptivePolicy | None = None,
+        tracked: dict[int, set[str]] | set[str] | None = None,
+    ) -> AdaptiveRunResult:
+        """Run the campaign to a precision target instead of a trial count.
+
+        Trial chunks go through the same cache-or-compute loop as
+        :meth:`run`, in *rounds*: after each round every still-active
+        cell checks :meth:`AdaptiveCell.precise` and stops once every
+        tracked metric's confidence interval is as tight as its target
+        (``policy.precision``, or the precision the kind declares for
+        that metric) or its trials reach ``policy.max_trials``.  The
+        scenario's ``n_trials`` only sets the fixed budget the result
+        is compared against.
+
+        ``tracked`` picks the metrics that gate each cell's stopping:
+        ``None`` tracks every metric the kind measures, a set the same
+        metrics everywhere, a ``{position: set}`` dict varies them per
+        cell (validation tracks exactly the metrics its expectations
+        judge).  Untracked metrics still accumulate -- their trials are
+        already paid for -- they just never hold a cell open.
+
+        A round unit's RNG stream is a pure function of (scenario
+        payload, cell, round index) and its coordinates carry the round,
+        so round units never collide with fixed-plan units in the cache.
+        Rounds are submission barriers, and each round's results are
+        absorbed in plan order, so the units round ``r+1`` plans are a
+        pure function of rounds ``0..r``: serial, pooled and
+        cache-resumed runs take bit-identical stopping decisions.  All
+        rounds share one worker pool and one observer, whose manifest
+        carries ``adaptive: true``.
+        """
+        kind = KINDS[self.scenario.kind]
+        if not kind.adaptive:
+            raise fixed_budget_only(self.scenario.kind)
+        policy = policy or AdaptivePolicy()
+        cells, targets = self._adaptive_cells(kind, policy, tracked)
+        run = AdaptiveRunResult(
+            scenario=self.scenario,
+            policy=policy,
+            fixed_trials=kind.fixed_trials(self.scenario),
+            targets=targets,
+            cells=cells,
+        )
+        active = cells
+        # One pool for every round: rounds are many small batches, and
+        # per-round pool startup would dominate them.
+        with (
+            self.executor.pool_session(),
+            self._observer("runner") as observer,
+        ):
+            while active:
+                plan_start = time.perf_counter()
+                planned = [
+                    (cell, unit)
+                    for cell in active
+                    for unit in plan_scenario_units(
+                        self.scenario,
+                        positions=[cell.position],
+                        n_trials=min(
+                            policy.round_size, policy.max_trials - cell.trials
+                        ),
+                        round_index=run.rounds,
+                    )
+                ]
+                # The first round writes the manifest; later rounds only
+                # grow the total that progress reports against.
+                observer.start(
+                    self.scenario,
+                    run.computed_units + run.cached_units + len(planned),
+                    **self._manifest_fields(),
+                    adaptive=True,
+                )
+                observer.phase(
+                    "plan", time.perf_counter() - plan_start,
+                    units=len(planned), round=run.rounds,
+                )
+                results, computed = self._execute(
+                    [unit for _, unit in planned], observer, force=False
+                )
+                for cell, unit in planned:
+                    n_trials = unit.coords["n_trials"]
+                    kind.absorb(cell.estimators, n_trials, results[unit.key])
+                    cell.trials += n_trials
+                run.computed_units += computed
+                run.cached_units += len(planned) - computed
+                run.rounds += 1
+                for cell in active:
+                    cell.rounds += 1
+                    cell.converged = cell.precise(policy, targets)
+                active = [
+                    cell for cell in active
+                    if not cell.converged and cell.trials < policy.max_trials
+                ]
+            observer.finish(
+                total_units=run.computed_units + run.cached_units,
+                cached_units=run.cached_units,
+                computed_units=run.computed_units,
+                rounds=run.rounds,
+                adaptive=True,
+            )
+        return run
+
+    def _adaptive_cells(
+        self, kind, policy: AdaptivePolicy, tracked
+    ) -> tuple[list[AdaptiveCell], dict[str, float]]:
+        """Fresh cells with their tracked metrics, and each tracked
+        metric's stopping target: the policy's one precision, or the
+        one the kind declares for that metric."""
+        metrics = kind.metric_names()
+        cells = []
+        for position, axis in enumerate(self.scenario.axis_values()):
+            if tracked is None:
+                wanted: set[str] = set(metrics)
+            elif isinstance(tracked, dict):
+                wanted = set(tracked.get(position, metrics))
+            else:
+                wanted = set(tracked)
+            unknown = wanted - set(metrics)
+            if unknown:
+                raise ValueError(
+                    f"metric(s) {sorted(unknown)} are not measured by a "
+                    f"{self.scenario.kind!r} scenario; available: {metrics}"
+                )
+            if not wanted:
+                raise ValueError(
+                    f"cell {position} tracks no metrics; every cell needs "
+                    f"at least one stopping criterion"
+                )
+            cells.append(AdaptiveCell(
+                position=position,
+                axis=axis,
+                label=kind.cell_label(self.scenario, axis),
+                estimators=kind.estimators(),
+                tracked=tuple(sorted(wanted)),
+            ))
+        declared = {m.name: m.precision for m in kind.metrics}
+        targets: dict[str, float] = {}
+        for metric in sorted(set().union(*(cell.tracked for cell in cells))):
+            target = policy.precision or declared[metric]
+            if target is None:
+                raise ValueError(
+                    f"no default precision for metric {metric!r}; "
+                    f"set AdaptivePolicy.precision explicitly"
+                )
+            targets[metric] = target
+        return cells, targets
 
     def run_distributed(
         self,
@@ -328,7 +496,7 @@ class CampaignRunner:
             enqueue_seconds = time.perf_counter() - enqueue_start
             observer.start(
                 self.scenario, len(units),
-                **self._manifest_fields(forced_serial=False),
+                **self._manifest_fields(evaluates=False),
                 distributed=True,
             )
             observer.phase("plan", plan_seconds, units=len(units))
@@ -404,8 +572,11 @@ class CampaignRunner:
             workers=self.executor.workers,
         )
 
-    def _manifest_fields(self, forced_serial: bool) -> dict:
-        """The run manifest's execution config: resolved how."""
+    def _manifest_fields(self, evaluates: bool = True) -> dict:
+        """The run manifest's execution config: resolved how.  A run
+        that ``evaluates`` units under ``profile`` with workers is
+        forced serial."""
+        forced_serial = evaluates and self.profile and self.executor.parallel
         return {
             "workers": self.executor.workers,
             "effective_workers": 1 if forced_serial else self.executor.workers,
@@ -417,17 +588,15 @@ class CampaignRunner:
         }
 
     def _execute(
-        self, observer: RunObserver, force: bool
-    ) -> tuple[list[CampaignUnit], dict[str, dict], int]:
-        """Load cached units, compute and persist the rest: :meth:`run`'s
-        engine, returning the plan, every unit's result and how many
-        were computed."""
-        plan_start = time.perf_counter()
-        units = self.plan()
-        plan_seconds = time.perf_counter() - plan_start
+        self, units: list[CampaignUnit], observer: RunObserver, force: bool
+    ) -> tuple[dict[str, dict], int]:
+        """Load the cached ``units``, compute and persist the rest, and
+        report each to the started ``observer``: the one cache-or-compute
+        loop of fixed runs and adaptive rounds alike.  Returns every
+        unit's result by key and how many were computed."""
+        observer.progress("execute")
         results: dict[str, dict] = {}
         pending: list[CampaignUnit] = []
-        hits: list[tuple[CampaignUnit, float]] = []
         for unit in units:
             cached = None
             if not force and self.cache is not None:
@@ -436,13 +605,10 @@ class CampaignRunner:
                 load_seconds = time.perf_counter() - load_start
             if cached is not None:
                 results[unit.key] = cached
-                hits.append((unit, load_seconds))
+                observer.hit(unit, load_s=load_seconds)
             else:
                 pending.append(unit)
-        forced_serial = bool(
-            self.profile and pending and self.executor.parallel
-        )
-        if forced_serial:
+        if self.profile and pending and self.executor.parallel:
             _log.warning(
                 "--profile forces serial unit evaluation: ignoring "
                 "workers=%d for %d pending unit(s) of %s",
@@ -450,13 +616,6 @@ class CampaignRunner:
                 len(pending),
                 self.scenario.name,
             )
-        observer.start(
-            self.scenario, len(units), **self._manifest_fields(forced_serial)
-        )
-        observer.phase("plan", plan_seconds, units=len(units))
-        observer.progress("execute")
-        for unit, load_seconds in hits:
-            observer.hit(unit, load_s=load_seconds)
         computed = 0
         # Streaming submission: results arrive in unit order as they
         # complete, and each is flushed to the cache immediately -- an
@@ -467,8 +626,9 @@ class CampaignRunner:
         if self.profile and pending:
             # Profile in-process: a pool would hide the kernels behind
             # pickling.  Serial evaluation is bit-identical by contract.
+            # One profiler per runner, so adaptive rounds accumulate.
             executor = SweepExecutor(1)
-            profiler = cProfile.Profile()
+            profiler = self._profiler = self._profiler or cProfile.Profile()
         execute_start = time.perf_counter()
         submit_mono = time.monotonic()
         streamed = executor.imap(
@@ -514,7 +674,7 @@ class CampaignRunner:
             raise RuntimeError(
                 f"campaign incomplete: {len(missing)} units unevaluated"
             )
-        return units, results, computed
+        return results, computed
 
     def _dump_profile(self, profiler: cProfile.Profile) -> Path:
         """Write the unit-evaluation profile next to the cache root.

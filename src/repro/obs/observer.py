@@ -85,7 +85,8 @@ class RunObserver:
     def start(self, scenario, total_units: int, **fields) -> None:
         """Write the run manifest: the scenario, the plan size, the
         role's ``fields`` and the versions the run used.  A tracer that
-        already holds a manifest keeps it."""
+        already holds a manifest keeps it, so a later call (an adaptive
+        run's next round) only sets the total progress reports."""
         if self.publisher is not None:
             self.publisher.total_units = total_units
         if self.tracer is None or self.tracer.started:

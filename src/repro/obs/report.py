@@ -136,9 +136,12 @@ def summarize_run(
     closing totals, absent for an interrupted trace).
     """
     units = [e for e in events if e.get("type") == "unit"]
-    phases = {
-        e.get("name"): e for e in events if e.get("type") == "phase"
-    }
+    # An adaptive run repeats plan/execute once per round: sum them.
+    phase_s: dict[str, float] = {}
+    for e in events:
+        if e.get("type") == "phase":
+            seconds = float(e.get("seconds", 0.0))
+            phase_s[e.get("name")] = phase_s.get(e.get("name"), 0.0) + seconds
     metrics_events = [e for e in events if e.get("type") == "metrics"]
     summary_events = [e for e in events if e.get("type") == "summary"]
 
@@ -181,10 +184,7 @@ def summarize_run(
     # A --profile run ignores configured workers (forced serial); judge
     # utilization against what actually ran.
     effective = int(manifest.get("effective_workers", configured) or 1)
-    execute_phase = phases.get("execute")
-    execute_wall = (
-        float(execute_phase["seconds"]) if execute_phase else None
-    )
+    execute_wall = phase_s.get("execute")
     utilization = None
     if execute_wall and execute_wall > 0 and effective > 0:
         utilization = min(1.0, busy_s / (effective * execute_wall))

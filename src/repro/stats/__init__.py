@@ -12,11 +12,12 @@ error.  This package owns both halves:
 * :mod:`repro.stats.estimator` -- mergeable sequential estimators
   (:class:`SequentialEstimator` for proportions, :class:`MeanEstimator`
   for means) that rebuild identically from cached per-unit results;
-* :mod:`repro.stats.adaptive` -- :class:`AdaptiveScheduler`, which
-  feeds trial chunks through the campaign machinery in rounds and stops
-  every (grid cell, metric) pair the moment its confidence interval
-  hits a stated precision target, with serial == parallel determinism
-  via per-round :class:`~numpy.random.SeedSequence` spawning;
+* :mod:`repro.stats.adaptive` -- the statistics of adaptive precision:
+  :class:`AdaptivePolicy`, and the :class:`AdaptiveCell` stopping test
+  that ends a grid cell the moment every tracked metric's confidence
+  interval hits its precision target.  The campaign runner
+  (:meth:`~repro.campaigns.runner.CampaignRunner.run_adaptive`) runs
+  the rounds through its one cache-or-compute loop;
 * :mod:`repro.stats.expectations` -- declarative golden-figure
   :class:`Expectation` records (two-sided CI overlap, one-sided bounds,
   exact matches) and their verdict semantics;
@@ -37,7 +38,6 @@ from repro.stats.adaptive import (
     AdaptiveCell,
     AdaptivePolicy,
     AdaptiveRunResult,
-    AdaptiveScheduler,
 )
 from repro.stats.estimator import MeanEstimator, SequentialEstimator
 from repro.stats.expectations import (
@@ -66,7 +66,6 @@ __all__ = [
     "AdaptiveCell",
     "AdaptivePolicy",
     "AdaptiveRunResult",
-    "AdaptiveScheduler",
     "CellOutcome",
     "CellStats",
     "Expectation",

@@ -1,33 +1,27 @@
-"""Adaptive-precision execution: spend trials where the statistics need them.
+"""Adaptive precision: the statistics of spending trials where they count.
 
 A fixed-budget campaign runs ``n_trials`` everywhere, which buys wildly
 uneven precision: 25 trials pin an attack-success probability of 0.0
 down to a ~0.1-wide interval but leave a mid-range probability smeared
-across ~0.35.  :class:`AdaptiveScheduler` inverts the contract -- the
-caller states the precision, the scheduler finds the trial counts.  It
-feeds trial chunks through the campaign work-unit machinery in
-*rounds*: after each round every still-active (grid cell, metric) pair
-is re-checked, and a cell stops as soon as every tracked metric's
-confidence-interval half-width reaches its target.  Targets and
-estimators come from the scenario kind, which declares each metric it
-measures (:class:`~repro.campaigns.kinds.base.Metric`); this module
-names no metric, and :attr:`AdaptivePolicy.precision` overrides every
-target at once.
+across ~0.35.  Adaptive precision inverts the contract -- the caller
+states the precision, the run finds the trial counts.  The campaign
+runner (:meth:`~repro.campaigns.runner.CampaignRunner.run_adaptive`)
+feeds trial chunks through its one execution loop in *rounds*; after
+each round every still-active grid cell re-checks
+:meth:`AdaptiveCell.precise`, and stops as soon as every tracked
+metric's confidence-interval half-width reaches its target.
 
-Determinism is the campaign runner's, exactly: a round unit's RNG
-stream is a pure function of (scenario payload, cell, round index) via
-:func:`repro.runtime.seeding.round_seed_sequence` -- never of which
-cells are still active, the worker count, or scheduling -- and rounds
-are submission barriers, so the set of units round ``r+1`` plans is a
-pure function of the results of rounds ``0..r``.  Serial and parallel
-runs therefore take bit-identical stopping decisions, and a run killed
-mid-round resumes from cache onto the same trajectory.
+This module holds only that statistics: the policy, a cell's
+accumulated estimators and its stopping test, and the run's outcome.
+It names no metric -- targets and estimators come from the scenario
+kind, which declares each metric it measures
+(:class:`~repro.campaigns.kinds.base.Metric`) -- and
+:attr:`AdaptivePolicy.precision` overrides every target at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.stats.estimator import INTERVAL_METHODS, MeanEstimator, SequentialEstimator
 from repro.stats.expectations import CellStats
@@ -36,7 +30,6 @@ __all__ = [
     "AdaptiveCell",
     "AdaptivePolicy",
     "AdaptiveRunResult",
-    "AdaptiveScheduler",
 ]
 
 
@@ -101,16 +94,42 @@ class AdaptiveCell:
     rounds: int = 0
     converged: bool = False
 
+    def precise(
+        self, policy: AdaptivePolicy, targets: dict[str, float]
+    ) -> bool:
+        """Whether the cell may stop: past ``policy.min_trials``, with
+        every tracked metric's interval as tight as its target."""
+        if self.trials < policy.min_trials:
+            return False
+        for metric in self.tracked:
+            estimator = self.estimators[metric]
+            if isinstance(estimator, SequentialEstimator):
+                done = estimator.converged(
+                    targets[metric], policy.confidence, policy.method
+                )
+            else:
+                done = estimator.converged(targets[metric], policy.confidence)
+            if not done:
+                return False
+        return True
+
     def stats(self) -> CellStats:
         return CellStats(self.axis, self.label, dict(self.estimators))
 
 
 @dataclass
 class AdaptiveRunResult:
-    """The outcome of one adaptive-precision run."""
+    """The outcome of one adaptive-precision run.
+
+    ``fixed_trials`` is what the scenario's fixed-count budget would
+    have spent; ``targets`` the stopping half-width of each tracked
+    metric.
+    """
 
     scenario: object
     policy: AdaptivePolicy
+    fixed_trials: int
+    targets: dict[str, float]
     cells: list[AdaptiveCell] = field(default_factory=list)
     rounds: int = 0
     computed_units: int = 0
@@ -125,236 +144,5 @@ class AdaptiveRunResult:
     def trials_used(self) -> int:
         return sum(cell.trials for cell in self.cells)
 
-    @property
-    def fixed_trials(self) -> int:
-        """What the scenario's fixed-count budget would have spent."""
-        from repro.campaigns.kinds import KINDS
-
-        return KINDS[self.scenario.kind].fixed_trials(self.scenario)
-
     def cell_stats(self) -> list[CellStats]:
         return [cell.stats() for cell in self.cells]
-
-    def to_payload(self) -> dict:
-        return {
-            "scenario": self.scenario.name,
-            "adaptive": True,
-            "rounds": self.rounds,
-            "converged": self.converged,
-            "trials_used": self.trials_used,
-            "fixed_trials": self.fixed_trials,
-            "units": {
-                "computed": self.computed_units,
-                "from_cache": self.cached_units,
-            },
-            "cells": [
-                {
-                    "axis": cell.axis,
-                    "label": cell.label,
-                    "trials": cell.trials,
-                    "rounds": cell.rounds,
-                    "converged": cell.converged,
-                    "estimates": {
-                        name: est.estimate
-                        for name, est in cell.estimators.items()
-                    },
-                }
-                for cell in self.cells
-            ],
-        }
-
-
-class AdaptiveScheduler:
-    """Run one scenario to a precision target instead of a trial count.
-
-    Parameters
-    ----------
-    scenario:
-        A registered/validated :class:`~repro.campaigns.spec.Scenario`.
-        Its ``n_trials`` is ignored for planning (it defines the fixed
-        budget the result is compared against) but still participates in
-        the cache namespace.
-    policy:
-        Precision targets and round sizing; default
-        :class:`AdaptivePolicy`.
-    tracked:
-        Which metrics gate each cell's stopping decision: ``None``
-        tracks every metric the kind measures, a set tracks the same
-        metrics everywhere, a ``{position: set}`` dict varies them per
-        cell (validation tracks exactly the metrics with expectations).
-        Untracked metrics still accumulate -- their trials are already
-        paid for -- they just never hold a cell open.
-    cache_dir / workers / persist:
-        As for :class:`~repro.campaigns.runner.CampaignRunner`; round
-        units share the scenario's cache namespace (their coordinates
-        carry the round index, so they can never collide with
-        fixed-plan units).
-    """
-
-    def __init__(
-        self,
-        scenario,
-        policy: AdaptivePolicy | None = None,
-        tracked: dict[int, set[str]] | set[str] | None = None,
-        cache_dir: Path | str | None = None,
-        workers: int | None = None,
-        persist: bool = True,
-    ):
-        # Deferred import: repro.campaigns pulls its registry in, which
-        # itself imports the expectation records from this package.
-        from repro.campaigns.cache import ResultCache, default_cache_dir
-        from repro.campaigns.kinds import KINDS, fixed_budget_only
-        from repro.runtime import SweepExecutor
-
-        self._kind = KINDS[scenario.kind]
-        if not self._kind.adaptive:
-            raise fixed_budget_only(scenario.kind)
-        self.scenario = scenario
-        self.policy = policy or AdaptivePolicy()
-        self.executor = SweepExecutor(workers)
-        self.persist = persist
-        self.cache = (
-            ResultCache(
-                cache_dir if cache_dir is not None else default_cache_dir()
-            )
-            if persist
-            else None
-        )
-        metrics = self._kind.metric_names()
-        self._tracked: dict[int, tuple[str, ...]] = {}
-        for position in range(scenario.grid_size()):
-            if tracked is None:
-                wanted: set[str] = set(metrics)
-            elif isinstance(tracked, dict):
-                wanted = set(tracked.get(position, metrics))
-            else:
-                wanted = set(tracked)
-            unknown = wanted - set(metrics)
-            if unknown:
-                raise ValueError(
-                    f"metric(s) {sorted(unknown)} are not measured by a "
-                    f"{scenario.kind!r} scenario; available: {metrics}"
-                )
-            if not wanted:
-                raise ValueError(
-                    f"cell {position} tracks no metrics; every cell needs "
-                    f"at least one stopping criterion"
-                )
-            self._tracked[position] = tuple(sorted(wanted))
-        # Each tracked metric's stopping target: the policy's one
-        # precision, or the one the kind declares for that metric.
-        declared = {m.name: m.precision for m in self._kind.metrics}
-        self._targets: dict[str, float] = {}
-        for metric in set().union(*self._tracked.values()):
-            target = self.policy.precision or declared[metric]
-            if target is None:
-                raise ValueError(
-                    f"no default precision for metric {metric!r}; "
-                    f"set AdaptivePolicy.precision explicitly"
-                )
-            self._targets[metric] = target
-
-    # -- cell bookkeeping ----------------------------------------------
-
-    def _new_cells(self) -> list[AdaptiveCell]:
-        return [
-            AdaptiveCell(
-                position=position,
-                axis=axis,
-                label=self._kind.cell_label(self.scenario, axis),
-                estimators=self._kind.estimators(),
-                tracked=self._tracked[position],
-            )
-            for position, axis in enumerate(self.scenario.axis_values())
-        ]
-
-    def _absorb(self, cell: AdaptiveCell, coords: dict, result: dict) -> None:
-        self._kind.absorb(cell.estimators, coords["n_trials"], result)
-        cell.trials += coords["n_trials"]
-
-    def _cell_done(self, cell: AdaptiveCell) -> bool:
-        policy = self.policy
-        if cell.trials < policy.min_trials:
-            return False
-        for metric in cell.tracked:
-            estimator = cell.estimators[metric]
-            target = self._targets[metric]
-            if isinstance(estimator, SequentialEstimator):
-                done = estimator.converged(
-                    target, policy.confidence, policy.method
-                )
-            else:
-                done = estimator.converged(target, policy.confidence)
-            if not done:
-                return False
-        return True
-
-    # -- execution -----------------------------------------------------
-
-    def run(self) -> AdaptiveRunResult:
-        """Round-submit until every cell converges or exhausts its budget.
-
-        Cached round units (from an interrupted or earlier identical
-        run) are loaded instead of recomputed; because stopping
-        decisions are pure functions of accumulated unit results, the
-        resumed trajectory is bit-identical to an uninterrupted one.
-        """
-        from repro.campaigns.runner import evaluate_unit, plan_scenario_units
-
-        policy = self.policy
-        result = AdaptiveRunResult(scenario=self.scenario, policy=policy)
-        cells = self._new_cells()
-        result.cells = cells
-        active = list(range(len(cells)))
-        round_index = 0
-        # One worker pool for the whole run: rounds are many small
-        # batches, and per-round pool startup would dominate them.
-        with self.executor.pool_session():
-            while active:
-                planned: list[tuple[AdaptiveCell, object]] = []
-                for position in active:
-                    cell = cells[position]
-                    chunk = min(policy.round_size, policy.max_trials - cell.trials)
-                    for unit in plan_scenario_units(
-                        self.scenario,
-                        positions=[position],
-                        n_trials=chunk,
-                        round_index=round_index,
-                    ):
-                        planned.append((cell, unit))
-
-                pending: list[tuple[AdaptiveCell, object]] = []
-                for cell, unit in planned:
-                    cached = (
-                        None
-                        if self.cache is None
-                        else self.cache.get(self.scenario, unit.key)
-                    )
-                    if cached is not None:
-                        self._absorb(cell, unit.coords, cached)
-                        result.cached_units += 1
-                    else:
-                        pending.append((cell, unit))
-                streamed = self.executor.imap(
-                    evaluate_unit, [unit.spec for _, unit in pending]
-                )
-                for (cell, unit), unit_result in zip(pending, streamed):
-                    if self.cache is not None:
-                        self.cache.put(
-                            self.scenario, unit.key, unit.coords, unit_result
-                        )
-                    self._absorb(cell, unit.coords, unit_result)
-                    result.computed_units += 1
-
-                still_active = []
-                for position in active:
-                    cell = cells[position]
-                    cell.rounds += 1
-                    if self._cell_done(cell):
-                        cell.converged = True
-                    elif cell.trials < policy.max_trials:
-                        still_active.append(position)
-                active = still_active
-                round_index += 1
-        result.rounds = round_index
-        return result

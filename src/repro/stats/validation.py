@@ -1,9 +1,9 @@
 """The golden-figure validation harness behind ``python -m repro validate``.
 
 Ties the pieces together: resolve a scenario's expectations from the
-campaign registry, obtain per-cell estimators (from a fixed-budget
-:class:`~repro.campaigns.runner.CampaignRunner` run or an
-:class:`~repro.stats.adaptive.AdaptiveScheduler` run), evaluate every
+campaign registry, obtain per-cell estimators from one
+:class:`~repro.campaigns.runner.CampaignRunner` (a fixed-budget
+``run()`` or an adaptive-precision ``run_adaptive()``), evaluate every
 expectation, and fold the verdicts into a :class:`ValidationReport`
 that renders as tables, markdown, or JSON and maps onto a process exit
 code.
@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.stats.adaptive import AdaptivePolicy, AdaptiveScheduler
+from repro.stats.adaptive import AdaptivePolicy
 from repro.stats.expectations import (
     CellStats,
     Expectation,
@@ -164,11 +164,10 @@ def validate_scenario(
 ) -> ScenarioValidation:
     """Run (or re-read) one scenario and judge its expectations.
 
-    Fixed mode runs the scenario's registered Monte-Carlo budget through
-    the campaign runner; adaptive mode lets the
-    :class:`AdaptiveScheduler` choose trial counts per cell, tracking
-    exactly the metrics the expectations judge.  Both paths resume from
-    (and fill) the same content-addressed cache.
+    Fixed mode runs the scenario's registered Monte-Carlo budget; adaptive
+    mode lets :meth:`CampaignRunner.run_adaptive` choose trial counts per
+    cell, tracking exactly the metrics the expectations judge.  Both
+    resume from (and fill) the same content-addressed cache.
 
     ``confidence`` overrides every expectation's own interval level for
     the verdicts (``None`` keeps each expectation's declared level);
@@ -182,29 +181,18 @@ def validate_scenario(
             f"scenario {scenario.name!r} has no registered expectations; "
             f"register some before validating against it"
         )
-    method = policy.method if policy is not None else "jeffreys"
-    kind = KINDS[scenario.kind]
+    policy = policy or AdaptivePolicy()
+    runner = CampaignRunner(
+        scenario, cache_dir=cache_dir, workers=workers, persist=persist
+    )
     # ``validate --adaptive`` runs a fixed-budget-only kind at its fixed
     # budget instead of refusing the whole invocation.
-    if adaptive and kind.adaptive:
-        scheduler = AdaptiveScheduler(
-            scenario,
-            policy=policy,
-            tracked=tracked_metrics(scenario, expectations),
-            cache_dir=cache_dir,
-            workers=workers,
-            persist=persist,
+    if adaptive and KINDS[scenario.kind].adaptive:
+        run = runner.run_adaptive(
+            policy, tracked_metrics(scenario, expectations)
         )
-        run = scheduler.run()
         cells = run.cell_stats()
-        outcomes = tuple(
-            evaluate_expectation(e, cells, method=method, confidence=confidence)
-            for e in expectations
-        )
-        return ScenarioValidation(
-            scenario=scenario,
-            outcomes=outcomes,
-            cells=cells,
+        counts = dict(
             adaptive=True,
             trials_used=run.trials_used,
             fixed_trials=run.fixed_trials,
@@ -213,28 +201,27 @@ def validate_scenario(
             rounds=run.rounds,
             converged=run.converged,
         )
-    runner = CampaignRunner(
-        scenario,
-        cache_dir=cache_dir,
-        workers=workers,
-        persist=persist,
-    )
-    result = runner.run()
-    cells = cells_from_result(result)
-    outcomes = tuple(
-        evaluate_expectation(e, cells, method=method, confidence=confidence)
-        for e in expectations
-    )
-    trials = kind.fixed_trials(scenario)
+    else:
+        result = runner.run()
+        cells = cells_from_result(result)
+        trials = KINDS[scenario.kind].fixed_trials(scenario)
+        counts = dict(
+            adaptive=False,
+            trials_used=trials,
+            fixed_trials=trials,
+            computed_units=result.computed_units,
+            cached_units=result.cached_units,
+        )
     return ScenarioValidation(
         scenario=scenario,
-        outcomes=outcomes,
+        outcomes=tuple(
+            evaluate_expectation(
+                e, cells, method=policy.method, confidence=confidence
+            )
+            for e in expectations
+        ),
         cells=cells,
-        adaptive=False,
-        trials_used=trials,
-        fixed_trials=trials,
-        computed_units=result.computed_units,
-        cached_units=result.cached_units,
+        **counts,
     )
 
 

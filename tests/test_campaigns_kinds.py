@@ -33,7 +33,7 @@ from repro.campaigns.kinds import KINDS, ScenarioKind
 from repro.campaigns.kinds.base import proportion
 from repro.campaigns.runner import CampaignRunner, plan_scenario_units
 from repro.campaigns.spec import Scenario
-from repro.stats.adaptive import AdaptivePolicy, AdaptiveScheduler
+from repro.stats.adaptive import AdaptivePolicy
 from repro.stats.expectations import Expectation
 from repro.stats.validation import cells_from_result, validate_scenario
 
@@ -420,6 +420,54 @@ class TestNoMetricNamesInStats:
         assert self._metric_literals(tree, self._declared()) == [4]
 
 
+class TestStatsImportsNoExecution:
+    """The statistics package runs nothing: only ``validation.py``, the
+    harness that drives a campaign runner, may import the campaign or
+    runtime packages, at module or function level."""
+
+    _EXECUTION = ("repro.campaigns", "repro.runtime")
+
+    @classmethod
+    def _execution_imports(cls, tree) -> list[int]:
+        lines = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module] + [
+                    f"{node.module}.{alias.name}" for alias in node.names
+                ]
+            else:
+                continue
+            if any(
+                name == package or name.startswith(package + ".")
+                for name in names
+                for package in cls._EXECUTION
+            ):
+                lines.add(node.lineno)
+        return sorted(lines)
+
+    def test_only_validation_imports_execution(self):
+        found = [
+            f"{path.relative_to(_SRC)}:{line}"
+            for path in sorted((_SRC / "stats").rglob("*.py"))
+            if path.name != "validation.py"
+            for line in self._execution_imports(ast.parse(path.read_text()))
+        ]
+        assert found == []
+
+    def test_the_guard_sees_an_execution_import(self):
+        tree = ast.parse(
+            'from repro.stats.estimator import MeanEstimator\n'
+            'import repro.runtime\n'
+            'def f():\n'
+            '    from repro.campaigns.kinds import KINDS\n'
+            '    from repro import campaigns\n'
+            '    return KINDS, campaigns\n'
+        )
+        assert self._execution_imports(tree) == [2, 4, 5]
+
+
 class TestMetricDeclarations:
     def test_every_adaptive_kind_declares_each_precision(self):
         for name, kind in KINDS.items():
@@ -536,9 +584,9 @@ class TestOneFileKind:
 
     def test_runs_adaptively(self):
         policy = AdaptivePolicy(round_size=2, min_trials=2, max_trials=4)
-        run = AdaptiveScheduler(
-            self._scenario(), policy=policy, persist=False
-        ).run()
+        run = CampaignRunner(self._scenario(), persist=False).run_adaptive(
+            policy
+        )
         assert [c.axis for c in run.cells] == [1, 5]
         assert all(2 <= c.trials <= 4 for c in run.cells)
         assert run.fixed_trials == 12

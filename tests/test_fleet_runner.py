@@ -115,11 +115,9 @@ class TestPlan:
         with pytest.raises(ValueError, match="fixed-budget only"):
             plan_scenario_units(_attack_fleet(), round_index=0)
 
-    def test_adaptive_scheduler_rejects_fleet(self):
-        from repro.stats.adaptive import AdaptiveScheduler
-
+    def test_adaptive_run_rejects_fleet(self):
         with pytest.raises(ValueError, match="fixed-budget only"):
-            AdaptiveScheduler(_attack_fleet())
+            CampaignRunner(_attack_fleet(), persist=False).run_adaptive()
 
     def test_shard_spec_validates_range(self):
         cohort = CohortSpec(n_patients=10, seed=0)

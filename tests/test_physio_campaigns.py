@@ -23,7 +23,7 @@ from repro.campaigns.cli import main as cli_main
 from repro.campaigns.runner import evaluate_unit, plan_scenario_units
 from repro.campaigns.spec import Scenario
 from repro.campaigns.kinds import KINDS
-from repro.stats.adaptive import AdaptivePolicy, AdaptiveScheduler
+from repro.stats.adaptive import AdaptivePolicy
 from repro.stats.estimator import MeanEstimator, SequentialEstimator
 from repro.stats.validation import cells_from_result
 
@@ -178,8 +178,8 @@ class TestStatsIntegration:
         assert isinstance(gap, MeanEstimator) and gap.bounds is None
         assert estimators["hr_abs_error"].bounds[0] == 0.0
         with pytest.raises(ValueError, match="not measured"):
-            AdaptiveScheduler(
-                _small_physio(), tracked={"qt-interval"}, persist=False
+            CampaignRunner(_small_physio(), persist=False).run_adaptive(
+                tracked={"qt-interval"}
             )
 
     def test_cells_from_result_rebuild_exact_moments(self):
@@ -193,10 +193,10 @@ class TestStatsIntegration:
         )
         assert estimators["rhythm_accuracy"].trials == point["n_records"]
 
-    def test_adaptive_scheduler_absorbs_physio_units(self):
+    def test_adaptive_run_absorbs_physio_units(self):
         scenario = _small_physio(location_indices=(1,))
         policy = AdaptivePolicy(min_trials=2, round_size=2, max_trials=4)
-        run = AdaptiveScheduler(scenario, policy=policy, persist=False).run()
+        run = CampaignRunner(scenario, persist=False).run_adaptive(policy)
         (cell,) = run.cells
         assert cell.trials == 4
         assert cell.estimators["hr_abs_error"].count == 4
@@ -205,12 +205,12 @@ class TestStatsIntegration:
     def test_adaptive_matches_fresh_absorb_from_cache(self, tmp_path):
         scenario = _small_physio(location_indices=(1,))
         policy = AdaptivePolicy(min_trials=2, round_size=2, max_trials=4)
-        first = AdaptiveScheduler(
-            scenario, policy=policy, cache_dir=tmp_path
-        ).run()
-        second = AdaptiveScheduler(
-            scenario, policy=policy, cache_dir=tmp_path
-        ).run()
+        first = CampaignRunner(scenario, cache_dir=tmp_path).run_adaptive(
+            policy
+        )
+        second = CampaignRunner(scenario, cache_dir=tmp_path).run_adaptive(
+            policy
+        )
         assert second.computed_units == 0
         assert second.cached_units == first.computed_units
         for a, b in zip(first.cells, second.cells):

@@ -1,6 +1,6 @@
 """Interrupt/resume for adaptive validation: SIGKILL mid-round, resume from cache.
 
-The adaptive scheduler's resume contract: stopping decisions are pure
+Adaptive validation's resume contract: stopping decisions are pure
 functions of cached round-unit results, so a ``repro validate
 --adaptive`` run killed (SIGKILL -- no cleanup, no atexit) part-way
 through its rounds must, when re-run against the same cache, land on
