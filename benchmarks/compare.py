@@ -36,8 +36,9 @@ DEFAULT_BASELINE = BENCH_DIR / "BENCH_baseline.json"
 #: ECG scatter-add, HR autocorrelation, beat suppression), the
 #: observability layer (always-on metrics hooks, span emission,
 #: traced-vs-untraced campaign overhead), the live monitor (unpaced
-#: engine drain throughput, streaming fan-out at 100 subscribers), and
-#: cold start (a fresh interpreter importing the worker).
+#: engine drain throughput, streaming fan-out at 100 subscribers), the
+#: confidence-interval quantiles (Jeffreys and Student-t), and cold
+#: start (a fresh interpreter importing the worker).
 GATED_SUITES = (
     BENCH_DIR / "test_perf_primitives.py",
     BENCH_DIR / "test_perf_physio.py",
@@ -45,6 +46,7 @@ GATED_SUITES = (
     BENCH_DIR / "test_perf_accel.py",
     BENCH_DIR / "test_perf_obs.py",
     BENCH_DIR / "test_perf_live.py",
+    BENCH_DIR / "test_perf_stats.py",
     BENCH_DIR / "test_perf_startup.py",
 )
 

@@ -40,12 +40,15 @@ class Metric:
     fleet kind does from its accumulator); ``precision`` is the CI
     half-width adaptive stopping targets unless
     :attr:`~repro.stats.adaptive.AdaptivePolicy.precision` overrides
-    it (``None`` for a fixed-budget-only kind).
+    it (``None`` for a fixed-budget-only kind).  ``moments`` names a
+    mean metric's (sum, sum-of-squares) keys in a unit result and in a
+    reduced point.
     """
 
     name: str
     estimator: Callable[[], object] | None = None
     precision: float | None = None
+    moments: tuple[str, str] | None = None
 
 
 def proportion(name: str, *, precision: float) -> Metric:
@@ -55,11 +58,17 @@ def proportion(name: str, *, precision: float) -> Metric:
 
 
 def mean(
-    name: str, *, bounds: tuple[float, float] | None, precision: float
+    name: str,
+    *,
+    bounds: tuple[float, float] | None,
+    precision: float,
+    moments: tuple[str, str],
 ) -> Metric:
     """A per-trial mean whose interval clips to its physical ``bounds``
-    (``None``: unbounded), estimated from streaming moments."""
-    return Metric(name, functools.partial(MeanEstimator, bounds=bounds), precision)
+    (``None``: unbounded), estimated from the streaming ``moments``."""
+    return Metric(
+        name, functools.partial(MeanEstimator, bounds=bounds), precision, moments
+    )
 
 
 @functools.cache
@@ -246,6 +255,16 @@ class ScenarioKind:
     def estimators(self) -> dict:
         """Fresh estimators, one per metric, for ``absorb`` to fill."""
         return {metric.name: metric.estimator() for metric in self.metrics}
+
+    def absorb_means(self, estimators, count: int, data) -> None:
+        """Fold every mean metric's moments over ``count`` samples in
+        ``data`` into its estimator."""
+        for metric in self.metrics:
+            if metric.moments is not None:
+                total, sq_total = metric.moments
+                estimators[metric.name].update(
+                    count, data[total], data[sq_total]
+                )
 
     def fixed_trials(self, scenario) -> int:
         """Trials the scenario's fixed budget spends."""

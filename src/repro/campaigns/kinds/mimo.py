@@ -33,7 +33,12 @@ class MimoKind(ScenarioKind):
         "n_antennas", "sir_db", "snr_db", "packet_bits",
     )
     spec_type = MimoChunkSpec
-    metrics = (mean("ber", bounds=(0.0, 1.0), precision=0.02),)
+    metrics = (
+        mean(
+            "ber", bounds=(0.0, 1.0), precision=0.02,
+            moments=("ber_sum", "ber_sqsum"),
+        ),
+    )
     builtins = (
         (
             dict(
@@ -153,9 +158,7 @@ class MimoKind(ScenarioKind):
         }
 
     def absorb(self, estimators, n, data):
-        estimators["ber"].update(
-            data["n_packets"], data["ber_sum"], data["ber_sqsum"]
-        )
+        self.absorb_means(estimators, data["n_packets"], data)
 
     def report_rows(self, scenario, points):
         return [

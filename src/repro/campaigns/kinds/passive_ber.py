@@ -24,7 +24,12 @@ class PassiveBerKind(ScenarioKind):
     schema = 3
     payload_fields = ScenarioKind.payload_fields + ("jam_margin_db",)
     spec_type = PassiveChunkSpec
-    metrics = (mean("ber", bounds=(0.0, 1.0), precision=0.02),)
+    metrics = (
+        mean(
+            "ber", bounds=(0.0, 1.0), precision=0.02,
+            moments=("ber_sum", "ber_sqsum"),
+        ),
+    )
     builtins = (
         (
             dict(
@@ -102,9 +107,7 @@ class PassiveBerKind(ScenarioKind):
         }
 
     def absorb(self, estimators, n, data):
-        estimators["ber"].update(
-            data["n_packets"], data["ber_sum"], data["ber_sqsum"]
-        )
+        self.absorb_means(estimators, data["n_packets"], data)
 
     def report_rows(self, scenario, points):
         return [

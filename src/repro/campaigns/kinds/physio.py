@@ -17,17 +17,6 @@ from repro.stats.expectations import Expectation
 
 _NON_NEGATIVE = (0.0, float("inf"))
 
-#: Mean-valued metric -> the (sum, sum-of-squares) keys of a unit
-#: result and of a reduced point; ``rhythm_accuracy`` is a proportion
-#: and is absorbed separately.
-MOMENT_KEYS: dict[str, tuple[str, str]] = {
-    "hr_abs_error": ("hr_err_sum", "hr_err_sqsum"),
-    "hr_error_vs_chance": ("hr_gap_sum", "hr_gap_sqsum"),
-    "hr_abs_error_clear": ("hr_err_clear_sum", "hr_err_clear_sqsum"),
-    "beat_f1": ("beat_f1_sum", "beat_f1_sqsum"),
-    "waveform_nrmse": ("nrmse_sum", "nrmse_sqsum"),
-}
-
 
 @dataclass(frozen=True)
 class PhysioChunkSpec:
@@ -52,12 +41,27 @@ class PhysioKind(ScenarioKind):
     # rate" from the ~45 BPM chance regime without demanding thousands
     # of records.  The versus-chance gap can be negative.
     metrics = (
-        mean("hr_abs_error", bounds=_NON_NEGATIVE, precision=3.0),
-        mean("hr_error_vs_chance", bounds=None, precision=3.0),
-        mean("hr_abs_error_clear", bounds=_NON_NEGATIVE, precision=3.0),
-        mean("beat_f1", bounds=(0.0, 1.0), precision=0.05),
+        mean(
+            "hr_abs_error", bounds=_NON_NEGATIVE, precision=3.0,
+            moments=("hr_err_sum", "hr_err_sqsum"),
+        ),
+        mean(
+            "hr_error_vs_chance", bounds=None, precision=3.0,
+            moments=("hr_gap_sum", "hr_gap_sqsum"),
+        ),
+        mean(
+            "hr_abs_error_clear", bounds=_NON_NEGATIVE, precision=3.0,
+            moments=("hr_err_clear_sum", "hr_err_clear_sqsum"),
+        ),
+        mean(
+            "beat_f1", bounds=(0.0, 1.0), precision=0.05,
+            moments=("beat_f1_sum", "beat_f1_sqsum"),
+        ),
         proportion("rhythm_accuracy", precision=0.10),
-        mean("waveform_nrmse", bounds=_NON_NEGATIVE, precision=0.05),
+        mean(
+            "waveform_nrmse", bounds=_NON_NEGATIVE, precision=0.05,
+            moments=("nrmse_sum", "nrmse_sqsum"),
+        ),
     )
     builtins = (
         (
@@ -276,8 +280,9 @@ class PhysioKind(ScenarioKind):
             "ber_clear": sums["ber_clear_sum"] / n,
             "n_records": n,
         }
-        for metric, (total, _) in MOMENT_KEYS.items():
-            point[metric] = sums[total] / n
+        for metric in self.metrics:
+            if metric.moments is not None:
+                point[metric.name] = sums[metric.moments[0]] / n
         # Raw moments ride along so downstream statistics never
         # reconstruct them from the means.
         point.update({key: sums[key] for key in sums if key != "n_records"})
@@ -285,8 +290,7 @@ class PhysioKind(ScenarioKind):
 
     def absorb(self, estimators, n, data):
         n_records = data["n_records"]
-        for metric, (total, sq_total) in MOMENT_KEYS.items():
-            estimators[metric].update(n_records, data[total], data[sq_total])
+        self.absorb_means(estimators, n_records, data)
         estimators["rhythm_accuracy"].update(data["rhythm_correct"], n_records)
 
     def report_rows(self, scenario, points):

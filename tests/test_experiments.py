@@ -83,7 +83,7 @@ class TestMetrics:
             success_probability(1, 10, confidence=1.5)
 
     def test_success_probability_arbitrary_confidence(self):
-        """Non-tabled confidence levels now resolve through scipy."""
+        """Non-tabled confidence levels resolve through the normal quantile."""
         _, low80, high80 = success_probability(5, 10, confidence=0.80)
         _, low95, high95 = success_probability(5, 10, confidence=0.95)
         assert low95 < low80 < high80 < high95

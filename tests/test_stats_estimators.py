@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.metrics import success_probability
 from repro.stats import (
@@ -18,6 +20,10 @@ from repro.stats import (
     worst_verdict,
 )
 from repro.stats.expectations import CellStats
+from repro.stats.intervals import _LEGACY_Z, _beta_quantile, _t_quantile
+
+#: Confidence levels the quantile pins sweep: 0.80 to 0.999.
+_LEVELS = [float(c) for c in np.linspace(0.8, 0.999, 200)]
 
 
 class TestIntervals:
@@ -32,7 +38,7 @@ class TestIntervals:
         assert normal_quantile(0.90) == 1.6449
         assert normal_quantile(0.99) == 2.5758
 
-    def test_arbitrary_confidence_resolves_through_scipy(self):
+    def test_arbitrary_confidence_resolves_through_normal_quantile(self):
         z80 = normal_quantile(0.80)
         assert z80 == pytest.approx(1.2816, abs=1e-3)
         assert normal_quantile(0.80) < normal_quantile(0.95)
@@ -88,6 +94,65 @@ class TestIntervals:
     def test_mean_interval_clips_to_bounds(self):
         low, high = mean_interval(3, 0.01, 0.01, bounds=(0.0, 1.0))
         assert low >= 0.0 and high <= 1.0
+
+
+class TestQuantilesMatchScipy:
+    """The standard-library quantiles against ``scipy.stats`` over the
+    levels, degrees of freedom and trial counts the campaigns use."""
+
+    def test_normal(self):
+        from scipy import stats as sps
+
+        for confidence in _LEVELS:
+            if confidence in _LEGACY_Z:
+                continue
+            # NormalDist and scipy's ndtri each err by a few ulps, so
+            # they differ by up to 1.3e-15 where z reaches 3.3.
+            assert normal_quantile(confidence) == pytest.approx(
+                sps.norm.ppf(0.5 + confidence / 2.0), rel=1e-15, abs=1e-15
+            )
+
+    def test_student_t(self):
+        from scipy import stats as sps
+
+        levels = _LEVELS[::20] + [0.90, 0.95, 0.99, 0.999]
+        for df in range(1, 401):
+            want = sps.t.ppf([0.5 + c / 2.0 for c in levels], df)
+            got = [_t_quantile(c, df) for c in levels]
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("trials", [1, 2, 5, 10, 50, 100, 500, 1000, 4000])
+    def test_jeffreys_beta_both_tails(self, trials):
+        from scipy import stats as sps
+
+        successes = np.arange(trials + 1)
+        a, b = successes + 0.5, trials - successes + 0.5
+        for confidence in (0.95, 0.999):
+            alpha = 1.0 - confidence
+            low, high = zip(
+                *(jeffreys_interval(int(s), trials, confidence) for s in successes)
+            )
+            want_low = np.where(successes == 0, 0.0, sps.beta.ppf(alpha / 2, a, b))
+            want_high = np.where(
+                successes == trials, 1.0, sps.beta.ppf(1 - alpha / 2, a, b)
+            )
+            np.testing.assert_allclose(low, want_low, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(high, want_high, rtol=0, atol=1e-13)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        a=st.floats(0.5, 2000.0),
+        b=st.floats(0.5, 2000.0),
+        p=st.floats(0.5, 1 - 1e-6),
+        q=st.floats(1e-6, 1 - 1e-6),
+    )
+    def test_beta_quantile_monotone_and_symmetric(self, a, b, p, q):
+        low, high = sorted((p, q))
+        assert _beta_quantile(low, a, b) <= _beta_quantile(high, a, b) + 1e-13
+        # 1 - p is exact for p >= 1/2, so any asymmetry is the inverse's.
+        assert _beta_quantile(p, a, a) + _beta_quantile(1 - p, a, a) == (
+            pytest.approx(1.0, abs=1e-13)
+        )
 
 
 class TestSequentialEstimator:
